@@ -3,6 +3,7 @@ linearized-constraint matrix including boundary-condition rows."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -236,6 +237,125 @@ class ConstraintMatrix:
         return self.num_rows - self.num_bc_rows
 
 
+@dataclass(frozen=True, eq=False)
+class ConstraintPattern:
+    """Fixed CSR structure of constraint rows on one (mesh, dim, variant, BC).
+
+    Tangential rows at the constraint nodes ``tangent_nodes`` come first:
+    their entry k holds ``coef[k] * t.ravel()[tangent[k]]``, with t the
+    (num constraint nodes, dim) tangents of the current curve.  The
+    ``num_bc_rows`` boundary rows after them are constant and stored in
+    ``template``, whose column indices are ascending within each row.
+    """
+
+    template: sp.csr_matrix
+    coef: np.ndarray
+    tangent: np.ndarray
+    tangent_nodes: np.ndarray
+    num_bc_rows: int
+
+    def fill(self, tangents: np.ndarray,
+             weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
+        """The rows for the given tangents, optionally scaling row z by
+        ``weights[z]``; each call returns a matrix with its own data."""
+        t = tangents if weights is None else tangents * weights[:, None]
+        data = self.template.data.copy()
+        np.multiply(self.coef, t.ravel()[self.tangent],
+                    out=data[:self.coef.size])
+        # a shallow copy shares the index arrays and skips the format checks
+        # of the csr constructor, which cost more than the fill itself
+        matrix = copy.copy(self.template)
+        matrix.data = data
+        return matrix
+
+
+def tangential_stencil(mesh: Mesh1D, dim: int, variant: ConstraintVariant,
+                       keep: np.ndarray):
+    """Entries of the rows Y -> Y'(z) . t(z) at the constraint nodes
+    ``keep``, row by row with ascending columns: (indptr, indices, coef,
+    tangent).  Entry k is ``coef[k] * t.ravel()[tangent[k]]`` for tangents
+    t of shape (num constraint nodes, dim), so ``tangent[k]`` is also the
+    row of component ``tangent[k] % dim`` at constraint node
+    ``tangent[k] // dim``."""
+    is_node = np.ones(keep.size, dtype=bool) if variant is ConstraintVariant.P1 \
+        else keep % 2 == 0
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.where(is_node, dim, 4 * dim))]).astype(np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    coef = np.empty(indptr[-1])
+    tangent = np.empty(indptr[-1], dtype=np.intp)
+    comp = np.arange(dim)
+    starts = indptr[:-1]
+
+    # node rows: Y'(x_i) is the derivative DOF block of node i
+    z = keep[is_node]
+    node = z if variant is ConstraintVariant.P1 else z // 2
+    pos = starts[is_node, None] + comp
+    indices[pos] = 2 * dim * node[:, None] + dim + comp
+    coef[pos] = 1.0
+    tangent[pos] = dim * z[:, None] + comp
+
+    if variant is ConstraintVariant.P2:
+        z = keep[~is_node]
+        elem = (z - 1) // 2
+        h = mesh.element_lengths[elem]
+        local = np.arange(4 * dim)
+        pos = starts[~is_node, None] + local
+        # Y'(m_i) = (3/2h)(v_R - v_L) - (1/4)(d_L + d_R), per component; the
+        # element's DOFs (v_L, d_L, v_R, d_R) are contiguous
+        indices[pos] = 2 * dim * elem[:, None] + local
+        quarter = np.full(h.size, -0.25)
+        coef[pos] = np.repeat(np.stack([-1.5 / h, quarter, 1.5 / h, quarter],
+                                       axis=1), dim, axis=1)
+        tangent[pos] = dim * z[:, None] + np.tile(comp, 4)
+    return indptr, indices, coef, tangent
+
+
+def _pattern(mesh: Mesh1D, dim: int, variant: ConstraintVariant,
+             keep: np.ndarray, bc_rows=()) -> ConstraintPattern:
+    """Tangential rows at the constraint nodes ``keep``, then the boundary
+    rows ``bc_rows``, each a tuple of (ascending columns, values)."""
+    indptr, indices, coef, tangent = tangential_stencil(mesh, dim, variant,
+                                                        keep)
+    bc_counts = np.cumsum([len(cols) for cols, _ in bc_rows], dtype=int)
+    indptr = np.concatenate([indptr, indptr[-1] + bc_counts]).astype(np.int32)
+    indices = np.concatenate(
+        [indices, [c for cols, _ in bc_rows for c in cols]]).astype(np.int32)
+    data = np.concatenate([np.zeros(coef.size),
+                           [v for _, vals in bc_rows for v in vals]])
+    template = sp.csr_matrix((data, indices, indptr),
+                             shape=(keep.size + len(bc_rows),
+                                    2 * dim * mesh.nodes.size))
+    return ConstraintPattern(template, coef, tangent, keep, len(bc_rows))
+
+
+def constraint_pattern(mesh: Mesh1D, dim: int, variant: ConstraintVariant,
+                       bc: BoundaryConditions) -> ConstraintPattern:
+    """Structure of ``assemble_constraint``'s matrix: the tangential rows
+    that survive the boundary conditions, then one homogeneous row per
+    fixed DOF (or per periodic tie)."""
+    nz = mesh.constraint_nodes(variant).size
+    drop = set()
+    if bc.deriv_a is not None:
+        drop.add(0)
+    if bc.deriv_b is not None or bc.periodic:
+        drop.add(nz - 1)
+    keep = np.array([i for i in range(nz) if i not in drop], dtype=int)
+
+    last = 2 * dim * (mesh.nodes.size - 1)
+    if bc.periodic:
+        # value rows then derivative rows
+        bc_rows = [((block + c, last + block + c), (1.0, -1.0))
+                   for block in (0, dim) for c in range(dim)]
+    else:
+        bc_rows = [((base + c,), (1.0,))
+                   for target, base in ((bc.value_a, 0), (bc.deriv_a, dim),
+                                        (bc.value_b, last),
+                                        (bc.deriv_b, last + dim))
+                   if target is not None for c in range(dim)]
+    return _pattern(mesh, dim, variant, keep, bc_rows)
+
+
 def tangential_rows(Zn: HermiteCurve, variant: ConstraintVariant,
                     keep: Optional[np.ndarray] = None,
                     weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
@@ -245,91 +365,25 @@ def tangential_rows(Zn: HermiteCurve, variant: ConstraintVariant,
     ``weights`` optionally scales row z by a positive factor (used for the
     lumped saddle-point form); scaling does not change the kernel.
     """
-    mesh, dim = Zn.mesh, Zn.dim
-    n = 2 * dim * mesh.nodes.size
     tangents = Zn.derivative_at_constraint_nodes(variant)
-    nz = tangents.shape[0]
     if keep is None:
-        keep = np.arange(nz)
-    if weights is None:
-        weights = np.ones(nz)
-
-    rows, cols, data = [], [], []
-    if variant is ConstraintVariant.P1:
-        node_rows = np.arange(keep.size)
-        node_ids = keep
-    else:
-        is_node = keep % 2 == 0
-        node_rows = np.nonzero(is_node)[0]
-        node_ids = keep[is_node] // 2
-        mid_rows = np.nonzero(~is_node)[0]
-        mid_elems = (keep[~is_node] - 1) // 2
-
-    # node rows: Y'(x_i) is the derivative DOF block of node i
-    t_n = tangents[keep[node_rows]] * weights[keep[node_rows], None]
-    for c in range(dim):
-        rows.append(node_rows)
-        cols.append(2 * dim * node_ids + dim + c)
-        data.append(t_n[:, c])
-
-    if variant is ConstraintVariant.P2 and mid_rows.size:
-        h = mesh.element_lengths[mid_elems]
-        t_m = tangents[keep[mid_rows]] * weights[keep[mid_rows], None]
-        base = 2 * dim * mid_elems
-        # Y'(m_i) = (3/2h)(v_R - v_L) - (1/4)(d_L + d_R), per component
-        for c in range(dim):
-            for offset, coef in ((base + c, -1.5 / h),
-                                 (base + dim + c, np.full(h.size, -0.25)),
-                                 (base + 2 * dim + c, 1.5 / h),
-                                 (base + 3 * dim + c, np.full(h.size, -0.25))):
-                rows.append(mid_rows)
-                cols.append(offset)
-                data.append(coef * t_m[:, c])
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    return sp.coo_matrix((data, (rows, cols)), shape=(keep.size, n)).tocsr()
+        keep = np.arange(tangents.shape[0])
+    return _pattern(Zn.mesh, Zn.dim, variant, keep).fill(tangents, weights)
 
 
 def assemble_constraint(Zn: HermiteCurve, variant: ConstraintVariant,
-                        bc: BoundaryConditions) -> ConstraintMatrix:
+                        bc: BoundaryConditions,
+                        pattern: Optional[ConstraintPattern] = None
+                        ) -> ConstraintMatrix:
     """Constraint matrix of one flow step: tangential rows at the constraint
     nodes of ``variant`` plus homogeneous boundary rows.  The right-hand side
-    of these rows is always zero."""
-    mesh, dim = Zn.mesh, Zn.dim
-    n = 2 * dim * mesh.nodes.size
-    nz = mesh.constraint_nodes(variant).size
+    of these rows is always zero.
 
-    drop = set()
-    if bc.deriv_a is not None:
-        drop.add(0)
-    if bc.deriv_b is not None or bc.periodic:
-        drop.add(nz - 1)
-    keep = np.array([i for i in range(nz) if i not in drop], dtype=int)
-
-    tang = tangential_rows(Zn, variant, keep=keep)
-
-    bc_rows, bc_cols, bc_data = [], [], []
-    r = 0
-    last = 2 * dim * (mesh.nodes.size - 1)
-    if bc.periodic:
-        for block in (0, dim):  # value rows then derivative rows
-            for c in range(dim):
-                bc_rows.extend([r, r])
-                bc_cols.extend([block + c, last + block + c])
-                bc_data.extend([1.0, -1.0])
-                r += 1
-    else:
-        for target, base in ((bc.value_a, 0), (bc.deriv_a, dim),
-                             (bc.value_b, last), (bc.deriv_b, last + dim)):
-            if target is None:
-                continue
-            for c in range(dim):
-                bc_rows.append(r)
-                bc_cols.append(base + c)
-                bc_data.append(1.0)
-                r += 1
-    bc_mat = sp.coo_matrix((bc_data, (bc_rows, bc_cols)), shape=(r, n)).tocsr()
-    matrix = sp.vstack([tang, bc_mat], format="csr") if r else tang
-    return ConstraintMatrix(matrix=matrix, tangent_nodes=keep, num_bc_rows=r)
+    ``pattern``, when given, must be ``constraint_pattern`` of the same
+    mesh, dim, variant and conditions; a flow builds it once per run.
+    """
+    if pattern is None:
+        pattern = constraint_pattern(Zn.mesh, Zn.dim, variant, bc)
+    return ConstraintMatrix(
+        matrix=pattern.fill(Zn.derivative_at_constraint_nodes(variant)),
+        tangent_nodes=pattern.tangent_nodes, num_bc_rows=pattern.num_bc_rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -198,10 +198,13 @@ def _spec_from_config(raw: dict) -> ExperimentSpec:
             from .assembly import BoundaryConditions
             bc = BoundaryConditions(periodic=True)
         else:
-            for key in bc_keys:
-                if key == "bc.periodic":
-                    continue
-                setattr(bc, key[3:], np.array(_float_list(raw[key])))
+            targets = {key[3:]: np.array(_float_list(raw[key]))
+                       for key in bc_keys if key != "bc.periodic"}
+            for name, vec in targets.items():
+                if vec.size != spec.dim:
+                    raise UsageError(f"bc.{name} needs {spec.dim} "
+                                     f"components, got {vec.size}")
+            bc = replace(bc, **targets)
         spec = spec.override(bc=bc)
     return spec
 

@@ -18,10 +18,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (BoundaryConditions, SystemMatrices, assemble_constraint,
-                       assemble_matrices)
+from .assembly import (BoundaryConditions, ConstraintPattern, SystemMatrices,
+                       assemble_constraint, assemble_matrices,
+                       constraint_pattern)
 from .mesh import ConstraintVariant, Mesh1D
-from .saddle_solver import SaddleSystem, solve_kkt
+from .saddle_solver import BandedKKT, SaddleSystem, solve_kkt
 from .splines import (FunctionOracle, HermiteCurve, interp_j2, interp_j3,
                       unit_speed_violation)
 
@@ -115,9 +116,31 @@ def _system_matrix(config: FlowConfig, matrices: SystemMatrices) -> sp.csr_matri
     return ((1.0 + config.tau) * matrices.bending).tocsr()
 
 
+@dataclass(frozen=True, eq=False)
+class StepStructure:
+    """What stays fixed over a run: the system matrix A, the sparsity
+    pattern of the constraint rows and the banded KKT storage built from
+    both.  Each step only refills the values that depend on the curve."""
+
+    A: sp.csr_matrix
+    pattern: ConstraintPattern
+    band: BandedKKT
+
+    @classmethod
+    def build(cls, config: FlowConfig, matrices: SystemMatrices
+              ) -> "StepStructure":
+        A = _system_matrix(config, matrices)
+        pattern = constraint_pattern(matrices.mesh, matrices.dim,
+                                     config.constraint, config.bc)
+        return cls(A, pattern, BandedKKT(A, pattern.template))
+
+
 def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
-         system_matrix: Optional[sp.csr_matrix] = None) -> FlowState:
+         structure: Optional[StepStructure] = None) -> FlowState:
     """One time step; returns the new state.
+
+    ``structure`` is built for this call when not given; ``run`` builds it
+    once for all its steps.
 
     The energy-decrease identity of the scheme is monitored: for the L2 flow
     E(Z^{n+1}) = E(Z^n) - tau*|v|_L2^2 - (tau^2/2)*|v''|_L2^2 with v the
@@ -125,13 +148,15 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
     """
     Z = state.curve
     tau = config.tau
-    constraint = assemble_constraint(Z, config.constraint, config.bc)
-    A = system_matrix if system_matrix is not None else _system_matrix(config, matrices)
+    if structure is None:
+        structure = StepStructure.build(config, matrices)
+    constraint = assemble_constraint(Z, config.constraint, config.bc,
+                                     pattern=structure.pattern)
     rhs_top = -matrices.apply_bending(Z.dofs)
-    system = SaddleSystem(A, constraint.matrix, rhs_top,
+    system = SaddleSystem(structure.A, constraint.matrix, rhs_top,
                           np.zeros(constraint.num_rows))
     try:
-        v, _ = solve_kkt(system)
+        v, _ = solve_kkt(system, band=structure.band)
     except Exception as exc:
         raise FlowSolveError(state.n, exc) from exc
 
@@ -158,7 +183,7 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
         identity_err = abs(new_energy - state.energy + (tau + 0.5 * tau**2) * v_bend)
     identity_err /= max(1.0, abs(state.energy))
 
-    tang = constraint.matrix[:constraint.num_tangent_rows] @ v
+    tang = (constraint.matrix @ v)[:constraint.num_tangent_rows]
     constraint_res = float(np.abs(tang).max()) if tang.size else 0.0
 
     return FlowState(
@@ -186,13 +211,14 @@ def run(config: FlowConfig, mesh: Mesh1D, z0: FunctionOracle, dim: int,
         matrices = assemble_matrices(mesh, dim)
     state = init_state(z0, mesh, dim, config.constraint, initializer, matrices)
     config.bc.validate_initial(state.curve)
-    A = _system_matrix(config, matrices)
+    structure = StepStructure.build(config, matrices) if config.num_steps \
+        else None
 
     snapshots: List[Tuple[int, HermiteCurve]] = []
     if snapshot_stride > 0:
         snapshots.append((0, state.curve))
     for _ in range(config.num_steps):
-        state = step(state, config, matrices, system_matrix=A)
+        state = step(state, config, matrices, structure=structure)
         if snapshot_stride > 0 and state.n % snapshot_stride == 0:
             snapshots.append((state.n, state.curve))
         if config.stationarity_tol > 0.0 and \

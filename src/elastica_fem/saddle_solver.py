@@ -8,8 +8,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 
 class KKTSingularError(RuntimeError):
@@ -22,6 +24,13 @@ class KKTSingularError(RuntimeError):
     def __init__(self, message: str, deficiency: int):
         super().__init__(message)
         self.deficiency = deficiency
+
+
+def _as_csr(matrix) -> sp.csr_matrix:
+    # the csr constructor's format checks cost more than a small flow solve
+    if sp.issparse(matrix) and matrix.format == "csr":
+        return matrix
+    return sp.csr_matrix(matrix)
 
 
 @dataclass
@@ -39,8 +48,8 @@ class SaddleSystem:
     rhs_bottom: np.ndarray
 
     def __post_init__(self):
-        self.A = sp.csr_matrix(self.A)
-        self.B = sp.csr_matrix(self.B)
+        self.A = _as_csr(self.A)
+        self.B = _as_csr(self.B)
         self.rhs_top = np.asarray(self.rhs_top, dtype=float).ravel()
         self.rhs_bottom = np.asarray(self.rhs_bottom, dtype=float).ravel()
         n, m = self.A.shape[0], self.B.shape[0]
@@ -60,9 +69,19 @@ class SaddleSystem:
 
 _PIVOT_TOL = 1e-12   # relative pivot threshold flagging rank deficiency
 _RESIDUAL_TOL = 1e-10
+# largest KKT order whose failure is diagnosed by a full SVD; above it the
+# small LU pivots are counted instead (the SVD is O(N^3) and took seconds at
+# N ~ 2000 only to confirm what the pivots already show)
+_SVD_MAX_N = 400
 
 
-def _estimate_deficiency(K: np.ndarray) -> int:
+def _estimate_deficiency(K: np.ndarray,
+                         pivots: Optional[np.ndarray] = None) -> int:
+    """Numerical rank deficiency of K: singular values below _PIVOT_TOL
+    times the largest, or, when K is larger than _SVD_MAX_N and its LU
+    pivots are given, the pivots below _PIVOT_TOL times their maximum."""
+    if pivots is not None and K.shape[0] > _SVD_MAX_N:
+        return int(np.sum(pivots < _PIVOT_TOL * pivots.max()))
     svals = sla.svdvals(K)
     if svals.size == 0:
         return 0
@@ -77,7 +96,8 @@ def kkt_residual(system: SaddleSystem, x: np.ndarray, lam: np.ndarray
     return float(np.linalg.norm(top)), float(np.linalg.norm(bottom))
 
 
-def _dense_solve(system: SaddleSystem) -> Tuple[np.ndarray, np.ndarray]:
+def _dense_solve(system: SaddleSystem, tol_rel: float, rhs_norm: float
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     n, m = system.n, system.m
     K = np.zeros((n + m, n + m))
     K[:n, :n] = system.A.toarray()
@@ -92,27 +112,134 @@ def _dense_solve(system: SaddleSystem) -> Tuple[np.ndarray, np.ndarray]:
     pivots = np.abs(np.diag(lu))
     if pivots.max() == 0.0 or pivots.min() < _PIVOT_TOL * pivots.max():
         raise KKTSingularError(
-            "KKT matrix numerically rank deficient", _estimate_deficiency(K))
+            "KKT matrix numerically rank deficient",
+            _estimate_deficiency(K, pivots))
     sol = sla.lu_solve((lu, piv), rhs)
     sol += sla.lu_solve((lu, piv), rhs - K @ sol)  # one refinement pass
-    return sol[:n], sol[n:]
+    x, lam = sol[:n], sol[n:]
+    top, bottom = kkt_residual(system, x, lam)
+    res = np.hypot(top, bottom)
+    if res > tol_rel * max(rhs_norm, 1e-300):
+        raise KKTSingularError(
+            f"KKT solve residual {res:.3e} exceeds {tol_rel:.1e} * |rhs|",
+            _estimate_deficiency(K, pivots))
+    return x, lam
 
 
-def solve_kkt(system: SaddleSystem, tol_rel: float = _RESIDUAL_TOL
+class BandedKKT:
+    """Banded LU storage of [[A, B^T], [B, 0]] for a fixed A and a fixed
+    CSR pattern of B, reused by every solve whose B has that pattern.
+
+    In 1D every constraint row touches the DOFs of one element, so after a
+    reverse Cuthill-McKee ordering of K's pattern the half-bandwidth stays
+    small (flow systems with clamped or semi-clamped ends: 9 for d=2, 17
+    for d=3, at every M).  Each solve scatters the values of B into one
+    preallocated band array, factors it in place with LAPACK gbtrf
+    (partial pivoting, safe for the indefinite K) and solves with gbtrs.
+    """
+
+    def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
+        A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+        # values are scattered entry by entry, so an entry must not repeat
+        if not (A.has_canonical_format and B.has_canonical_format):
+            raise ValueError("A and B need sorted, unique column indices "
+                             "in every row")
+        n, m = A.shape[0], B.shape[0]
+        self._b_indptr, self._b_indices = B.indptr, B.indices
+        self._b_rows = np.repeat(np.arange(m), np.diff(B.indptr))
+        A, B = A.tocoo(), B.tocoo()
+        # K's entries in the order (A, B below the diagonal, B^T above)
+        rows = np.concatenate([A.row, n + B.row, B.col])
+        cols = np.concatenate([A.col, B.col, n + B.row])
+        size = n + m
+        graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                              shape=(size, size))
+        self.perm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        inv = np.empty(size, dtype=np.intp)
+        inv[self.perm] = np.arange(size)
+        rows, cols = inv[rows], inv[cols]
+        self.bandwidth = int(np.abs(rows - cols).max())
+        bw = self.bandwidth
+        # gbtrf's layout: K[i, j] at ab[2*bw + i - j, j], with bw extra rows
+        # on top for the fill-in of row pivoting.  ab is the transpose of a
+        # C-ordered (size, 3*bw+1) array, so it is Fortran-contiguous and
+        # factored in place, and its flat index is j*(3*bw+1) + 2*bw + i - j.
+        self._ab_t = np.zeros((size, 3 * bw + 1))
+        self._flat = self._ab_t.reshape(-1)
+        pos = cols * (3 * bw + 1) + 2 * bw + rows - cols
+        self._pos_a = pos[:A.nnz]
+        self._pos_b = pos[A.nnz:].reshape(2, -1)
+        self._a_values = A.data.astype(float)
+
+    def _apply(self, system: SaddleSystem, sol: np.ndarray) -> np.ndarray:
+        """[[A, B^T], [B, 0]] times sol = (x, lam) with the system's own A
+        and B; B^T lam is summed from B's entries, which is cheaper than
+        forming the transpose."""
+        B, n = system.B, system.n
+        x, lam = sol[:n], sol[n:]
+        top = system.A @ x + np.bincount(B.indices, B.data * lam[self._b_rows],
+                                         minlength=n)
+        bottom = np.bincount(self._b_rows, B.data * x[B.indices],
+                             minlength=system.m)
+        return np.concatenate([top, bottom])
+
+    def solve(self, system: SaddleSystem, rhs: np.ndarray
+              ) -> Tuple[Optional[np.ndarray], float]:
+        """Solution (x, lam) of the system after one refinement step, and
+        the norm of its residual K sol - rhs; (None, inf) when a pivot falls
+        below _PIVOT_TOL times the largest.
+
+        The factored K holds the A given at construction and the values of
+        ``system.B``, whose pattern must be the one given there.  Refinement
+        and residual use the system's own A and B, so a solve with another A
+        is refined towards the system's solution, and the residual shows
+        when one step does not get there.
+        """
+        B = system.B
+        if not (np.array_equal(B.indptr, self._b_indptr)
+                and np.array_equal(B.indices, self._b_indices)):
+            raise ValueError("constraint block does not match the band "
+                             "pattern")
+        bw = self.bandwidth
+        self._flat.fill(0.0)
+        self._flat[self._pos_a] = self._a_values
+        self._flat[self._pos_b] = B.data
+        lu, piv, _ = lapack.dgbtrf(self._ab_t.T, bw, bw, overwrite_ab=1)
+        pivots = np.abs(lu[2 * bw])
+        if pivots.min() < _PIVOT_TOL * pivots.max():
+            return None, np.inf
+        sol = np.empty_like(rhs)
+        sol[self.perm] = lapack.dgbtrs(lu, bw, bw, rhs[self.perm], piv)[0]
+        correction = rhs - self._apply(system, sol)
+        sol[self.perm] += lapack.dgbtrs(lu, bw, bw, correction[self.perm],
+                                        piv)[0]
+        return sol, float(np.linalg.norm(self._apply(system, sol) - rhs))
+
+
+def solve_kkt(system: SaddleSystem, tol_rel: float = _RESIDUAL_TOL,
+              band: Optional[BandedKKT] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the block system; returns (x, lam).
 
-    Sparse LU with one step of iterative refinement; a dense factorization
-    with pivot diagnostics takes over when the sparse path fails or leaves a
-    residual above tol_rel times the right-hand-side norm.
+    With ``band`` (built for this A and B's pattern), a banded LU of the
+    reordered K is tried first.  Otherwise, or when it fails, sparse LU with
+    one step of iterative refinement; a dense factorization with pivot
+    diagnostics takes over when the sparse path fails.  Every path is
+    rejected on a pivot below _PIVOT_TOL times the largest or a residual
+    above tol_rel times the right-hand-side norm.
     """
     if system.m == 0:
         x = spla.spsolve(system.A.tocsc(), system.rhs_top)
         return np.atleast_1d(x), np.zeros(0)
 
-    K = sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
     rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
-    rhs_norm = np.linalg.norm(rhs)
+    bound = tol_rel * max(np.linalg.norm(rhs), 1e-300)
+    if band is not None:
+        sol, res = band.solve(system, rhs)
+        if sol is not None and np.all(np.isfinite(sol)) and res <= bound:
+            return sol[:system.n], sol[system.n:]
+
+    K = sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
     try:
         lu = spla.splu(K)
         pivots = np.abs(lu.U.diagonal())
@@ -128,19 +255,10 @@ def solve_kkt(system: SaddleSystem, tol_rel: float = _RESIDUAL_TOL
         sol = None
 
     if sol is not None and np.all(np.isfinite(sol)):
-        res = np.linalg.norm(K @ sol - rhs)
-        if res <= tol_rel * max(rhs_norm, 1e-300):
+        if np.linalg.norm(K @ sol - rhs) <= bound:
             return sol[:system.n], sol[system.n:]
 
-    x, lam = _dense_solve(system)
-    top, bottom = kkt_residual(system, x, lam)
-    res = np.hypot(top, bottom)
-    if res > tol_rel * max(rhs_norm, 1e-300):
-        raise KKTSingularError(
-            f"KKT solve residual {res:.3e} exceeds {tol_rel:.1e} * |rhs|",
-            _estimate_deficiency(np.asarray(
-                sp.bmat([[system.A, system.B.T], [system.B, None]]).todense())))
-    return x, lam
+    return _dense_solve(system, tol_rel, np.linalg.norm(rhs))
 
 
 class SchurSolver:

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import BoundaryConditions, SystemMatrices, tangential_rows
+from .assembly import (BoundaryConditions, SystemMatrices, tangential_rows,
+                       tangential_stencil)
 from .mesh import ConstraintVariant, Mesh1D
 from .splines import (FunctionOracle, HermiteCurve, QuadraticField,
                       interp_hermite, lumped_weights)
@@ -81,40 +82,15 @@ def derivative_eval_matrix(mesh: Mesh1D, dim: int,
     """Sparse map from curve DOFs to the stacked derivative components
     (Y'(z)_c) at the constraint nodes; rows ordered node-major, component
     fastest."""
-    n = 2 * dim * mesh.nodes.size
-    num_nodes = mesh.nodes.size
-    rows, cols, data = [], [], []
-
-    if variant is ConstraintVariant.P1:
-        row_of_node = np.arange(num_nodes)
-        nz = num_nodes
-    else:
-        row_of_node = 2 * np.arange(num_nodes)
-        nz = 2 * mesh.num_elements + 1
-
-    i = np.arange(num_nodes)
-    for c in range(dim):
-        rows.append(dim * row_of_node + c)
-        cols.append(2 * dim * i + dim + c)
-        data.append(np.ones(num_nodes))
-
-    if variant is ConstraintVariant.P2:
-        e = np.arange(mesh.num_elements)
-        h = mesh.element_lengths
-        base = 2 * dim * e
-        mid_rows = dim * (2 * e + 1)
-        for c in range(dim):
-            for offset, coef in ((base + c, -1.5 / h),
-                                 (base + dim + c, np.full(e.size, -0.25)),
-                                 (base + 2 * dim + c, 1.5 / h),
-                                 (base + 3 * dim + c, np.full(e.size, -0.25))):
-                rows.append(mid_rows + c)
-                cols.append(offset)
-                data.append(coef)
-
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim * nz, n)).tocsr()
+    nz = mesh.constraint_nodes(variant).size
+    _, cols, coef, rows = tangential_stencil(mesh, dim, variant,
+                                             np.arange(nz))
+    # each row comes from one stencil row, whose columns already ascend
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows,
+                                                        minlength=dim * nz))])
+    return sp.csr_matrix((coef[order], cols[order], indptr),
+                         shape=(dim * nz, 2 * dim * mesh.nodes.size))
 
 
 def free_dof_indices(mesh: Mesh1D, dim: int, bc: BoundaryConditions) -> np.ndarray:

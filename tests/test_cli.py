@@ -2,9 +2,11 @@ import os
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from elastica_fem.cli import (CliConfig, UsageError, console_main, load_config,
-                              main, parse_args)
+from elastica_fem.cli import (CliConfig, UsageError, _spec_from_config,
+                              console_main, load_config, main, parse_args)
+from elastica_fem.experiments import named_experiment
 
 
 class TestParseArgs:
@@ -82,6 +84,21 @@ class TestLoadConfig:
                         mesh_sizes=[4], taus=[0.1], T=0.2)
         with pytest.raises(UsageError, match="periodic"):
             main(cfg)
+
+    def test_bc_vector_length(self, tmp_path):
+        path = self.write(tmp_path, "experiment=circle\nbc.value_a=1,0,0\n")
+        cfg = CliConfig(subcommand="run", config_path=path,
+                        mesh_sizes=[4], taus=[0.1], T=0.2)
+        with pytest.raises(UsageError,
+                           match="bc.value_a needs 2 components, got 3"):
+            main(cfg)
+
+    def test_bc_override_applies(self):
+        spec = _spec_from_config({"experiment": "circle",
+                                  "bc.value_b": "1,0"})
+        assert spec.bc.value_b.dtype == float
+        assert_allclose(spec.bc.value_b, [1.0, 0.0])
+        assert named_experiment("circle").bc.value_b is None
 
 
 class TestMain:

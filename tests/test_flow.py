@@ -2,13 +2,18 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
-                          FlowSolveError, FunctionOracle, Mesh1D,
-                          assemble_matrices, dump_trajectory, init_state, run,
-                          step, unit_speed_violation)
-from elastica_fem.experiments import circle_initial, oval_initial
+                          FlowSolveError, FunctionOracle, KKTSingularError,
+                          Mesh1D, SaddleSystem, assemble_constraint,
+                          assemble_matrices, dump_trajectory, init_state,
+                          kkt_residual, run, solve_kkt, step,
+                          unit_speed_violation)
+from elastica_fem.experiments import (circle_initial, named_experiment,
+                                      oval_initial)
+from elastica_fem.flow import StepStructure
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -186,6 +191,114 @@ class TestRun:
             FlowConfig(tau=0.1, T=-1.0)
         with pytest.raises(ValueError):
             FlowConfig(tau=0.1, T=1.0, variant="h3")
+
+
+def _flow_kkt(name, variant, bc_kind, M):
+    """The first L2-flow KKT system of a named experiment and its structure."""
+    spec = named_experiment(name)
+    bc = {"free": BoundaryConditions.free(), "clamped": spec.bc,
+          "periodic": BoundaryConditions(periodic=True)}[bc_kind]
+    mesh = Mesh1D.uniform(*spec.interval, M)
+    mats = assemble_matrices(mesh, spec.dim)
+    cfg = FlowConfig(tau=0.1, T=0.1, constraint=variant, bc=bc)
+    Z = init_state(spec.z0, mesh, spec.dim, variant, "j3", mats).curve
+    structure = StepStructure.build(cfg, mats)
+    constraint = assemble_constraint(Z, variant, bc, pattern=structure.pattern)
+    system = SaddleSystem(structure.A, constraint.matrix,
+                          -mats.apply_bending(Z.dofs),
+                          np.zeros(constraint.num_rows))
+    return system, structure, cfg, mats
+
+
+class TestStepStructure:
+    @pytest.mark.parametrize("M", [1, 2, 5, 80])
+    @pytest.mark.parametrize("bc_kind", ["free", "clamped", "periodic"])
+    @pytest.mark.parametrize("variant", [P1, P2])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_banded_solve_matches_general_path(self, name, variant, bc_kind,
+                                               M):
+        system, structure, _, _ = _flow_kkt(name, variant, bc_kind, M)
+        rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
+        banded, res = structure.band.solve(system, rhs)
+        try:
+            general = np.concatenate(solve_kkt(system))
+        except KKTSingularError as exc:
+            # singular flow KKTs (some single-element meshes): the banded
+            # pivot test rejects them and the fallback's diagnosis is reached
+            assert banded is None
+            with pytest.raises(KKTSingularError) as info:
+                solve_kkt(system, band=structure.band)
+            assert info.value.deficiency == exc.deficiency >= 1
+            return
+        # the banded factorization is accepted on its own, no fallback
+        assert banded is not None
+        n = system.n
+        assert res == pytest.approx(
+            np.hypot(*kkt_residual(system, banded[:n], banded[n:])),
+            rel=1e-6, abs=1e-20)
+        assert res <= 1e-10 * np.linalg.norm(rhs)
+        x, lam = solve_kkt(system, band=structure.band)
+        assert np.array_equal(np.concatenate([x, lam]), banded)
+        reference = general
+        if bc_kind == "free":
+            # with free ends cond_2 K reaches ~4e5 at M=80, and the general
+            # path is itself ~1e-12 off; compare with a dense solve refined
+            # three times instead
+            K = sp.bmat([[system.A, system.B.T], [system.B, None]]).toarray()
+            reference = np.linalg.solve(K, rhs)
+            for _ in range(3):
+                reference += np.linalg.solve(K, rhs - K @ reference)
+        assert np.linalg.norm(banded - reference) \
+            <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_bandwidth_independent_of_mesh(self, name, variant):
+        # the experiments' own (semi-)clamped ends, which every flow of the
+        # benchmark runs; with free or periodic ends scipy's ordering can
+        # start mid-curve and the band then changes with M
+        widths = [_flow_kkt(name, variant, "clamped", M)[1].band.bandwidth
+                  for M in (20, 1280)]
+        assert widths[0] == widths[1]
+
+    def test_band_rejects_other_pattern_and_refines_other_matrix(self):
+        system, structure, _, _ = _flow_kkt("circle", P2, "clamped", 20)
+        other, _, _, _ = _flow_kkt("circle", P1, "clamped", 20)
+        mismatched = SaddleSystem(system.A, other.B, system.rhs_top,
+                                  other.rhs_bottom)
+        with pytest.raises(ValueError, match="band pattern"):
+            solve_kkt(mismatched, band=structure.band)
+        # a different A is not in the band; the residual is the system's,
+        # so solve_kkt returns the solution of the system it was given
+        shifted = SaddleSystem(system.A + sp.identity(system.n, format="csr"),
+                               system.B, system.rhs_top, system.rhs_bottom)
+        x, lam = solve_kkt(shifted, band=structure.band)
+        expected = np.concatenate(solve_kkt(shifted))
+        assert_allclose(np.concatenate([x, lam]), expected, rtol=0,
+                        atol=1e-12 * np.linalg.norm(expected))
+
+    def test_step_builds_structure_like_run(self):
+        mesh = Mesh1D.uniform(0.0, 4.0 * np.pi, 12)
+        mats = assemble_matrices(mesh, 2)
+        bc = BoundaryConditions(value_a=(1.0, 0.0), deriv_a=(0.0, 1.0),
+                                deriv_b=(0.0, 1.0))
+        cfg = FlowConfig(tau=0.05, T=0.05, variant="h2", constraint=P2, bc=bc)
+        state = init_state(oval_initial(), mesh, 2, P2, "j3", mats)
+        alone = step(state, cfg, mats)
+        first, _ = run(cfg, mesh, oval_initial(), 2, matrices=mats)
+        assert first.n == alone.n == 1
+        assert np.array_equal(alone.curve.dofs, first.curve.dofs)
+        assert alone.energy == first.energy
+        assert alone.max_identity_violation == first.max_identity_violation
+
+    def test_h2_flow_periodic_fails_in_kkt_diagnosis(self):
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 8)
+        cfg = FlowConfig(tau=0.1, T=0.2, variant="h2", constraint=P2,
+                         bc=BoundaryConditions(periodic=True))
+        with pytest.raises(FlowSolveError) as info:
+            run(cfg, mesh, circle_initial(), 2)
+        assert isinstance(info.value.__cause__, KKTSingularError)
+        assert info.value.__cause__.deficiency >= 1
 
 
 def test_snapshots_and_trajectory_dump(tmp_path):

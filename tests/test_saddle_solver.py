@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from elastica_fem import (KKTSingularError, SaddleSystem, SchurSolver,
-                          kkt_residual, solve_kkt)
+                          kkt_residual, saddle_solver, solve_kkt)
 
 
 def dense_schur_oracle(A, B, b, c):
@@ -89,6 +89,31 @@ def test_singular_detection():
     with pytest.raises(KKTSingularError) as info:
         solve_kkt(SaddleSystem(A, B, rng.normal(size=4), rng.normal(size=2)))
     assert info.value.deficiency >= 1
+
+
+def test_large_singular_kkt_skips_svd(monkeypatch):
+    calls = []
+    real = saddle_solver.sla.svdvals
+
+    def spy(K):
+        calls.append(K.shape[0])
+        return real(K)
+
+    monkeypatch.setattr(saddle_solver.sla, "svdvals", spy)
+    rng = np.random.default_rng(5)
+    n = saddle_solver._SVD_MAX_N
+    B = np.zeros((2, n))
+    B[:, 0] = 1.0                                 # duplicate row
+    with pytest.raises(KKTSingularError) as info:
+        solve_kkt(SaddleSystem(sp.eye(n), B, rng.normal(size=n),
+                               rng.normal(size=2)))
+    assert info.value.deficiency >= 1
+    assert calls == []
+    # the small case of test_singular_detection still takes the SVD
+    with pytest.raises(KKTSingularError):
+        solve_kkt(SaddleSystem(np.eye(4), B[:, :4], rng.normal(size=4),
+                               rng.normal(size=2)))
+    assert calls == [6]
 
 
 def test_schur_solver_matches_direct(rng):

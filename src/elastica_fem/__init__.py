@@ -7,7 +7,7 @@ from .splines import (FunctionOracle, HermiteCurve, QuadraticField,
                       interp_hermite, interp_j2, interp_j3, interp_linear,
                       interp_quadratic, lumped_product, lumped_weights,
                       unit_speed_violation, zero_boundary)
-from .assembly import (BoundaryConditions, ConstraintMatrix, SystemMatrices,
+from .assembly import (BoundaryConditions, SystemMatrices,
                        assemble_constraint, assemble_matrices, bending_energy)
 from .saddle_solver import (KKTSingularError, SaddleSystem, SchurSolver,
                             kkt_residual, solve_kkt)
@@ -28,7 +28,7 @@ from .experiments import (ExperimentSpec, ExperimentTable, emit_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryConditions", "ConstraintMatrix", "ConstraintVariant",
+    "BoundaryConditions", "ConstraintVariant",
     "DiscreteNorms", "ExactSolution", "ExperimentSpec", "ExperimentTable",
     "FlowConfig", "FlowSolveError", "FlowState", "FunctionOracle",
     "HermiteCurve", "KKTSingularError", "Mesh1D", "NewtonError",

@@ -60,12 +60,7 @@ def weak_errors(Z: HermiteCurve, exact: ExactSolution,
                 matrices: SystemMatrices) -> tuple:
     """(L2 norm, H1 seminorm) of the interpolated error: the cubic C1 curve
     whose nodal values/derivatives are u(x_i) - Z(x_i), u'(x_i) - Z'(x_i)."""
-    mesh = Z.mesh
-    u_vals = np.atleast_2d(np.asarray(exact.oracle.value(mesh.nodes), dtype=float)
-                           ).reshape(mesh.nodes.size, Z.dim)
-    u_ders = np.atleast_2d(np.asarray(exact.oracle.deriv(mesh.nodes), dtype=float)
-                           ).reshape(mesh.nodes.size, Z.dim)
-    e = HermiteCurve(mesh, Z.dim, u_vals - Z.values, u_ders - Z.derivs).dofs
+    e = interp_hermite(exact.oracle, Z.mesh, Z.dim).dofs - Z.dofs
     l2 = np.sqrt(max(matrices.quad_mass(e), 0.0))
     h1 = np.sqrt(max(matrices.quad_gradient(e), 0.0))
     return float(l2), float(h1)

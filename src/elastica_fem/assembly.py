@@ -1,5 +1,6 @@
-"""Assembly of mass/bending/first-order matrices, bending energy, and the
-linearized-constraint matrix including boundary-condition rows."""
+"""Assembly of mass/bending/first-order matrices and the bending energy;
+the constraint derivative map D, the boundary-condition restriction P and
+the linearized-constraint rows T(Z) D P on the reduced DOFs."""
 
 from __future__ import annotations
 
@@ -65,6 +66,7 @@ class SystemMatrices:
     bending: sp.csr_matrix
     gradient: sp.csr_matrix
     _blocks: dict = field(repr=False, default_factory=dict)
+    _cache: dict = field(repr=False, default_factory=dict)
 
     @property
     def num_dofs(self) -> int:
@@ -102,6 +104,18 @@ class SystemMatrices:
 
     def quad_gradient(self, u, v=None) -> float:
         return self._quad("gradient", u, v)
+
+    def cached(self, key, build):
+        """``build()``, called on the first use of ``key`` and kept with
+        these matrices; for maps that depend only on the mesh and dim."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def derivative_map(self, variant: ConstraintVariant) -> sp.csr_matrix:
+        """``derivative_map`` of this mesh and dim, built on first use."""
+        return self.cached(variant, lambda: derivative_map(self.mesh, self.dim,
+                                                          variant))
 
     def h2_gram(self) -> sp.csr_matrix:
         """Gram matrix of the full H2 norm: mass + gradient + bending."""
@@ -141,15 +155,47 @@ def bending_energy(curve: HermiteCurve, matrices: SystemMatrices) -> float:
     return 0.5 * matrices.quad_bending(curve.dofs)
 
 
+def derivative_map(mesh: Mesh1D, dim: int,
+                   variant: ConstraintVariant) -> sp.csr_matrix:
+    """The constant map D from curve DOFs Y to the derivative components
+    Y'(z)_c at the constraint nodes z of ``variant``, in row dim*z + c."""
+    node = np.arange(mesh.nodes.size)[:, None]
+    comp = np.arange(dim)
+    stride = 1 if variant is ConstraintVariant.P1 else 2
+    # at node i: the derivative DOF of node i
+    rows, cols = [dim * stride * node + comp], [2 * dim * node + dim + comp]
+    vals = [np.ones(rows[0].shape)]
+    if variant is ConstraintVariant.P2:
+        # at the midpoint of element e: (3/2h)(v_R - v_L) - (1/4)(d_L + d_R)
+        # on its DOFs (v_L, d_L, v_R, d_R), which sit dim apart
+        elem = np.arange(mesh.num_elements)[:, None, None]
+        h = mesh.element_lengths[:, None, None]
+        quarter = np.full(h.shape, -0.25)
+        cols.append(2 * dim * elem + comp[:, None] + dim * np.arange(4))
+        rows.append(np.broadcast_to(dim * (2 * elem + 1) + comp[:, None],
+                                    cols[1].shape))
+        vals.append(np.broadcast_to(
+            np.concatenate([-1.5 / h, quarter, 1.5 / h, quarter], axis=2),
+            cols[1].shape))
+    data, row, col = (np.concatenate([a.ravel() for a in parts])
+                      for parts in (vals, rows, cols))
+    nz = stride * (mesh.nodes.size - 1) + 1
+    return sp.csr_matrix((data, (row, col)),
+                         shape=(dim * nz, 2 * dim * mesh.nodes.size))
+
+
+TARGETS = ("value_a", "deriv_a", "value_b", "deriv_b")
+
+
 @dataclass
 class BoundaryConditions:
     """Essential conditions at the interval endpoints.
 
     Each target is a d-vector or None (free).  Targets are only used to
-    validate the initial curve of a flow; the flow itself constrains all
-    increments at fixed DOFs to zero, so targets never enter a right-hand
-    side.  ``periodic`` ties the two endpoints together instead and excludes
-    endpoint fixing.
+    validate the initial curve of a flow; solvers work on the reduced DOFs
+    of ``restriction``, so increments at fixed DOFs are zero and targets
+    never enter a right-hand side.  ``periodic`` ties the two endpoints
+    together instead and excludes endpoint fixing.
     """
 
     value_a: Optional[np.ndarray] = None
@@ -159,12 +205,12 @@ class BoundaryConditions:
     periodic: bool = False
 
     def __post_init__(self):
-        for name in ("value_a", "deriv_a", "value_b", "deriv_b"):
+        for name in TARGETS:
             v = getattr(self, name)
             if v is not None:
                 setattr(self, name, np.asarray(v, dtype=float).ravel())
-        if self.periodic and any(getattr(self, n) is not None for n in
-                                 ("value_a", "deriv_a", "value_b", "deriv_b")):
+        if self.periodic and any(getattr(self, n) is not None
+                                 for n in TARGETS):
             raise ValueError("periodic boundary conditions exclude endpoint fixing")
 
     @classmethod
@@ -175,19 +221,42 @@ class BoundaryConditions:
     def clamped(cls, value_a, deriv_a, value_b, deriv_b) -> "BoundaryConditions":
         return cls(value_a=value_a, deriv_a=deriv_a, value_b=value_b, deriv_b=deriv_b)
 
+    def check_dim(self, dim: int) -> None:
+        """Raise ValueError unless every target has ``dim`` components."""
+        for name in TARGETS:
+            v = getattr(self, name)
+            if v is not None and v.size != dim:
+                raise ValueError(f"{name} needs {dim} components, got {v.size}")
+
+    def restriction(self, mesh: Mesh1D, dim: int) -> sp.csr_matrix:
+        """The map P from reduced DOFs to full DOFs (full x reduced).
+
+        This is where the conditions become linear algebra.  A fixed DOF
+        has an empty row, so it is exactly 0 in every P v_r.  With periodic
+        ends the last node's DOFs repeat node 0's columns, so the two ends
+        are tied exactly.  Every other DOF is a reduced DOF of its own, in
+        the full order.
+        """
+        self.check_dim(dim)
+        n = 2 * dim * mesh.nodes.size
+        last = n - 2 * dim
+        # the full DOF whose reduced DOF each DOF takes; -1 when fixed
+        source = np.arange(n)
+        for name, base in zip(TARGETS, (0, dim, last, last + dim)):
+            if getattr(self, name) is not None:
+                source[base:base + dim] = -1
+        if self.periodic:
+            source[last:] = np.arange(2 * dim)
+        reduced = np.flatnonzero(source == np.arange(n))
+        kept = source >= 0
+        return sp.csr_matrix(
+            (np.ones(kept.sum()), np.searchsorted(reduced, source[kept]),
+             np.concatenate([[0], np.cumsum(kept)])),
+            shape=(n, reduced.size))
+
     def fixed_dof_indices(self, mesh: Mesh1D, dim: int) -> np.ndarray:
         """Indices of DOFs pinned by endpoint conditions (empty if periodic)."""
-        last = 2 * dim * (mesh.nodes.size - 1)
-        idx = []
-        if self.value_a is not None:
-            idx.extend(range(0, dim))
-        if self.deriv_a is not None:
-            idx.extend(range(dim, 2 * dim))
-        if self.value_b is not None:
-            idx.extend(range(last, last + dim))
-        if self.deriv_b is not None:
-            idx.extend(range(last + dim, last + 2 * dim))
-        return np.array(sorted(idx), dtype=int)
+        return np.flatnonzero(np.diff(self.restriction(mesh, dim).indptr) == 0)
 
     def validate_initial(self, curve: HermiteCurve) -> None:
         """Check the initial curve against the targets.
@@ -195,6 +264,7 @@ class BoundaryConditions:
         The cumulative-integral initializer reproduces endpoint values at b
         only up to O(h^4), so the value check there carries an h^4 allowance.
         """
+        self.check_dim(curve.dim)
         tol = 1e-8
         h = curve.mesh.h
         drift = max(tol, 100.0 * h**4 * (curve.mesh.b - curve.mesh.a))
@@ -213,177 +283,102 @@ class BoundaryConditions:
                     f"initial curve violates boundary target {name}: |error| = {err:.3e}")
 
 
-@dataclass
-class ConstraintMatrix:
-    """Rows of the linearized constraint Y'(z) . t(z) = 0 at the constraint
-    nodes, followed by homogeneous boundary-condition rows.
-
-    A tangential row at an endpoint whose derivative is fully fixed (or tied
-    by periodicity) is redundant and dropped so the saddle-point matrix stays
-    nonsingular.  ``tangent_nodes`` records which constraint-node indices
-    kept their row.
-    """
-
-    matrix: sp.csr_matrix
-    tangent_nodes: np.ndarray
-    num_bc_rows: int
-
-    @property
-    def num_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_tangent_rows(self) -> int:
-        return self.num_rows - self.num_bc_rows
+def owners(P: sp.csr_matrix) -> np.ndarray:
+    """The full DOF that owns each non-empty column of a restriction P: the
+    first row of that column."""
+    first = np.full(P.shape[1], P.shape[0])
+    np.minimum.at(first, P.indices,
+                  np.repeat(np.arange(P.shape[0]), np.diff(P.indptr)))
+    return first[first < P.shape[0]]
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintPattern:
-    """Fixed CSR structure of constraint rows on one (mesh, dim, variant, BC).
+    """Fixed CSR structure of the tangential rows T(Z) D P on the reduced
+    DOFs of one (mesh, dim, variant, BC).
 
-    Tangential rows at the constraint nodes ``tangent_nodes`` come first:
-    their entry k holds ``coef[k] * t.ravel()[tangent[k]]``, with t the
-    (num constraint nodes, dim) tangents of the current curve.  The
-    ``num_bc_rows`` boundary rows after them are constant and stored in
-    ``template``, whose column indices are ascending within each row.
+    Row r belongs to constraint node ``rows[r]``.  Entry k of the matrix
+    holds ``coef[k] * t.ravel()[tangent[k]]``, with t the (num constraint
+    nodes, dim) tangents of the current curve, so ``tangent[k]`` is also
+    the row of D the entry comes from.  ``template`` holds the structure
+    with ascending, unique column indices in every row.  ``restriction``
+    is the P of its columns and ``restriction_t`` its transpose, which maps
+    full right-hand sides to reduced ones.
     """
 
     template: sp.csr_matrix
     coef: np.ndarray
     tangent: np.ndarray
-    tangent_nodes: np.ndarray
-    num_bc_rows: int
+    rows: np.ndarray
+    restriction: sp.csr_matrix
+    restriction_t: sp.csr_matrix
 
     def fill(self, tangents: np.ndarray,
              weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
-        """The rows for the given tangents, optionally scaling row z by
-        ``weights[z]``; each call returns a matrix with its own data."""
+        """The rows for the given tangents, optionally scaling the row of
+        constraint node z by ``weights[z]``; each call returns a matrix with
+        its own data."""
         t = tangents if weights is None else tangents * weights[:, None]
-        data = self.template.data.copy()
-        np.multiply(self.coef, t.ravel()[self.tangent],
-                    out=data[:self.coef.size])
         # a shallow copy shares the index arrays and skips the format checks
         # of the csr constructor, which cost more than the fill itself
         matrix = copy.copy(self.template)
-        matrix.data = data
+        matrix.data = self.coef * t.ravel()[self.tangent]
         return matrix
 
-
-def tangential_stencil(mesh: Mesh1D, dim: int, variant: ConstraintVariant,
-                       keep: np.ndarray):
-    """Entries of the rows Y -> Y'(z) . t(z) at the constraint nodes
-    ``keep``, row by row with ascending columns: (indptr, indices, coef,
-    tangent).  Entry k is ``coef[k] * t.ravel()[tangent[k]]`` for tangents
-    t of shape (num constraint nodes, dim), so ``tangent[k]`` is also the
-    row of component ``tangent[k] % dim`` at constraint node
-    ``tangent[k] // dim``."""
-    is_node = np.ones(keep.size, dtype=bool) if variant is ConstraintVariant.P1 \
-        else keep % 2 == 0
-    indptr = np.concatenate(
-        [[0], np.cumsum(np.where(is_node, dim, 4 * dim))]).astype(np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    coef = np.empty(indptr[-1])
-    tangent = np.empty(indptr[-1], dtype=np.intp)
-    comp = np.arange(dim)
-    starts = indptr[:-1]
-
-    # node rows: Y'(x_i) is the derivative DOF block of node i
-    z = keep[is_node]
-    node = z if variant is ConstraintVariant.P1 else z // 2
-    pos = starts[is_node, None] + comp
-    indices[pos] = 2 * dim * node[:, None] + dim + comp
-    coef[pos] = 1.0
-    tangent[pos] = dim * z[:, None] + comp
-
-    if variant is ConstraintVariant.P2:
-        z = keep[~is_node]
-        elem = (z - 1) // 2
-        h = mesh.element_lengths[elem]
-        local = np.arange(4 * dim)
-        pos = starts[~is_node, None] + local
-        # Y'(m_i) = (3/2h)(v_R - v_L) - (1/4)(d_L + d_R), per component; the
-        # element's DOFs (v_L, d_L, v_R, d_R) are contiguous
-        indices[pos] = 2 * dim * elem[:, None] + local
-        quarter = np.full(h.size, -0.25)
-        coef[pos] = np.repeat(np.stack([-1.5 / h, quarter, 1.5 / h, quarter],
-                                       axis=1), dim, axis=1)
-        tangent[pos] = dim * z[:, None] + np.tile(comp, 4)
-    return indptr, indices, coef, tangent
+    def restrict(self, A: sp.spmatrix) -> sp.csr_matrix:
+        """P^T A P in canonical CSR form (sorted, unique column indices)."""
+        reduced = self.restriction_t @ A @ self.restriction
+        reduced.sum_duplicates()
+        return reduced
 
 
-def _pattern(mesh: Mesh1D, dim: int, variant: ConstraintVariant,
-             keep: np.ndarray, bc_rows=()) -> ConstraintPattern:
-    """Tangential rows at the constraint nodes ``keep``, then the boundary
-    rows ``bc_rows``, each a tuple of (ascending columns, values)."""
-    indptr, indices, coef, tangent = tangential_stencil(mesh, dim, variant,
-                                                        keep)
-    bc_counts = np.cumsum([len(cols) for cols, _ in bc_rows], dtype=int)
-    indptr = np.concatenate([indptr, indptr[-1] + bc_counts]).astype(np.int32)
-    indices = np.concatenate(
-        [indices, [c for cols, _ in bc_rows for c in cols]]).astype(np.int32)
-    data = np.concatenate([np.zeros(coef.size),
-                           [v for _, vals in bc_rows for v in vals]])
-    template = sp.csr_matrix((data, indices, indptr),
-                             shape=(keep.size + len(bc_rows),
-                                    2 * dim * mesh.nodes.size))
-    return ConstraintPattern(template, coef, tangent, keep, len(bc_rows))
+def constraint_pattern(D: sp.csr_matrix, P: sp.csr_matrix, dim: int,
+                       variant: ConstraintVariant,
+                       rows: Optional[np.ndarray] = None) -> ConstraintPattern:
+    """Structure of the rows of T(Z) D P at the constraint nodes ``rows``,
+    for the ``derivative_map`` D and a ``BoundaryConditions.restriction`` P.
 
-
-def constraint_pattern(mesh: Mesh1D, dim: int, variant: ConstraintVariant,
-                       bc: BoundaryConditions) -> ConstraintPattern:
-    """Structure of ``assemble_constraint``'s matrix: the tangential rows
-    that survive the boundary conditions, then one homogeneous row per
-    fixed DOF (or per periodic tie)."""
-    nz = mesh.constraint_nodes(variant).size
-    drop = set()
-    if bc.deriv_a is not None:
-        drop.add(0)
-    if bc.deriv_b is not None or bc.periodic:
-        drop.add(nz - 1)
-    keep = np.array([i for i in range(nz) if i not in drop], dtype=int)
-
-    last = 2 * dim * (mesh.nodes.size - 1)
-    if bc.periodic:
-        # value rows then derivative rows
-        bc_rows = [((block + c, last + block + c), (1.0, -1.0))
-                   for block in (0, dim) for c in range(dim)]
-    else:
-        bc_rows = [((base + c,), (1.0,))
-                   for target, base in ((bc.value_a, 0), (bc.deriv_a, dim),
-                                        (bc.value_b, last),
-                                        (bc.deriv_b, last + dim))
-                   if target is not None for c in range(dim)]
-    return _pattern(mesh, dim, variant, keep, bc_rows)
-
-
-def tangential_rows(Zn: HermiteCurve, variant: ConstraintVariant,
-                    keep: Optional[np.ndarray] = None,
-                    weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
-    """Sparse rows mapping a DOF vector Y to (Y'(z) . t(z))_z with
-    t = Zn' at the constraint nodes ``keep`` (default: all).
-
-    ``weights`` optionally scales row z by a positive factor (used for the
-    lumped saddle-point form); scaling does not change the kernel.
+    By default every constraint node has a row, except a mesh node whose
+    derivative DOFs are not their own reduced DOFs (fixed, or tied to node
+    0's): its row would vanish or repeat another.
     """
-    tangents = Zn.derivative_at_constraint_nodes(variant)
-    if keep is None:
-        keep = np.arange(tangents.shape[0])
-    return _pattern(Zn.mesh, Zn.dim, variant, keep).fill(tangents, weights)
+    if rows is None:
+        own = np.zeros(P.shape[0], dtype=bool)
+        own[owners(P)] = True
+        keep = np.ones(D.shape[0] // dim, dtype=bool)
+        node_step = 1 if variant is ConstraintVariant.P1 else 2
+        keep[::node_step] = own.reshape(-1, 2, dim)[:, 1].all(axis=1)
+        rows = np.flatnonzero(keep)
+    sel = (dim * rows[:, None] + np.arange(dim)).ravel()
+    # D P sums the columns that periodic ties merge
+    DP = (D @ P)[sel]
+    counts = np.diff(DP.indptr)
+    tangent = np.repeat(sel, counts)
+    # the dim component rows of a node touch disjoint columns; merge them
+    out_row = np.repeat(np.repeat(np.arange(rows.size), dim), counts)
+    order = np.lexsort((DP.indices, out_row))
+    template = sp.csr_matrix(
+        (np.zeros(order.size), DP.indices[order],
+         np.concatenate([[0], np.cumsum(counts.reshape(-1, dim).sum(axis=1))])),
+        shape=(rows.size, P.shape[1]))
+    return ConstraintPattern(template, DP.data[order], tangent[order], rows,
+                             P, P.T.tocsr())
 
 
 def assemble_constraint(Zn: HermiteCurve, variant: ConstraintVariant,
                         bc: BoundaryConditions,
                         pattern: Optional[ConstraintPattern] = None
-                        ) -> ConstraintMatrix:
-    """Constraint matrix of one flow step: tangential rows at the constraint
-    nodes of ``variant`` plus homogeneous boundary rows.  The right-hand side
-    of these rows is always zero.
+                        ) -> sp.csr_matrix:
+    """Constraint rows of one flow step on the reduced DOFs: the tangential
+    rows T(Zn) D P of ``constraint_pattern``.  Their right-hand side is
+    always zero.
 
-    ``pattern``, when given, must be ``constraint_pattern`` of the same
-    mesh, dim, variant and conditions; a flow builds it once per run.
+    ``pattern``, when given, must be a ``constraint_pattern`` of the same
+    mesh, dim and variant over these conditions' restriction, whose
+    columns it sets (``flow.StepStructure`` builds one per run).
     """
     if pattern is None:
-        pattern = constraint_pattern(Zn.mesh, Zn.dim, variant, bc)
-    return ConstraintMatrix(
-        matrix=pattern.fill(Zn.derivative_at_constraint_nodes(variant)),
-        tangent_nodes=pattern.tangent_nodes, num_bc_rows=pattern.num_bc_rows)
+        pattern = constraint_pattern(
+            derivative_map(Zn.mesh, Zn.dim, variant),
+            bc.restriction(Zn.mesh, Zn.dim), Zn.dim, variant)
+    return pattern.fill(Zn.derivative_at_constraint_nodes(variant))

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
+from . import flow
 from .analysis import eoc, linf_error, quadrature_error
-from .assembly import assemble_matrices
+from .assembly import BoundaryConditions, assemble_matrices
 from .experiments import (ExperimentSpec, emit_csv, named_experiment,
                           run_experiment, stationarity_check)
 from .mesh import ConstraintVariant, Mesh1D
@@ -55,7 +56,6 @@ class CliConfig:
     long: bool = False
     snapshot_stride: int = 0
     mesh_size: int = 20
-    bc_overrides: dict = field(default_factory=dict)
 
 
 def _int_list(text: str) -> List[int]:
@@ -166,45 +166,47 @@ def load_config(path: str) -> dict:
     return seen
 
 
-def _spec_from_config(raw: dict) -> ExperimentSpec:
-    name = raw["experiment"]
+def _named_spec(name: str, constraint: Optional[str],
+                overrides: dict) -> ExperimentSpec:
+    """``named_experiment`` with CLI overrides; invalid values are usage
+    errors."""
     if name not in EXPERIMENT_NAMES:
         raise UsageError(f"unknown experiment: {name}")
-    overrides = {}
-    if "M" in raw:
-        overrides["mesh_sizes"] = _int_list(raw["M"])
-    if "tau" in raw:
-        overrides["taus"] = _float_list(raw["tau"])
-    if "T" in raw:
-        overrides["T"] = float(raw["T"])
-    if "flow" in raw:
-        overrides["flow_variant"] = raw["flow"]
-    if "initializer" in raw:
-        overrides["initializer"] = raw["initializer"]
-    if "norms" in raw:
-        overrides["norms"] = raw["norms"].split(",")
-    constraint = ConstraintVariant(raw.get("constraint", "p2"))
     try:
-        spec = named_experiment(name, constraint=constraint, **overrides)
+        return named_experiment(name, ConstraintVariant(constraint or "p2"),
+                                **overrides)
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+# config key -> (ExperimentSpec field, parser of the value)
+_CONFIG_OVERRIDES = {"M": ("mesh_sizes", _int_list),
+                     "tau": ("taus", _float_list), "T": ("T", float),
+                     "flow": ("flow_variant", str),
+                     "initializer": ("initializer", str),
+                     "norms": ("norms", lambda text: text.split(","))}
+
+
+def _spec_from_config(raw: dict) -> ExperimentSpec:
+    overrides = {name: parse(raw[key])
+                 for key, (name, parse) in _CONFIG_OVERRIDES.items()
+                 if key in raw}
+    spec = _named_spec(raw["experiment"], raw.get("constraint"), overrides)
     bc_keys = [k for k in raw if k.startswith("bc.")]
     if bc_keys:
-        bc = spec.bc
         if raw.get("bc.periodic", "").lower() in ("1", "true", "yes"):
             if any(k in raw for k in ("bc.value_a", "bc.deriv_a",
                                       "bc.value_b", "bc.deriv_b")):
                 raise UsageError("conflicting keys: bc.periodic excludes endpoint fixing")
-            from .assembly import BoundaryConditions
             bc = BoundaryConditions(periodic=True)
         else:
-            targets = {key[3:]: np.array(_float_list(raw[key]))
-                       for key in bc_keys if key != "bc.periodic"}
-            for name, vec in targets.items():
-                if vec.size != spec.dim:
-                    raise UsageError(f"bc.{name} needs {spec.dim} "
-                                     f"components, got {vec.size}")
-            bc = replace(bc, **targets)
+            bc = replace(spec.bc, **{key[3:]: np.array(_float_list(raw[key]))
+                                     for key in bc_keys
+                                     if key != "bc.periodic"})
+            try:
+                bc.check_dim(spec.dim)
+            except ValueError as exc:
+                raise UsageError(f"bc.{exc}")
         spec = spec.override(bc=bc)
     return spec
 
@@ -219,25 +221,12 @@ def _cmd_run(cfg: CliConfig) -> int:
     if cfg.config_path is not None:
         spec = _spec_from_config(load_config(cfg.config_path))
     else:
-        overrides = {}
-        if cfg.mesh_sizes:
-            overrides["mesh_sizes"] = cfg.mesh_sizes
-        if cfg.taus:
-            overrides["taus"] = cfg.taus
-        if cfg.T is not None:
-            overrides["T"] = cfg.T
-        if cfg.flow:
-            overrides["flow_variant"] = cfg.flow
-        if cfg.initializer:
-            overrides["initializer"] = cfg.initializer
-        if cfg.norms:
-            overrides["norms"] = cfg.norms
-        constraint = ConstraintVariant(cfg.constraint or "p2")
-        try:
-            spec = named_experiment(cfg.experiment, constraint=constraint,
-                                    **overrides)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        given = {"mesh_sizes": cfg.mesh_sizes, "taus": cfg.taus, "T": cfg.T,
+                 "flow_variant": cfg.flow, "initializer": cfg.initializer,
+                 "norms": cfg.norms}
+        spec = _named_spec(cfg.experiment, cfg.constraint,
+                           {name: value for name, value in given.items()
+                            if value is not None and value != []})
     if spec.long_running and not cfg.long:
         raise UsageError(
             f"experiment {spec.name!r} is long-running; pass --long to confirm "
@@ -249,17 +238,15 @@ def _cmd_run(cfg: CliConfig) -> int:
     emit_csv(table, path)
     print(f"wrote {path}")
     if cfg.snapshot_stride > 0 and spec.flow_variant != "newton":
-        from . import flow as flow_mod
-        from .mesh import Mesh1D
         mesh = Mesh1D.uniform(*spec.interval, spec.mesh_sizes[0])
-        fc = flow_mod.FlowConfig(tau=spec.taus[0], T=spec.T,
-                                 variant=spec.flow_variant,
-                                 constraint=spec.constraint, bc=spec.bc)
-        _, snaps = flow_mod.run(fc, mesh, spec.z0, spec.dim,
-                                initializer=spec.initializer,
-                                snapshot_stride=cfg.snapshot_stride)
+        fc = flow.FlowConfig(tau=spec.taus[0], T=spec.T,
+                             variant=spec.flow_variant,
+                             constraint=spec.constraint, bc=spec.bc)
+        _, snaps = flow.run(fc, mesh, spec.z0, spec.dim,
+                            initializer=spec.initializer,
+                            snapshot_stride=cfg.snapshot_stride)
         traj = os.path.join(out, f"{spec.name}_trajectory.txt")
-        flow_mod.dump_trajectory(snaps, spec.taus[0], traj)
+        flow.dump_trajectory(snaps, spec.taus[0], traj)
         print(f"wrote {traj}")
     for col in table.columns:
         eocs = ",".join("--" if r is None else f"{r:.2f}" for r in col.eocs[1:])

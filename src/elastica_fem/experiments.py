@@ -64,13 +64,17 @@ def helix_exact() -> ExactSolution:
         name="helix")
 
 
-def _oval_value(x):
+def _oval_pieces(x):
+    """x as an array, its output array and the masks of the four pieces:
+    upper half circle, left segment, lower half circle, right segment."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (2,))
-    c1 = x <= np.pi
-    c2 = (x > np.pi) & (x <= 2 * np.pi)
-    c3 = (x > 2 * np.pi) & (x <= 3 * np.pi)
-    c4 = x > 3 * np.pi
+    return x, np.empty(x.shape + (2,)), (
+        x <= np.pi, (x > np.pi) & (x <= 2 * np.pi),
+        (x > 2 * np.pi) & (x <= 3 * np.pi), x > 3 * np.pi)
+
+
+def _oval_value(x):
+    x, out, (c1, c2, c3, c4) = _oval_pieces(x)
     out[c1] = np.stack([np.cos(x[c1]), np.sin(x[c1])], axis=-1)
     out[c2] = np.stack([-np.ones(int(c2.sum())), np.pi - x[c2]], axis=-1)
     out[c3] = np.stack([np.cos(x[c3] - np.pi), np.sin(x[c3] - np.pi) - np.pi],
@@ -80,12 +84,7 @@ def _oval_value(x):
 
 
 def _oval_deriv(x):
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (2,))
-    c1 = x <= np.pi
-    c2 = (x > np.pi) & (x <= 2 * np.pi)
-    c3 = (x > 2 * np.pi) & (x <= 3 * np.pi)
-    c4 = x > 3 * np.pi
+    x, out, (c1, c2, c3, c4) = _oval_pieces(x)
     out[c1] = np.stack([-np.sin(x[c1]), np.cos(x[c1])], axis=-1)
     out[c2] = np.tile([0.0, -1.0], (int(c2.sum()), 1))
     out[c3] = np.stack([-np.sin(x[c3] - np.pi), np.cos(x[c3] - np.pi)], axis=-1)
@@ -210,14 +209,12 @@ class ExperimentTable:
 
 def _column_eocs(errors: List[Optional[float]], hs: List[float]
                  ) -> List[Optional[float]]:
-    out: List[Optional[float]] = [None]
-    for i in range(1, len(errors)):
-        a, b = errors[i - 1], errors[i]
-        if a is None or b is None or a <= 0.0 or b <= 0.0:
-            out.append(None)
-        else:
-            out.append(float(np.log(a / b) / np.log(hs[i - 1] / hs[i])))
-    return out
+    """``eoc`` of each row against the one before; None in the first row
+    and where either error is missing or not positive."""
+    return [None] + [
+        None if a is None or b is None or a <= 0.0 or b <= 0.0
+        else eoc([a, b], hs[i - 1:i + 1])[0]
+        for i, (a, b) in enumerate(zip(errors, errors[1:]), start=1)]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
@@ -261,13 +258,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
                 weak = weak_errors(curve, spec.exact, matrices) \
                     if ("l2" in spec.norms or "h1" in spec.norms) else None
                 for norm in spec.norms:
-                    if norm == "h2":
-                        cells[(label, norm)].append(
-                            h2_error(curve, spec.exact, matrices))
-                    elif norm == "l2":
-                        cells[(label, norm)].append(weak[0])
-                    else:
-                        cells[(label, norm)].append(weak[1])
+                    cells[(label, norm)].append(
+                        h2_error(curve, spec.exact, matrices) if norm == "h2"
+                        else weak[norm == "h1"])   # weak = (L2, H1)
             except Exception as exc:
                 failures.append(f"M={M} {label}: {exc}")
                 for norm in spec.norms:
@@ -329,6 +322,5 @@ def emit_csv(table: ExperimentTable, path: str) -> None:
         for key, val in table.meta.items():
             fh.write(f"{key} = {val}\n")
         fh.write(f"columns = h,{','.join(c.label for c in table.columns)}\n")
-        if table.failures:
-            for f in table.failures:
-                fh.write(f"failure = {f}\n")
+        for f in table.failures:
+            fh.write(f"failure = {f}\n")

@@ -1,18 +1,21 @@
 """Constrained gradient-flow time stepping for the bending energy.
 
 Each step linearizes the inextensibility constraint about the previous
-iterate and solves one saddle-point system
+iterate and solves one saddle-point system on the reduced DOFs v_r of the
+restriction P (``BoundaryConditions.restriction``)
 
-    [[A, B^T], [B, 0]] (d_t Z, Lambda) = (-S Z^n, 0),
+    [[P^T A P, B^T], [B, 0]] (v_r, Lambda) = (-P^T S Z^n, 0),   B = T(Z^n) D P,
 
 with A = M + tau*S for the L2 flow or A = (1 + tau)*S for the H2 flow, then
-updates Z^{n+1} = Z^n + tau * d_t Z^{n+1}.  No projection or renormalization
-is applied between steps; the constraint violation is monitored only.
+updates Z^{n+1} = Z^n + tau * P v_r.  The system is solved in the full DOF
+numbering, each eliminated DOF on an uncoupled row (``StepStructure``).  No
+projection or renormalization is applied between steps; the constraint
+violation is monitored only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -20,7 +23,7 @@ import scipy.sparse as sp
 
 from .assembly import (BoundaryConditions, ConstraintPattern, SystemMatrices,
                        assemble_constraint, assemble_matrices,
-                       constraint_pattern)
+                       constraint_pattern, owners)
 from .mesh import ConstraintVariant, Mesh1D
 from .saddle_solver import BandedKKT, SaddleSystem, solve_kkt
 from .splines import (FunctionOracle, HermiteCurve, interp_j2, interp_j3,
@@ -110,17 +113,17 @@ def init_state(z0: FunctionOracle, mesh: Mesh1D, dim: int,
     )
 
 
-def _system_matrix(config: FlowConfig, matrices: SystemMatrices) -> sp.csr_matrix:
-    if config.variant == "l2":
-        return (matrices.mass + config.tau * matrices.bending).tocsr()
-    return ((1.0 + config.tau) * matrices.bending).tocsr()
-
-
 @dataclass(frozen=True, eq=False)
 class StepStructure:
-    """What stays fixed over a run: the system matrix A, the sparsity
-    pattern of the constraint rows and the banded KKT storage built from
-    both.  Each step only refills the values that depend on the curve."""
+    """What stays fixed over a run: the reduced system matrix, the pattern
+    of the constraint rows and the banded KKT storage built from both; each
+    step only refills the values that depend on the curve.
+
+    Each reduced DOF keeps the number of the full DOF that owns it (the
+    pattern's restriction Q is P with its columns moved there), and a DOF
+    that P eliminates keeps an uncoupled row with A's diagonal entry and a
+    zero right-hand side, so the KKT keeps order N + m and Q v' = P v_r.
+    """
 
     A: sp.csr_matrix
     pattern: ConstraintPattern
@@ -129,9 +132,17 @@ class StepStructure:
     @classmethod
     def build(cls, config: FlowConfig, matrices: SystemMatrices
               ) -> "StepStructure":
-        A = _system_matrix(config, matrices)
-        pattern = constraint_pattern(matrices.mesh, matrices.dim,
-                                     config.constraint, config.bc)
+        P = config.bc.restriction(matrices.mesh, matrices.dim)
+        n, owner = P.shape[0], owners(P)
+        Q = sp.csr_matrix((P.data, owner[P.indices], P.indptr), shape=(n, n))
+        pattern = constraint_pattern(
+            matrices.derivative_map(config.constraint), Q, matrices.dim,
+            config.constraint)
+        A = matrices.mass + config.tau * matrices.bending \
+            if config.variant == "l2" else (1.0 + config.tau) * matrices.bending
+        gone = np.flatnonzero(np.bincount(Q.indices, minlength=n) == 0)
+        A = pattern.restrict(A) + sp.csr_matrix(
+            (A.diagonal()[gone], (gone, gone)), shape=(n, n))
         return cls(A, pattern, BandedKKT(A, pattern.template))
 
 
@@ -150,25 +161,17 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
     tau = config.tau
     if structure is None:
         structure = StepStructure.build(config, matrices)
-    constraint = assemble_constraint(Z, config.constraint, config.bc,
-                                     pattern=structure.pattern)
-    rhs_top = -matrices.apply_bending(Z.dofs)
-    system = SaddleSystem(structure.A, constraint.matrix, rhs_top,
-                          np.zeros(constraint.num_rows))
+    pattern = structure.pattern
+    B = assemble_constraint(Z, config.constraint, config.bc, pattern=pattern)
+    system = SaddleSystem(structure.A, B,
+                          pattern.restriction_t @ -matrices.apply_bending(Z.dofs),
+                          np.zeros(B.shape[0]))
     try:
-        v, _ = solve_kkt(system, band=structure.band)
+        v_r, _ = solve_kkt(system, band=structure.band)
     except Exception as exc:
         raise FlowSolveError(state.n, exc) from exc
-
-    # pin fixed (or periodicity-tied) DOFs of the velocity exactly
-    if config.bc.periodic:
-        dim = Z.dim
-        last = 2 * dim * (Z.mesh.nodes.size - 1)
-        v[last:last + 2 * dim] = v[:2 * dim]
-    else:
-        fixed = config.bc.fixed_dof_indices(Z.mesh, Z.dim)
-        if fixed.size:
-            v[fixed] = 0.0
+    # fixed DOFs of v are exactly 0 and periodic ends exactly equal
+    v = pattern.restriction @ v_r
 
     new_dofs = Z.dofs + tau * v
     new_curve = HermiteCurve.from_dofs(Z.mesh, Z.dim, new_dofs)
@@ -183,7 +186,7 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
         identity_err = abs(new_energy - state.energy + (tau + 0.5 * tau**2) * v_bend)
     identity_err /= max(1.0, abs(state.energy))
 
-    tang = (constraint.matrix @ v)[:constraint.num_tangent_rows]
+    tang = B @ v_r
     constraint_res = float(np.abs(tang).max()) if tang.size else 0.0
 
     return FlowState(

@@ -77,21 +77,27 @@ _SVD_MAX_N = 400
 
 def _estimate_deficiency(K: np.ndarray,
                          pivots: Optional[np.ndarray] = None) -> int:
-    """Numerical rank deficiency of K: singular values below _PIVOT_TOL
+    """Numerical rank deficiency of K: singular values at most _PIVOT_TOL
     times the largest, or, when K is larger than _SVD_MAX_N and its LU
-    pivots are given, the pivots below _PIVOT_TOL times their maximum."""
+    pivots are given, the pivots at most _PIVOT_TOL times their maximum
+    (all of them for a zero K)."""
     if pivots is not None and K.shape[0] > _SVD_MAX_N:
-        return int(np.sum(pivots < _PIVOT_TOL * pivots.max()))
+        return int(np.sum(pivots <= _PIVOT_TOL * pivots.max()))
     svals = sla.svdvals(K)
     if svals.size == 0:
         return 0
-    return int(np.sum(svals < _PIVOT_TOL * svals[0]))
+    return int(np.sum(svals <= _PIVOT_TOL * svals[0]))
 
 
 def kkt_residual(system: SaddleSystem, x: np.ndarray, lam: np.ndarray
                  ) -> Tuple[float, float]:
     """Norms of A x + B^T lam - rhs_top and B x - rhs_bottom."""
-    top = system.A @ x + system.B.T @ lam - system.rhs_top
+    B = system.B
+    # B^T lam accumulated entry by entry in B's order, as a CSC product
+    # would, without the cost of forming the transpose
+    bt_lam = np.bincount(B.indices, B.data * np.repeat(lam, np.diff(B.indptr)),
+                         minlength=system.n)
+    top = system.A @ x + bt_lam - system.rhs_top
     bottom = system.B @ x - system.rhs_bottom
     return float(np.linalg.norm(top)), float(np.linalg.norm(bottom))
 
@@ -126,39 +132,68 @@ def _dense_solve(system: SaddleSystem, tol_rel: float, rhs_norm: float
     return x, lam
 
 
+def _ordered(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """(half-bandwidth, perm, rows, cols) of the entries (rows, cols) once
+    the unknowns are ordered by ``perm``."""
+    inv = np.empty(perm.size, dtype=np.intp)
+    inv[perm] = np.arange(perm.size)
+    rows, cols = inv[rows], inv[cols]
+    return int(np.abs(rows - cols).max(initial=0)), perm, rows, cols
+
+
 class BandedKKT:
     """Banded LU storage of [[A, B^T], [B, 0]] for a fixed A and a fixed
     CSR pattern of B, reused by every solve whose B has that pattern.
 
-    In 1D every constraint row touches the DOFs of one element, so after a
-    reverse Cuthill-McKee ordering of K's pattern the half-bandwidth stays
-    small (flow systems with clamped or semi-clamped ends: 9 for d=2, 17
-    for d=3, at every M).  Each solve scatters the values of B into one
-    preallocated band array, factors it in place with LAPACK gbtrf
-    (partial pivoting, safe for the indefinite K) and solves with gbtrs.
+    In 1D every constraint row touches the DOFs of one element.  Ordering
+    the unknowns along the curve, with each multiplier at the middle of its
+    row's column range, keeps the half-bandwidth small and independent of
+    M (flow systems: 8-9 for d=2, 11-12 for d=3).  Periodic ends
+    join the two ends of that order; there the reverse Cuthill-McKee order
+    of K's pattern is taken.  Each solve scatters the values of B into one
+    preallocated band array, factors it in place with LAPACK gbtrf (partial
+    pivoting, safe for the indefinite K) and solves with gbtrs.
     """
 
     def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
-        A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+        self._A = A
+        A, B = _as_csr(A), _as_csr(B)
         # values are scattered entry by entry, so an entry must not repeat
         if not (A.has_canonical_format and B.has_canonical_format):
             raise ValueError("A and B need sorted, unique column indices "
                              "in every row")
         n, m = A.shape[0], B.shape[0]
-        self._b_indptr, self._b_indices = B.indptr, B.indices
-        self._b_rows = np.repeat(np.arange(m), np.diff(B.indptr))
-        A, B = A.tocoo(), B.tocoo()
+        self._n, self._b_indptr, self._b_indices = n, B.indptr, B.indices
+        # each multiplier at the middle of its row's columns; fixed DOFs may
+        # cut the ranges of the first and last rows, which go before and
+        # after their columns instead
+        ends = np.zeros((2, m))
+        filled = np.diff(B.indptr) > 0
+        ends[0, filled] = B.indices[B.indptr[:-1][filled]]
+        ends[1, filled] = B.indices[B.indptr[1:][filled] - 1]
+        middle = ends.mean(axis=0)
+        if m:
+            first, last = middle.argmin(), middle.argmax()
+            middle[first] = ends[0, first] - 0.5
+            middle[last] = ends[1, last] + 0.5
+        a_rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        b_rows = np.repeat(np.arange(m), np.diff(B.indptr))
         # K's entries in the order (A, B below the diagonal, B^T above)
-        rows = np.concatenate([A.row, n + B.row, B.col])
-        cols = np.concatenate([A.col, B.col, n + B.row])
+        rows = np.concatenate([a_rows, n + b_rows, B.indices])
+        cols = np.concatenate([A.indices, B.indices, n + b_rows])
         size = n + m
-        graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                              shape=(size, size))
-        self.perm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
-        inv = np.empty(size, dtype=np.intp)
-        inv[self.perm] = np.arange(size)
-        rows, cols = inv[rows], inv[cols]
-        self.bandwidth = int(np.abs(rows - cols).max())
+        order = _ordered(np.argsort(np.concatenate([np.arange(n), middle]),
+                                    kind="stable"), rows, cols)
+        # along an open curve one element sets the band at every M; a band
+        # over half the size means joined (periodic) ends or a tiny mesh,
+        # and there the reverse Cuthill-McKee order is taken if narrower
+        if 2 * order[0] > size:
+            graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                                  shape=(size, size))
+            order = min(order, _ordered(
+                csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True),
+                rows, cols), key=lambda o: o[0])
+        self.bandwidth, self.perm, rows, cols = order
         bw = self.bandwidth
         # gbtrf's layout: K[i, j] at ab[2*bw + i - j, j], with bw extra rows
         # on top for the fill-in of row pivoting.  ab is the transpose of a
@@ -169,51 +204,61 @@ class BandedKKT:
         pos = cols * (3 * bw + 1) + 2 * bw + rows - cols
         self._pos_a = pos[:A.nnz]
         self._pos_b = pos[A.nnz:].reshape(2, -1)
-        self._a_values = A.data.astype(float)
-
-    def _apply(self, system: SaddleSystem, sol: np.ndarray) -> np.ndarray:
-        """[[A, B^T], [B, 0]] times sol = (x, lam) with the system's own A
-        and B; B^T lam is summed from B's entries, which is cheaper than
-        forming the transpose."""
-        B, n = system.B, system.n
-        x, lam = sol[:n], sol[n:]
-        top = system.A @ x + np.bincount(B.indices, B.data * lam[self._b_rows],
-                                         minlength=n)
-        bottom = np.bincount(self._b_rows, B.data * x[B.indices],
-                             minlength=system.m)
-        return np.concatenate([top, bottom])
+        # [A; B^T; B] as one longdouble CSR on (x, lam), for the refinement
+        # residual: K sol is (its A rows + its B^T rows, its B rows), and
+        # B's entry k is at data[_slot_b[:, k]]
+        bt_src = np.argsort(B.indices, kind="stable")
+        self._a_data = A.data
+        self._stack = sp.csr_matrix(
+            (np.concatenate([A.data, np.zeros(2 * B.nnz)]
+                            ).astype(np.longdouble),
+             np.concatenate([A.indices, n + b_rows[bt_src], B.indices]),
+             np.concatenate([A.indptr,
+                             A.nnz + np.cumsum(np.bincount(B.indices,
+                                                           minlength=n)),
+                             A.nnz + B.nnz + B.indptr[1:]])),
+            shape=(2 * n + m, size))
+        self._slot_b = A.nnz + np.stack([B.nnz + np.arange(B.nnz),
+                                         np.argsort(bt_src)])
 
     def solve(self, system: SaddleSystem, rhs: np.ndarray
               ) -> Tuple[Optional[np.ndarray], float]:
         """Solution (x, lam) of the system after one refinement step, and
-        the norm of its residual K sol - rhs; (None, inf) when a pivot falls
-        below _PIVOT_TOL times the largest.
+        the norm of its ``kkt_residual``; (None, inf) when a pivot falls
+        below _PIVOT_TOL times the largest or ``system.A`` is not the A
+        given at construction.  ``system.B`` must have the pattern given
+        there.
 
-        The factored K holds the A given at construction and the values of
-        ``system.B``, whose pattern must be the one given there.  Refinement
-        and residual use the system's own A and B, so a solve with another A
-        is refined towards the system's solution, and the residual shows
-        when one step does not get there.
+        The refinement residual is accumulated in np.longdouble, so the
+        error of the solution does not carry cond(K) times the roundoff of
+        a float64 residual.  That gain assumes longdouble is wider than
+        float64 (the 80-bit x87 format on x86-64 Linux); where it is
+        float64 itself the refinement is an ordinary float64 one.
         """
         B = system.B
         if not (np.array_equal(B.indptr, self._b_indptr)
                 and np.array_equal(B.indices, self._b_indices)):
             raise ValueError("constraint block does not match the band "
                              "pattern")
-        bw = self.bandwidth
-        self._flat.fill(0.0)
-        self._flat[self._pos_a] = self._a_values
+        if system.A is not self._A:
+            return None, np.inf
+        bw, n = self.bandwidth, self._n
+        self._stack.data[self._slot_b] = B.data
+        # gbtrf sets the fill-in rows itself; zero the rows that hold K
+        self._ab_t[:, bw:] = 0.0
+        self._flat[self._pos_a] = self._a_data
         self._flat[self._pos_b] = B.data
         lu, piv, _ = lapack.dgbtrf(self._ab_t.T, bw, bw, overwrite_ab=1)
         pivots = np.abs(lu[2 * bw])
-        if pivots.min() < _PIVOT_TOL * pivots.max():
+        if not pivots.min() > _PIVOT_TOL * pivots.max():
             return None, np.inf
         sol = np.empty_like(rhs)
         sol[self.perm] = lapack.dgbtrs(lu, bw, bw, rhs[self.perm], piv)[0]
-        correction = rhs - self._apply(system, sol)
-        sol[self.perm] += lapack.dgbtrs(lu, bw, bw, correction[self.perm],
-                                        piv)[0]
-        return sol, float(np.linalg.norm(self._apply(system, sol) - rhs))
+        y = self._stack @ sol.astype(np.longdouble)
+        correction = rhs - np.concatenate([y[:n] + y[n:2 * n], y[2 * n:]])
+        sol[self.perm] += lapack.dgbtrs(
+            lu, bw, bw, correction[self.perm].astype(float), piv)[0]
+        return sol, float(np.hypot(*kkt_residual(system, sol[:n], sol[n:])))
 
 
 def solve_kkt(system: SaddleSystem, tol_rel: float = _RESIDUAL_TOL,

@@ -261,6 +261,22 @@ def zero_boundary(field: QuadraticField) -> QuadraticField:
     return QuadraticField(field.mesh, field.dim, vals)
 
 
+def _cumulative(start_value, increments: np.ndarray, dim: int) -> np.ndarray:
+    """Node values start, start + inc_0, ... summed left to right with
+    compensated (Kahan) summation."""
+    values = np.empty((increments.shape[0] + 1, dim))
+    values[0] = np.asarray(start_value, dtype=float).reshape(dim)
+    acc = values[0].copy()
+    comp = np.zeros(dim)
+    for i, inc in enumerate(increments):
+        y = inc - comp
+        s = acc + y
+        comp = (s - acc) - y
+        acc = s
+        values[i + 1] = acc
+    return values
+
+
 def interp_j3(start_value, fprime, mesh: Mesh1D, dim: int) -> HermiteCurve:
     """Cubic C1 curve with derivative interpolating f' at nodes and midpoints
     and values accumulated by exact integration of that quadratic derivative.
@@ -276,17 +292,8 @@ def interp_j3(start_value, fprime, mesh: Mesh1D, dim: int) -> HermiteCurve:
     h = mesh.element_lengths[:, None]
     increments = (h / 6.0) * (d_nodes[:-1] + 4.0 * d_mids + d_nodes[1:])
 
-    values = np.empty((mesh.num_elements + 1, dim))
-    values[0] = np.asarray(start_value, dtype=float).reshape(dim)
-    acc = values[0].copy()
-    comp = np.zeros(dim)
-    for i in range(mesh.num_elements):
-        y = increments[i] - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-        values[i + 1] = acc
-    return HermiteCurve(mesh, dim, values, d_nodes)
+    return HermiteCurve(mesh, dim, _cumulative(start_value, increments, dim),
+                        d_nodes)
 
 
 def interp_j2(start_value, fprime, mesh: Mesh1D, dim: int) -> HermiteCurve:
@@ -302,17 +309,8 @@ def interp_j2(start_value, fprime, mesh: Mesh1D, dim: int) -> HermiteCurve:
     h = mesh.element_lengths[:, None]
     increments = (h / 2.0) * (d_nodes[:-1] + d_nodes[1:])
 
-    values = np.empty((mesh.num_elements + 1, dim))
-    values[0] = np.asarray(start_value, dtype=float).reshape(dim)
-    acc = values[0].copy()
-    comp = np.zeros(dim)
-    for i in range(mesh.num_elements):
-        y = increments[i] - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-        values[i + 1] = acc
-    return HermiteCurve(mesh, dim, values, d_nodes)
+    return HermiteCurve(mesh, dim, _cumulative(start_value, increments, dim),
+                        d_nodes)
 
 
 def lumped_weights(mesh: Mesh1D, variant: ConstraintVariant = ConstraintVariant.P2) -> np.ndarray:

@@ -4,8 +4,9 @@ numerical checks of the two Brezzi conditions (kernel coercivity, inf-sup).
 
 The optimality system couples the curve with a scalar multiplier living in
 the constraint-node space with zero boundary values.  Boundary conditions on
-the curve are imposed by reducing to the free DOFs (trial and test), unlike
-the flow module which appends constraint rows.
+the curve are imposed, for trial and test functions alike, by the same
+restriction P to reduced DOFs as in the flow module; for endpoint
+conditions P selects the free DOFs.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import (BoundaryConditions, SystemMatrices, tangential_rows,
-                       tangential_stencil)
+from .assembly import (TARGETS, BoundaryConditions, ConstraintPattern,
+                       SystemMatrices, constraint_pattern)
 from .mesh import ConstraintVariant, Mesh1D
 from .splines import (FunctionOracle, HermiteCurve, QuadraticField,
                       interp_hermite, lumped_weights)
@@ -77,79 +78,67 @@ def _lambda_at_constraint_nodes(lam: QuadraticField, variant: ConstraintVariant
     return lam.node_values[:, 0]
 
 
-def derivative_eval_matrix(mesh: Mesh1D, dim: int,
-                           variant: ConstraintVariant) -> sp.csr_matrix:
-    """Sparse map from curve DOFs to the stacked derivative components
-    (Y'(z)_c) at the constraint nodes; rows ordered node-major, component
-    fastest."""
-    nz = mesh.constraint_nodes(variant).size
-    _, cols, coef, rows = tangential_stencil(mesh, dim, variant,
-                                             np.arange(nz))
-    # each row comes from one stencil row, whose columns already ascend
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows,
-                                                        minlength=dim * nz))])
-    return sp.csr_matrix((coef[order], cols[order], indptr),
-                         shape=(dim * nz, 2 * dim * mesh.nodes.size))
-
-
-def free_dof_indices(mesh: Mesh1D, dim: int, bc: BoundaryConditions) -> np.ndarray:
+def _pattern(matrices: SystemMatrices, variant: ConstraintVariant,
+             bc: BoundaryConditions) -> ConstraintPattern:
+    """Constraint rows at the interior constraint nodes on the reduced DOFs
+    of P, whose ``restriction`` is the P of every stationary routine; built
+    once per variant and set of fixed ends."""
     if bc.periodic:
         raise ValueError("stationary solver supports endpoint conditions only")
-    fixed = bc.fixed_dof_indices(mesh, dim)
-    mask = np.ones(2 * dim * mesh.nodes.size, dtype=bool)
-    mask[fixed] = False
-    return np.nonzero(mask)[0]
+    mesh, dim = matrices.mesh, matrices.dim
+    bc.check_dim(dim)
+    nz = mesh.constraint_nodes(variant).size
+    return matrices.cached(
+        (variant,) + tuple(getattr(bc, name) is None for name in TARGETS),
+        lambda: constraint_pattern(matrices.derivative_map(variant),
+                                   bc.restriction(mesh, dim), dim, variant,
+                                   rows=np.arange(1, nz - 1)))
 
 
 def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
              matrices: SystemMatrices) -> Tuple[np.ndarray, np.ndarray]:
     """Residual blocks of the optimality system.
 
-    Curve block (free test DOFs): bending load plus the lumped multiplier
-    term sum_z beta_z lam(z) u'(z).phi'(z).  Multiplier block (interior
-    constraint nodes): (beta_z/2) (|u'(z)|^2 - 1).
+    Curve block (reduced test DOFs, P^T applied): bending load plus the
+    lumped multiplier term sum_z beta_z lam(z) u'(z).phi'(z).  Multiplier
+    block (interior constraint nodes): (beta_z/2) (|u'(z)|^2 - 1).
     """
-    mesh, dim = p.u.mesh, p.u.dim
-    beta = lumped_weights(mesh, variant)
+    beta = lumped_weights(p.u.mesh, variant)
     du = p.u.derivative_at_constraint_nodes(variant)
     lam_z = _lambda_at_constraint_nodes(p.lam, variant)
 
-    D = derivative_eval_matrix(mesh, dim, variant)
+    D = matrices.derivative_map(variant)
     w = (beta * lam_z)[:, None] * du
     r_u = matrices.apply_bending(p.u.dofs) + D.T @ w.ravel()
 
     speed = np.einsum("nd,nd->n", du, du)
     r_mu = 0.5 * beta[1:-1] * (speed[1:-1] - 1.0)
-
-    free = free_dof_indices(mesh, dim, bc)
-    return r_u[free], r_mu
+    return _pattern(matrices, variant, bc).restriction_t @ r_u, r_mu
 
 
 def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
              matrices: SystemMatrices
              ) -> Tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Jacobian blocks (A, B) of the optimality system on the free DOFs.
+    """Jacobian blocks (P^T A P, B) of the optimality system on the reduced
+    DOFs, and the full index ``free`` of each reduced DOF (P = I[:, free]).
 
-    A is the bending form plus the lumped multiplier term; B holds the
-    beta-weighted tangential rows at the interior constraint nodes (the same
-    kernel as the flow's unweighted rows).
+    A is the bending form plus the lumped multiplier term; B = beta T(u) D P
+    holds the beta-weighted tangential rows at the interior constraint
+    nodes (the same kernel as the flow's unweighted rows).
     """
-    mesh, dim = p.u.mesh, p.u.dim
-    beta = lumped_weights(mesh, variant)
+    dim = p.u.dim
+    beta = lumped_weights(p.u.mesh, variant)
     lam_z = _lambda_at_constraint_nodes(p.lam, variant)
 
-    D = derivative_eval_matrix(mesh, dim, variant)
+    D = matrices.derivative_map(variant)
     weights = np.repeat(beta * lam_z, dim)
     A = (matrices.bending + D.T @ sp.diags(weights) @ D).tocsr()
     A = 0.5 * (A + A.T)
 
-    nz = beta.size
-    interior = np.arange(1, nz - 1)
-    B = tangential_rows(p.u, variant, keep=interior, weights=beta)
-
-    free = free_dof_indices(mesh, dim, bc)
-    return A[free][:, free].tocsr(), B[:, free].tocsr(), free
+    pattern = _pattern(matrices, variant, bc)
+    B = pattern.fill(p.u.derivative_at_constraint_nodes(variant), beta)
+    return (pattern.restrict(A), B,
+            np.flatnonzero(np.diff(pattern.restriction.indptr)))
 
 
 def make_interpolant_pair(u_oracle: FunctionOracle,
@@ -204,6 +193,7 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     from .saddle_solver import SaddleSystem, solve_kkt
 
     mesh, dim = p0.u.mesh, p0.u.dim
+    P = _pattern(matrices, variant, bc).restriction
     p = p0
     r_u, r_mu = residual(p, variant, bc, matrices)
     norms = [float(np.sqrt(np.dot(r_u, r_u) + np.dot(r_mu, r_mu)))]
@@ -212,17 +202,16 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     for _ in range(max_iter):
         if norms[-1] <= tol:
             break
-        A, B, free = jacobian(p, variant, bc, matrices)
-        du_free, dlam = solve_kkt(SaddleSystem(A, B, -r_u, -r_mu))
+        A, B, _ = jacobian(p, variant, bc, matrices)
+        du, dlam = solve_kkt(SaddleSystem(A, B, -r_u, -r_mu))
 
         step_scale = 1.0
         u_dofs = p.u.dofs
         lam_dofs = multiplier_dofs(p.lam, variant)
         while True:
-            new_u = u_dofs.copy()
-            new_u[free] += step_scale * du_free
             cand = SaddlePoint(
-                HermiteCurve.from_dofs(mesh, dim, new_u),
+                HermiteCurve.from_dofs(mesh, dim,
+                                       u_dofs + P @ (step_scale * du)),
                 multiplier_field(mesh, lam_dofs + step_scale * dlam, variant))
             r_u_new, r_mu_new = residual(cand, variant, bc, matrices)
             norm_new = float(np.sqrt(np.dot(r_u_new, r_u_new)
@@ -254,20 +243,17 @@ def _multiplier_fe_matrices(mesh: Mesh1D, variant: ConstraintVariant
     constraint nodes (zero boundary values)."""
     h = mesh.element_lengths
     if variant is ConstraintVariant.P2:
-        nz = 2 * mesh.num_elements + 1
         mass_ref = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0],
                              [-1.0, 2.0, 4.0]]) / 30.0
         stiff_ref = np.array([[7.0, -8.0, 1.0], [-8.0, 16.0, -8.0],
                               [1.0, -8.0, 7.0]]) / 3.0
-        loc = np.stack([2 * np.arange(mesh.num_elements),
-                        2 * np.arange(mesh.num_elements) + 1,
-                        2 * np.arange(mesh.num_elements) + 2], axis=1)
     else:
-        nz = mesh.nodes.size
         mass_ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
         stiff_ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        loc = np.stack([np.arange(mesh.num_elements),
-                        np.arange(mesh.num_elements) + 1], axis=1)
+    # element e holds the constraint nodes step*e, ..., step*(e+1)
+    step = mass_ref.shape[0] - 1
+    loc = step * np.arange(mesh.num_elements)[:, None] + np.arange(step + 1)
+    nz = step * mesh.num_elements + 1
     mass = np.zeros((nz, nz))
     stiff = np.zeros((nz, nz))
     for e in range(mesh.num_elements):
@@ -279,12 +265,11 @@ def _multiplier_fe_matrices(mesh: Mesh1D, variant: ConstraintVariant
 
 @dataclass
 class DiscreteNorms:
-    """Gram matrices for the H2 norm on the free curve DOFs, the H1 norm,
-    and the computable surrogate of the dual norm on multiplier DOFs
+    """Gram matrices for the H2 norm and the H1 norm on the reduced curve
+    DOFs, and the computable surrogate of the dual norm on multiplier DOFs
     (mu -> sqrt(r^T K^{-1} r) with r the load vector of mu and K the H1 Gram
     of the zero-boundary multiplier basis)."""
 
-    free: np.ndarray
     h2_gram: np.ndarray
     h1_gram: np.ndarray
     mult_mass: np.ndarray
@@ -293,12 +278,11 @@ class DiscreteNorms:
     @classmethod
     def build(cls, matrices: SystemMatrices, bc: BoundaryConditions,
               variant: ConstraintVariant) -> "DiscreteNorms":
-        free = free_dof_indices(matrices.mesh, matrices.dim, bc)
-        h2 = (matrices.mass + matrices.gradient + matrices.bending
-              ).toarray()[np.ix_(free, free)]
-        h1 = (matrices.mass + matrices.gradient).toarray()[np.ix_(free, free)]
+        pattern = _pattern(matrices, variant, bc)
+        h1 = matrices.mass + matrices.gradient
         mass, stiff = _multiplier_fe_matrices(matrices.mesh, variant)
-        return cls(free, h2, h1, mass, mass + stiff)
+        return cls(pattern.restrict(h1 + matrices.bending).toarray(),
+                   pattern.restrict(h1).toarray(), mass, mass + stiff)
 
     def curve_dual_norm(self, r_u: np.ndarray) -> float:
         """Dual norm of a curve-block functional w.r.t. the H2 norm."""

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 
-from elastica_fem import (BoundaryConditions, ConstraintVariant, HermiteCurve,
-                          Mesh1D, assemble_constraint, assemble_matrices,
-                          bending_energy, interp_j3)
+from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
+                          HermiteCurve, Mesh1D, assemble_constraint,
+                          assemble_matrices, bending_energy, interp_j3, run)
+from elastica_fem.assembly import constraint_pattern, derivative_map
 from elastica_fem.experiments import circle_initial, helix_initial, HELIX_FREQ
 
 from conftest import random_graded_mesh
@@ -140,21 +142,25 @@ class TestBendingEnergy:
 
 
 class TestConstraintMatrix:
+    """The rows T(Z) D P of the linearized constraint on the reduced DOFs
+    of the restriction P, and P itself."""
+
     def test_straight_line_single_element_p2(self):
         mesh = Mesh1D.uniform(0.0, 1.0, 1)
         Z = HermiteCurve(mesh, 2, [[0.0, 0.0], [1.0, 0.0]],
                          [[1.0, 0.0], [1.0, 0.0]])
-        cm = assemble_constraint(Z, P2, BoundaryConditions.free())
-        assert cm.num_rows == 3 and cm.num_bc_rows == 0
+        B = assemble_constraint(Z, P2, BoundaryConditions.free())
+        # free ends: P is the identity and every constraint node has a row
+        assert B.shape == (3, Z.num_dofs)
         # tangent is e1 everywhere: rows pick the first-component derivative
         Y = HermiteCurve(mesh, 2, [[0.0, 0.0], [1.0, 0.0]],
                          [[0.0, 0.0], [0.0, 0.0]])
-        by = cm.matrix @ Y.dofs
+        by = B @ Y.dofs
         assert_allclose(by, [0.0, 1.5, 0.0], atol=1e-14)
         # hand value: u'(1/2) of the cubic with zero values, derivs 2 and 3,
         # is 2 - 14t + 15t^2 at t=1/2, i.e. -1.25
         Y2 = HermiteCurve(mesh, 2, np.zeros((2, 2)), [[2.0, 5.0], [3.0, -1.0]])
-        assert_allclose(cm.matrix @ Y2.dofs, [2.0, -1.25, 3.0], atol=1e-14)
+        assert_allclose(B @ Y2.dofs, [2.0, -1.25, 3.0], atol=1e-14)
 
     def test_row_counts_p1_clamped(self):
         z0 = circle_initial()
@@ -162,20 +168,22 @@ class TestConstraintMatrix:
         for M in (3, 6, 11):
             mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
             Z = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
-            cm = assemble_constraint(Z, P1, bc)
-            # endpoint tangential rows are dropped (derivative fully fixed)
-            assert cm.num_tangent_rows == M - 1
-            assert cm.num_bc_rows == 8
-            assert cm.num_rows == M + 7
+            B = assemble_constraint(Z, P1, bc)
+            # endpoint rows go with the fixed derivatives, and the 8 fixed
+            # DOFs are not among the columns
+            assert B.shape == (M - 1, Z.num_dofs - 8)
 
     def test_midpoint_row_support(self):
         z0 = circle_initial()
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 5)
         Z = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
-        cm = assemble_constraint(Z, P2, BoundaryConditions.free())
-        B = cm.matrix.toarray()
+        bc = BoundaryConditions.free()
+        pattern = constraint_pattern(derivative_map(mesh, 2, P2),
+                                     bc.restriction(mesh, 2), 2, P2)
+        B = assemble_constraint(Z, P2, bc, pattern=pattern).toarray()
         d = 2
-        for row_idx, z_idx in enumerate(cm.tangent_nodes):
+        assert np.array_equal(pattern.rows, np.arange(2 * 5 + 1))
+        for row_idx, z_idx in enumerate(pattern.rows):
             if z_idx % 2 == 1:  # midpoint of element e
                 e = (z_idx - 1) // 2
                 cols = np.nonzero(B[row_idx])[0]
@@ -183,17 +191,26 @@ class TestConstraintMatrix:
                 assert cols.size <= 4 * d
                 assert np.all((cols >= lo) & (cols < hi))
 
-    def test_kernel_satisfies_pointwise_constraint(self, rng):
+    def test_kernel_satisfies_pointwise_constraint(self):
+        self.check_kernel_pointwise(BoundaryConditions.free())
+
+    def test_kernel_with_fixed_ends_satisfies_pointwise_constraint(self):
+        self.check_kernel_pointwise(BoundaryConditions(
+            value_a=(1.0, 0.0), deriv_a=(0.0, 1.0), deriv_b=(0.0, 1.0)))
+
+    @staticmethod
+    def check_kernel_pointwise(bc):
         z0 = circle_initial()
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 6)
         Z = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
-        cm = assemble_constraint(Z, P2, BoundaryConditions.free())
-        kernel = sla.null_space(cm.matrix.toarray())
+        P = bc.restriction(mesh, 2)
+        kernel = sla.null_space(assemble_constraint(Z, P2, bc).toarray())
         pts = mesh.constraint_nodes(P2)
         for k in range(min(5, kernel.shape[1])):
-            Y = HermiteCurve.from_dofs(mesh, 2, kernel[:, k])
+            Y = HermiteCurve.from_dofs(mesh, 2, P @ kernel[:, k])
             yprime = Y.eval(pts, order=1)  # independent re-evaluation
             zprime = Z.eval(pts, order=1)
+            # at an endpoint without a row the derivative itself is fixed
             dots = np.einsum("nd,nd->n", yprime, zprime)
             assert np.abs(dots).max() < 1e-10
 
@@ -203,20 +220,91 @@ class TestConstraintMatrix:
         Z = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         Y = HermiteCurve(mesh, 2, Z.values @ rot.T, Z.derivs @ rot.T)
-        cm = assemble_constraint(Z, P2, BoundaryConditions.free())
-        assert np.abs(cm.matrix @ Y.dofs).max() < 1e-12
+        B = assemble_constraint(Z, P2, BoundaryConditions.free())
+        assert np.abs(B @ Y.dofs).max() < 1e-12
+
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("variant", [P1, P2])
+    def test_rows_are_tangents_times_derivative_map(self, rng, variant, M):
+        z0 = circle_initial()
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
+        Z = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
+        t = Z.derivative_at_constraint_nodes(variant)
+        # T(Z) D: row z is sum_c t[z, c] * (row 2z + c of D)
+        TD = sp.csr_matrix(
+            (t.ravel(), (np.repeat(np.arange(t.shape[0]), 2),
+                         np.arange(t.size))),
+            shape=(t.shape[0], t.size)) @ derivative_map(mesh, 2, variant)
+        for bc in (BoundaryConditions.free(), BoundaryConditions(periodic=True),
+                   BoundaryConditions(value_a=(1.0, 0.0), deriv_a=(0.0, 1.0),
+                                      deriv_b=(0.0, 1.0))):
+            P = bc.restriction(mesh, 2)
+            pattern = constraint_pattern(derivative_map(mesh, 2, variant), P,
+                                         2, variant)
+            B = assemble_constraint(Z, variant, bc, pattern=pattern)
+            # unique, ascending columns (periodic M=1 merges two ends' DOFs)
+            assert B.has_canonical_format
+            assert_allclose(B.toarray(), (TD @ P).toarray()[pattern.rows],
+                            rtol=0, atol=1e-14)
 
     def test_periodic_rows(self):
         z0 = circle_initial()
+        for M in (1, 4, 7):
+            mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
+            Z = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
+            B = assemble_constraint(Z, P2, BoundaryConditions(periodic=True))
+            # the row at b repeats the row at a; the last node has no
+            # columns of its own
+            assert B.shape == (2 * M, Z.num_dofs - 4)
+
+    def test_periodic_ends_tied_exactly(self, rng):
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 4)
+        for d in (1, 2, 3):
+            P = BoundaryConditions(periodic=True).restriction(mesh, d)
+            v_r = rng.normal(size=P.shape[1])
+            v = P @ v_r
+            assert np.array_equal(v[-2 * d:], v[:2 * d])
+            assert np.array_equal(v[:-2 * d], v_r)
+
+    def test_periodic_translations_in_kernel(self):
+        z0 = circle_initial()
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 4)
         Z = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
-        cm = assemble_constraint(Z, P2, BoundaryConditions(periodic=True))
-        # tangential row at b dropped; 2d value + 2d derivative tie rows
-        assert cm.num_bc_rows == 4
-        assert cm.num_tangent_rows == 2 * 4 + 1 - 1
-        shift = np.zeros(Z.num_dofs)
-        shift[0::4] = 1.0  # constant first-component translation
-        assert np.abs(cm.matrix @ shift).max() < 1e-14
+        B = assemble_constraint(Z, P2, BoundaryConditions(periodic=True))
+        for c in range(2):
+            shift = np.zeros(B.shape[1])
+            shift[c::4] = 1.0  # constant translation of component c
+            assert np.abs(B @ shift).max() < 1e-14
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fixed_dofs_exactly_zero(self, rng, dim):
+        mesh = Mesh1D.uniform(0.0, 1.0, 5)
+        targets = [np.zeros(dim)] * 4
+        cases = [(BoundaryConditions.clamped(*targets), 4 * dim),
+                 (BoundaryConditions(value_a=targets[0], deriv_a=targets[1],
+                                     deriv_b=targets[3]), 3 * dim),
+                 (BoundaryConditions.free(), 0)]
+        for bc, num_fixed in cases:
+            P = bc.restriction(mesh, dim)
+            fixed = bc.fixed_dof_indices(mesh, dim)
+            assert fixed.size == num_fixed
+            free = np.setdiff1d(np.arange(P.shape[0]), fixed)
+            for _ in range(3):
+                v_r = rng.normal(size=P.shape[1])
+                v = P @ v_r
+                assert np.all(v[fixed] == 0.0)
+                assert np.array_equal(v[free], v_r)
+
+    def test_target_length_checked(self):
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 4)
+        bc = BoundaryConditions(value_a=(1.0, 0.0, 0.0), deriv_a=(0.0, 1.0))
+        with pytest.raises(ValueError,
+                           match="value_a needs 2 components, got 3"):
+            bc.restriction(mesh, 2)
+        cfg = FlowConfig(tau=0.1, T=0.1, constraint=P2, bc=bc)
+        with pytest.raises(ValueError,
+                           match="value_a needs 2 components, got 3"):
+            run(cfg, mesh, circle_initial(), 2)
 
     def test_bc_target_validation(self):
         z0 = circle_initial()

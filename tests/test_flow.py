@@ -194,7 +194,8 @@ class TestRun:
 
 
 def _flow_kkt(name, variant, bc_kind, M):
-    """The first L2-flow KKT system of a named experiment and its structure."""
+    """The first L2-flow KKT system of a named experiment on the reduced
+    DOFs, and its structure."""
     spec = named_experiment(name)
     bc = {"free": BoundaryConditions.free(), "clamped": spec.bc,
           "periodic": BoundaryConditions(periodic=True)}[bc_kind]
@@ -203,10 +204,10 @@ def _flow_kkt(name, variant, bc_kind, M):
     cfg = FlowConfig(tau=0.1, T=0.1, constraint=variant, bc=bc)
     Z = init_state(spec.z0, mesh, spec.dim, variant, "j3", mats).curve
     structure = StepStructure.build(cfg, mats)
-    constraint = assemble_constraint(Z, variant, bc, pattern=structure.pattern)
-    system = SaddleSystem(structure.A, constraint.matrix,
-                          -mats.apply_bending(Z.dofs),
-                          np.zeros(constraint.num_rows))
+    B = assemble_constraint(Z, variant, bc, pattern=structure.pattern)
+    P = structure.pattern.restriction
+    system = SaddleSystem(structure.A, B, P.T @ -mats.apply_bending(Z.dofs),
+                          np.zeros(B.shape[0]))
     return system, structure, cfg, mats
 
 
@@ -254,12 +255,22 @@ class TestStepStructure:
     @pytest.mark.parametrize("variant", [P1, P2])
     @pytest.mark.parametrize("name", ["circle", "helix"])
     def test_bandwidth_independent_of_mesh(self, name, variant):
-        # the experiments' own (semi-)clamped ends, which every flow of the
-        # benchmark runs; with free or periodic ends scipy's ordering can
-        # start mid-curve and the band then changes with M
-        widths = [_flow_kkt(name, variant, "clamped", M)[1].band.bandwidth
-                  for M in (20, 1280)]
-        assert widths[0] == widths[1]
+        for bc_kind in ("clamped", "free"):
+            widths = [_flow_kkt(name, variant, bc_kind, M)[1].band.bandwidth
+                      for M in (20, 1280)]
+            assert widths[0] == widths[1], bc_kind
+
+    def test_eliminated_dofs_keep_uncoupled_rows(self):
+        system, structure, _, mats = _flow_kkt("circle", P2, "clamped", 5)
+        fixed = named_experiment("circle").bc.fixed_dof_indices(mats.mesh, 2)
+        A = structure.A.toarray()
+        assert A.shape == (mats.num_dofs, mats.num_dofs)
+        diag = mats.mass.diagonal() + 0.1 * mats.bending.diagonal()
+        assert np.array_equal(A[fixed], np.diag(diag)[fixed])
+        assert np.array_equal(A[:, fixed], np.diag(diag)[:, fixed])
+        assert system.B[:, fixed].nnz == 0
+        x, _ = solve_kkt(system, band=structure.band)
+        assert np.all(x[fixed] == 0.0)
 
     def test_band_rejects_other_pattern_and_refines_other_matrix(self):
         system, structure, _, _ = _flow_kkt("circle", P2, "clamped", 20)
@@ -268,10 +279,12 @@ class TestStepStructure:
                                   other.rhs_bottom)
         with pytest.raises(ValueError, match="band pattern"):
             solve_kkt(mismatched, band=structure.band)
-        # a different A is not in the band; the residual is the system's,
-        # so solve_kkt returns the solution of the system it was given
+        # a different A is not in the band, which declines the system, so
+        # solve_kkt returns the solution of the system it was given
         shifted = SaddleSystem(system.A + sp.identity(system.n, format="csr"),
                                system.B, system.rhs_top, system.rhs_bottom)
+        assert structure.band.solve(shifted, np.concatenate(
+            [shifted.rhs_top, shifted.rhs_bottom]))[0] is None
         x, lam = solve_kkt(shifted, band=structure.band)
         expected = np.concatenate(solve_kkt(shifted))
         assert_allclose(np.concatenate([x, lam]), expected, rtol=0,

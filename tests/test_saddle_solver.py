@@ -82,6 +82,22 @@ def test_kkt_residual_perturbation(rng):
     assert top == pytest.approx(np.linalg.norm(sys.A @ delta), rel=1e-6)
 
 
+def test_kkt_residual_equals_transpose_product(rng):
+    # B^T lam is summed from B's entries; the transpose product is the
+    # reference, bit for bit, also for a B with a repeated entry
+    sys = random_system(rng, 12, 5)
+    B = sp.random(5, 12, density=0.4, format="csr", random_state=4)
+    B = sp.csr_matrix((np.append(B.data, 0.5),
+                       np.append(B.indices, B.indices[0]),
+                       np.append(B.indptr[:-1], B.nnz + 1)), shape=B.shape)
+    for system in (sys, SaddleSystem(sys.A, B, sys.rhs_top, sys.rhs_bottom)):
+        x, lam = rng.normal(size=12), rng.normal(size=5) * 1e3
+        top, bottom = kkt_residual(system, x, lam)
+        assert top == np.linalg.norm(system.A @ x + system.B.T @ lam
+                                     - system.rhs_top)
+        assert bottom == np.linalg.norm(system.B @ x - system.rhs_bottom)
+
+
 def test_singular_detection():
     rng = np.random.default_rng(5)
     A = np.eye(4)

@@ -7,6 +7,7 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant,
                           FunctionOracle, HermiteCurve, Mesh1D, NewtonError,
                           QuadraticField, assemble_matrices, fit_rate,
                           unit_speed_violation)
+from elastica_fem import assembly
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
 from elastica_fem.flow import FlowConfig, run
 from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
@@ -196,6 +197,34 @@ class TestNewton:
         sol, _ = newton_solve(pair, P2, circle_spec.bc, mats)
         diff = sol.u.dofs - state.curve.dofs
         assert mats.h2_norm(diff) <= 1e-7
+
+
+def test_derivative_map_built_once_per_matrices_and_variant(monkeypatch,
+                                                            circle_spec):
+    calls = []
+    build = assembly.derivative_map
+
+    def spy(mesh, dim, variant):
+        calls.append(variant)
+        return build(mesh, dim, variant)
+
+    monkeypatch.setattr(assembly, "derivative_map", spy)
+    mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 20)
+    mats = assemble_matrices(mesh, 2)
+    pair = make_interpolant_pair(circle_spec.exact.oracle,
+                                 circle_spec.exact.multiplier, mesh, 2, P2)
+    _, log = newton_solve(pair, P2, circle_spec.bc, mats)
+    # every iteration calls jacobian and residual at least once each
+    assert log["iterations"] >= 1
+    assert calls == [P2]
+    p1_pair = make_interpolant_pair(circle_spec.exact.oracle,
+                                    circle_spec.exact.multiplier, mesh, 2, P1)
+    for _ in range(2):
+        residual(p1_pair, P1, circle_spec.bc, mats)
+        jacobian(p1_pair, P1, circle_spec.bc, mats)
+    assert calls == [P2, P1]
+    residual(pair, P2, circle_spec.bc, assemble_matrices(mesh, 2))
+    assert calls == [P2, P1, P2]
 
 
 class TestBrezziDiagnostics:

@@ -6,7 +6,7 @@ from .mesh import ConstraintVariant, Mesh1D
 from .splines import (FunctionOracle, HermiteCurve, QuadraticField,
                       interp_hermite, interp_j2, interp_j3, interp_linear,
                       interp_quadratic, lumped_product, lumped_weights,
-                      unit_speed_violation, zero_boundary)
+                      unit_speed_violation)
 from .assembly import (BoundaryConditions, SystemMatrices,
                        assemble_constraint, assemble_matrices, bending_energy)
 from .saddle_solver import (KKTSingularError, SaddleSystem, SchurSolver,
@@ -43,5 +43,4 @@ __all__ = [
     "quadrature_error", "residual", "residual_dual_norm", "run",
     "run_experiment", "solve_kkt", "stationarity_check",
     "stationary_jacobian", "step", "unit_speed_violation", "weak_errors",
-    "zero_boundary",
 ]

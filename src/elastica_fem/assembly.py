@@ -117,10 +117,6 @@ class SystemMatrices:
         return self.cached(variant, lambda: derivative_map(self.mesh, self.dim,
                                                           variant))
 
-    def h2_gram(self) -> sp.csr_matrix:
-        """Gram matrix of the full H2 norm: mass + gradient + bending."""
-        return (self.mass + self.gradient + self.bending).tocsr()
-
     def h2_norm(self, u: np.ndarray) -> float:
         s = self.quad_mass(u) + self.quad_gradient(u) + self.quad_bending(u)
         return float(np.sqrt(max(s, 0.0)))

@@ -17,8 +17,9 @@ from scipy.sparse import csgraph
 class KKTSingularError(RuntimeError):
     """Raised when the KKT matrix is singular or numerically rank deficient.
 
-    ``deficiency`` carries the estimated rank deficiency so callers can
-    decide whether dropping redundant constraint rows would help.
+    ``deficiency`` carries the estimated rank deficiency: the number of
+    singular values (or, for large K, LU pivots) below _PIVOT_TOL times
+    the largest.
     """
 
     def __init__(self, message: str, deficiency: int):
@@ -142,28 +143,29 @@ def _ordered(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
 
 class BandedKKT:
-    """Banded LU storage of [[A, B^T], [B, 0]] for a fixed A and a fixed
-    CSR pattern of B, reused by every solve whose B has that pattern.
+    """Banded LU storage of [[A, B^T], [B, 0]] for fixed CSR patterns of A
+    and B, reused by every solve whose A and B have those patterns.
 
     In 1D every constraint row touches the DOFs of one element.  Ordering
     the unknowns along the curve, with each multiplier at the middle of its
     row's column range, keeps the half-bandwidth small and independent of
-    M (flow systems: 8-9 for d=2, 11-12 for d=3).  Periodic ends
-    join the two ends of that order; there the reverse Cuthill-McKee order
-    of K's pattern is taken.  Each solve scatters the values of B into one
-    preallocated band array, factors it in place with LAPACK gbtrf (partial
-    pivoting, safe for the indefinite K) and solves with gbtrs.
+    M (flow and Newton systems: 8-9 for d=2, 11-12 for d=3).  Periodic
+    ends, and systems with no such structure, take the reverse
+    Cuthill-McKee order of K's pattern when it is narrower.  Each solve
+    scatters the values of A and B into one preallocated band array,
+    factors it in place with LAPACK gbtrf (partial pivoting, safe for the
+    indefinite K) and solves with gbtrs.
     """
 
     def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
-        self._A = A
         A, B = _as_csr(A), _as_csr(B)
         # values are scattered entry by entry, so an entry must not repeat
         if not (A.has_canonical_format and B.has_canonical_format):
             raise ValueError("A and B need sorted, unique column indices "
                              "in every row")
         n, m = A.shape[0], B.shape[0]
-        self._n, self._b_indptr, self._b_indices = n, B.indptr, B.indices
+        self._n = n
+        self._patterns = (A.indptr, A.indices, B.indptr, B.indices)
         # each multiplier at the middle of its row's columns; fixed DOFs may
         # cut the ranges of the first and last rows, which go before and
         # after their columns instead
@@ -205,13 +207,11 @@ class BandedKKT:
         self._pos_a = pos[:A.nnz]
         self._pos_b = pos[A.nnz:].reshape(2, -1)
         # [A; B^T; B] as one longdouble CSR on (x, lam), for the refinement
-        # residual: K sol is (its A rows + its B^T rows, its B rows), and
-        # B's entry k is at data[_slot_b[:, k]]
+        # residual: K sol is (its A rows + its B^T rows, its B rows), A's
+        # entries lead its data and B's entry k is at data[_slot_b[:, k]]
         bt_src = np.argsort(B.indices, kind="stable")
-        self._a_data = A.data
         self._stack = sp.csr_matrix(
-            (np.concatenate([A.data, np.zeros(2 * B.nnz)]
-                            ).astype(np.longdouble),
+            (np.zeros(A.nnz + 2 * B.nnz, dtype=np.longdouble),
              np.concatenate([A.indices, n + b_rows[bt_src], B.indices]),
              np.concatenate([A.indptr,
                              A.nnz + np.cumsum(np.bincount(B.indices,
@@ -225,9 +225,8 @@ class BandedKKT:
               ) -> Tuple[Optional[np.ndarray], float]:
         """Solution (x, lam) of the system after one refinement step, and
         the norm of its ``kkt_residual``; (None, inf) when a pivot falls
-        below _PIVOT_TOL times the largest or ``system.A`` is not the A
-        given at construction.  ``system.B`` must have the pattern given
-        there.
+        below _PIVOT_TOL times the largest.  ``system.A`` and ``system.B``
+        must have the patterns given at construction.
 
         The refinement residual is accumulated in np.longdouble, so the
         error of the solution does not carry cond(K) times the roundoff of
@@ -235,18 +234,20 @@ class BandedKKT:
         float64 (the 80-bit x87 format on x86-64 Linux); where it is
         float64 itself the refinement is an ordinary float64 one.
         """
-        B = system.B
-        if not (np.array_equal(B.indptr, self._b_indptr)
-                and np.array_equal(B.indices, self._b_indices)):
-            raise ValueError("constraint block does not match the band "
-                             "pattern")
-        if system.A is not self._A:
-            return None, np.inf
+        A, B = system.A, system.B
+        # flow and Newton pass the index arrays the band was built from;
+        # identity settles those without comparing them (a few us each,
+        # several percent of a small flow step)
+        if not all(given is built or np.array_equal(given, built)
+                   for given, built in zip((A.indptr, A.indices, B.indptr,
+                                            B.indices), self._patterns)):
+            raise ValueError("KKT blocks do not match the band pattern")
         bw, n = self.bandwidth, self._n
+        self._stack.data[:A.nnz] = A.data
         self._stack.data[self._slot_b] = B.data
         # gbtrf sets the fill-in rows itself; zero the rows that hold K
         self._ab_t[:, bw:] = 0.0
-        self._flat[self._pos_a] = self._a_data
+        self._flat[self._pos_a] = A.data
         self._flat[self._pos_b] = B.data
         lu, piv, _ = lapack.dgbtrf(self._ab_t.T, bw, bw, overwrite_ab=1)
         pivots = np.abs(lu[2 * bw])
@@ -266,44 +267,22 @@ def solve_kkt(system: SaddleSystem, tol_rel: float = _RESIDUAL_TOL,
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the block system; returns (x, lam).
 
-    With ``band`` (built for this A and B's pattern), a banded LU of the
-    reordered K is tried first.  Otherwise, or when it fails, sparse LU with
-    one step of iterative refinement; a dense factorization with pivot
-    diagnostics takes over when the sparse path fails.  Every path is
-    rejected on a pivot below _PIVOT_TOL times the largest or a residual
-    above tol_rel times the right-hand-side norm.
+    A banded LU of the reordered K, with ``band`` (built for the patterns
+    of this A and B) or a band built here; a dense factorization with pivot
+    diagnostics takes over when a banded pivot falls below _PIVOT_TOL times
+    the largest or the residual exceeds tol_rel times the right-hand-side
+    norm, and raises ``KKTSingularError`` when it fails the same tests.
+    A and B need sorted, unique column indices in every row.
     """
-    if system.m == 0:
-        x = spla.spsolve(system.A.tocsc(), system.rhs_top)
-        return np.atleast_1d(x), np.zeros(0)
-
+    if band is None:
+        band = BandedKKT(system.A, system.B)
     rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
-    bound = tol_rel * max(np.linalg.norm(rhs), 1e-300)
-    if band is not None:
-        sol, res = band.solve(system, rhs)
-        if sol is not None and np.all(np.isfinite(sol)) and res <= bound:
-            return sol[:system.n], sol[system.n:]
-
-    K = sp.bmat([[system.A, system.B.T], [system.B, None]], format="csc")
-    try:
-        lu = spla.splu(K)
-        pivots = np.abs(lu.U.diagonal())
-        if pivots.min() < _PIVOT_TOL * pivots.max():
-            # consistent singular systems can leave a small residual while
-            # carrying an arbitrary kernel component; defer to the dense
-            # path, which diagnoses the deficiency
-            sol = None
-        else:
-            sol = lu.solve(rhs)
-            sol += lu.solve(rhs - K @ sol)
-    except RuntimeError:
-        sol = None
-
-    if sol is not None and np.all(np.isfinite(sol)):
-        if np.linalg.norm(K @ sol - rhs) <= bound:
-            return sol[:system.n], sol[system.n:]
-
-    return _dense_solve(system, tol_rel, np.linalg.norm(rhs))
+    rhs_norm = np.linalg.norm(rhs)
+    sol, res = band.solve(system, rhs)
+    if sol is not None and np.all(np.isfinite(sol)) \
+            and res <= tol_rel * max(rhs_norm, 1e-300):
+        return sol[:system.n], sol[system.n:]
+    return _dense_solve(system, tol_rel, rhs_norm)
 
 
 class SchurSolver:

@@ -253,14 +253,6 @@ def interp_linear(f, mesh: Mesh1D, dim: int) -> QuadraticField:
     return QuadraticField(mesh, dim, vals)
 
 
-def zero_boundary(field: QuadraticField) -> QuadraticField:
-    """Copy of a quadratic field with both endpoint values set to zero."""
-    vals = field.values.copy()
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    return QuadraticField(field.mesh, field.dim, vals)
-
-
 def _cumulative(start_value, increments: np.ndarray, dim: int) -> np.ndarray:
     """Node values start, start + inc_0, ... summed left to right with
     compensated (Kahan) summation."""

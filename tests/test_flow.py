@@ -211,6 +211,18 @@ def _flow_kkt(name, variant, bc_kind, M):
     return system, structure, cfg, mats
 
 
+def _refined_dense_solution(system):
+    """Dense solve of the KKT system refined three times: the reference
+    for the banded solves (with free ends cond_2 K reaches ~4e5 at M=80)."""
+    K = np.block([[system.A.toarray(), system.B.T.toarray()],
+                  [system.B.toarray(), np.zeros((system.m, system.m))]])
+    rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
+    reference = np.linalg.solve(K, rhs)
+    for _ in range(3):
+        reference += np.linalg.solve(K, rhs - K @ reference)
+    return reference
+
+
 class TestStepStructure:
     @pytest.mark.parametrize("M", [1, 2, 5, 80])
     @pytest.mark.parametrize("bc_kind", ["free", "clamped", "periodic"])
@@ -222,10 +234,11 @@ class TestStepStructure:
         rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
         banded, res = structure.band.solve(system, rhs)
         try:
-            general = np.concatenate(solve_kkt(system))
+            unbanded = np.concatenate(solve_kkt(system))
         except KKTSingularError as exc:
             # singular flow KKTs (some single-element meshes): the banded
-            # pivot test rejects them and the fallback's diagnosis is reached
+            # pivot test rejects them and the dense diagnosis is reached,
+            # with the structure's band as with one built for the call
             assert banded is None
             with pytest.raises(KKTSingularError) as info:
                 solve_kkt(system, band=structure.band)
@@ -240,15 +253,8 @@ class TestStepStructure:
         assert res <= 1e-10 * np.linalg.norm(rhs)
         x, lam = solve_kkt(system, band=structure.band)
         assert np.array_equal(np.concatenate([x, lam]), banded)
-        reference = general
-        if bc_kind == "free":
-            # with free ends cond_2 K reaches ~4e5 at M=80, and the general
-            # path is itself ~1e-12 off; compare with a dense solve refined
-            # three times instead
-            K = sp.bmat([[system.A, system.B.T], [system.B, None]]).toarray()
-            reference = np.linalg.solve(K, rhs)
-            for _ in range(3):
-                reference += np.linalg.solve(K, rhs - K @ reference)
+        assert np.array_equal(unbanded, banded)
+        reference = _refined_dense_solution(system)
         assert np.linalg.norm(banded - reference) \
             <= 1e-12 * np.linalg.norm(reference)
 
@@ -275,20 +281,25 @@ class TestStepStructure:
     def test_band_rejects_other_pattern_and_refines_other_matrix(self):
         system, structure, _, _ = _flow_kkt("circle", P2, "clamped", 20)
         other, _, _, _ = _flow_kkt("circle", P1, "clamped", 20)
-        mismatched = SaddleSystem(system.A, other.B, system.rhs_top,
-                                  other.rhs_bottom)
-        with pytest.raises(ValueError, match="band pattern"):
-            solve_kkt(mismatched, band=structure.band)
-        # a different A is not in the band, which declines the system, so
-        # solve_kkt returns the solution of the system it was given
-        shifted = SaddleSystem(system.A + sp.identity(system.n, format="csr"),
+        n = system.n
+        corners = sp.csr_matrix(([1.0, 1.0], ([0, n - 1], [n - 1, 0])),
+                                shape=(n, n))
+        for mismatched in (
+                SaddleSystem(system.A, other.B, system.rhs_top,
+                             other.rhs_bottom),
+                SaddleSystem(system.A + corners, system.B, system.rhs_top,
+                             system.rhs_bottom)):
+            with pytest.raises(ValueError, match="band pattern"):
+                solve_kkt(mismatched, band=structure.band)
+        # the band holds patterns only: it solves A + I, which has A's
+        # pattern, with that system's values, and then A again
+        shifted = SaddleSystem(system.A + sp.identity(n, format="csr"),
                                system.B, system.rhs_top, system.rhs_bottom)
-        assert structure.band.solve(shifted, np.concatenate(
-            [shifted.rhs_top, shifted.rhs_bottom]))[0] is None
-        x, lam = solve_kkt(shifted, band=structure.band)
-        expected = np.concatenate(solve_kkt(shifted))
-        assert_allclose(np.concatenate([x, lam]), expected, rtol=0,
-                        atol=1e-12 * np.linalg.norm(expected))
+        for kkt in (shifted, system):
+            sol = np.concatenate(solve_kkt(kkt, band=structure.band))
+            reference = _refined_dense_solution(kkt)
+            assert np.linalg.norm(sol - reference) \
+                <= 1e-12 * np.linalg.norm(reference)
 
     def test_step_builds_structure_like_run(self):
         mesh = Mesh1D.uniform(0.0, 4.0 * np.pi, 12)

@@ -7,7 +7,7 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant,
                           FunctionOracle, HermiteCurve, Mesh1D, NewtonError,
                           QuadraticField, assemble_matrices, fit_rate,
                           unit_speed_violation)
-from elastica_fem import assembly
+from elastica_fem import assembly, saddle_solver
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
 from elastica_fem.flow import FlowConfig, run
 from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
@@ -197,6 +197,32 @@ class TestNewton:
         sol, _ = newton_solve(pair, P2, circle_spec.bc, mats)
         diff = sol.u.dofs - state.curve.dofs
         assert mats.h2_norm(diff) <= 1e-7
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_iterations_solve_on_the_band(self, monkeypatch, name, variant):
+        calls = {"band": 0, "dense": 0}
+        band_solve = saddle_solver.BandedKKT.solve
+        dense_solve = saddle_solver._dense_solve
+
+        def band_spy(band, *args):
+            calls["band"] += 1
+            return band_solve(band, *args)
+
+        def dense_spy(*args):
+            calls["dense"] += 1
+            return dense_solve(*args)
+
+        monkeypatch.setattr(saddle_solver.BandedKKT, "solve", band_spy)
+        monkeypatch.setattr(saddle_solver, "_dense_solve", dense_spy)
+        spec = named_experiment(name)
+        mesh = Mesh1D.uniform(*spec.interval, 40)
+        mats = assemble_matrices(mesh, spec.dim)
+        pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
+                                     mesh, spec.dim, variant)
+        _, log = newton_solve(pair, variant, spec.bc, mats)
+        assert log["iterations"] >= 1
+        assert calls == {"band": log["iterations"], "dense": 0}
 
 
 def test_derivative_map_built_once_per_matrices_and_variant(monkeypatch,

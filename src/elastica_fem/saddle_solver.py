@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -18,8 +17,9 @@ class KKTSingularError(RuntimeError):
     """Raised when the KKT matrix is singular or numerically rank deficient.
 
     ``deficiency`` carries the estimated rank deficiency: the number of
-    singular values (or, for large K, LU pivots) below _PIVOT_TOL times
-    the largest.
+    pivots of the equilibrated band (for ``SchurSolver``, singular values
+    of the Schur complement) at most _PIVOT_TOL times the largest.  It is
+    0 when every pivot passed and only the backward-error test failed.
     """
 
     def __init__(self, message: str, deficiency: int):
@@ -69,25 +69,7 @@ class SaddleSystem:
 
 
 _PIVOT_TOL = 1e-12   # relative pivot threshold flagging rank deficiency
-_RESIDUAL_TOL = 1e-10
-# largest KKT order whose failure is diagnosed by a full SVD; above it the
-# small LU pivots are counted instead (the SVD is O(N^3) and took seconds at
-# N ~ 2000 only to confirm what the pivots already show)
-_SVD_MAX_N = 400
-
-
-def _estimate_deficiency(K: np.ndarray,
-                         pivots: Optional[np.ndarray] = None) -> int:
-    """Numerical rank deficiency of K: singular values at most _PIVOT_TOL
-    times the largest, or, when K is larger than _SVD_MAX_N and its LU
-    pivots are given, the pivots at most _PIVOT_TOL times their maximum
-    (all of them for a zero K)."""
-    if pivots is not None and K.shape[0] > _SVD_MAX_N:
-        return int(np.sum(pivots <= _PIVOT_TOL * pivots.max()))
-    svals = sla.svdvals(K)
-    if svals.size == 0:
-        return 0
-    return int(np.sum(svals <= _PIVOT_TOL * svals[0]))
+_BACKWARD_TOL = 1e-14   # largest normwise backward error of a solve
 
 
 def kkt_residual(system: SaddleSystem, x: np.ndarray, lam: np.ndarray
@@ -101,36 +83,6 @@ def kkt_residual(system: SaddleSystem, x: np.ndarray, lam: np.ndarray
     top = system.A @ x + bt_lam - system.rhs_top
     bottom = system.B @ x - system.rhs_bottom
     return float(np.linalg.norm(top)), float(np.linalg.norm(bottom))
-
-
-def _dense_solve(system: SaddleSystem, tol_rel: float, rhs_norm: float
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    n, m = system.n, system.m
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = system.A.toarray()
-    Bd = system.B.toarray()
-    K[:n, n:] = Bd.T
-    K[n:, :n] = Bd
-    rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
-    with warnings.catch_warnings():
-        # singularity is diagnosed from the pivots below
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(K)
-    pivots = np.abs(np.diag(lu))
-    if pivots.max() == 0.0 or pivots.min() < _PIVOT_TOL * pivots.max():
-        raise KKTSingularError(
-            "KKT matrix numerically rank deficient",
-            _estimate_deficiency(K, pivots))
-    sol = sla.lu_solve((lu, piv), rhs)
-    sol += sla.lu_solve((lu, piv), rhs - K @ sol)  # one refinement pass
-    x, lam = sol[:n], sol[n:]
-    top, bottom = kkt_residual(system, x, lam)
-    res = np.hypot(top, bottom)
-    if res > tol_rel * max(rhs_norm, 1e-300):
-        raise KKTSingularError(
-            f"KKT solve residual {res:.3e} exceeds {tol_rel:.1e} * |rhs|",
-            _estimate_deficiency(K, pivots))
-    return x, lam
 
 
 def _ordered(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -155,6 +107,11 @@ class BandedKKT:
     scatters the values of A and B into one preallocated band array,
     factors it in place with LAPACK gbtrf (partial pivoting, safe for the
     indefinite K) and solves with gbtrs.
+
+    The band holds D K D, d_i = |A_ii|^(-1/2) on x (1 on the multipliers
+    and where A_ii = 0) from the A given at construction.  Value and
+    derivative DOFs differ by powers of h, so the pivots of K itself fall
+    below _PIVOT_TOL from M ~ 300 on; those of D K D measure rank.
     """
 
     def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
@@ -220,19 +177,25 @@ class BandedKKT:
             shape=(2 * n + m, size))
         self._slot_b = A.nnz + np.stack([B.nnz + np.arange(B.nnz),
                                          np.argsort(bt_src)])
+        diag = np.abs(A.diagonal())
+        d = np.append(np.where(diag > 0, diag, 1.0) ** -0.5, np.ones(m))
+        self._scale_a = d[a_rows] * d[A.indices]
+        self._scale_b = d[B.indices]
+        self._d_perm = d[self.perm]
 
-    def solve(self, system: SaddleSystem, rhs: np.ndarray
-              ) -> Tuple[Optional[np.ndarray], float]:
-        """Solution (x, lam) of the system after one refinement step, and
-        the norm of its ``kkt_residual``; (None, inf) when a pivot falls
-        below _PIVOT_TOL times the largest.  ``system.A`` and ``system.B``
-        must have the patterns given at construction.
+    def solve(self, system: SaddleSystem, rhs: np.ndarray) -> np.ndarray:
+        """Solution (x, lam) of the system after one refinement step.
+        ``system.A`` and ``system.B`` must have the patterns given at
+        construction.  Raises ``KKTSingularError`` when a pivot of the
+        scaled band is at most _PIVOT_TOL times the largest, or when the
+        normwise backward error |K sol - rhs| / (|K|_F |sol| + |rhs|),
+        which unlike a relative residual does not grow with cond(K)
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7),
+        exceeds _BACKWARD_TOL.
 
-        The refinement residual is accumulated in np.longdouble, so the
-        error of the solution does not carry cond(K) times the roundoff of
-        a float64 residual.  That gain assumes longdouble is wider than
-        float64 (the 80-bit x87 format on x86-64 Linux); where it is
-        float64 itself the refinement is an ordinary float64 one.
+        The refinement residual is summed in np.longdouble in K's units;
+        where that is wider than float64 (80-bit x87 on x86-64 Linux), the
+        solution does not carry cond(K) times a float64 residual's roundoff.
         """
         A, B = system.A, system.B
         # flow and Newton pass the index arrays the band was built from;
@@ -242,47 +205,46 @@ class BandedKKT:
                    for given, built in zip((A.indptr, A.indices, B.indptr,
                                             B.indices), self._patterns)):
             raise ValueError("KKT blocks do not match the band pattern")
-        bw, n = self.bandwidth, self._n
+        bw, n, d = self.bandwidth, self._n, self._d_perm
         self._stack.data[:A.nnz] = A.data
         self._stack.data[self._slot_b] = B.data
-        # gbtrf sets the fill-in rows itself; zero the rows that hold K
+        # gbtrf sets the fill-in rows itself; zero the rows that hold D K D
         self._ab_t[:, bw:] = 0.0
-        self._flat[self._pos_a] = A.data
-        self._flat[self._pos_b] = B.data
+        self._flat[self._pos_a] = A.data * self._scale_a
+        self._flat[self._pos_b] = B.data * self._scale_b
         lu, piv, _ = lapack.dgbtrf(self._ab_t.T, bw, bw, overwrite_ab=1)
         pivots = np.abs(lu[2 * bw])
-        if not pivots.min() > _PIVOT_TOL * pivots.max():
-            return None, np.inf
+        small = int(np.count_nonzero(pivots <= _PIVOT_TOL * pivots.max()))
+        if small:
+            raise KKTSingularError("KKT matrix numerically singular", small)
         sol = np.empty_like(rhs)
-        sol[self.perm] = lapack.dgbtrs(lu, bw, bw, rhs[self.perm], piv)[0]
+        sol[self.perm] = d * lapack.dgbtrs(lu, bw, bw, d * rhs[self.perm],
+                                           piv)[0]
         y = self._stack @ sol.astype(np.longdouble)
         correction = rhs - np.concatenate([y[:n] + y[n:2 * n], y[2 * n:]])
-        sol[self.perm] += lapack.dgbtrs(
-            lu, bw, bw, correction[self.perm].astype(float), piv)[0]
-        return sol, float(np.hypot(*kkt_residual(system, sol[:n], sol[n:])))
+        sol[self.perm] += d * lapack.dgbtrs(
+            lu, bw, bw, d * correction[self.perm].astype(float), piv)[0]
+        res = np.hypot(*kkt_residual(system, sol[:n], sol[n:]))
+        norm_k = np.sqrt(np.dot(A.data, A.data) + 2.0 * np.dot(B.data, B.data))
+        if not res <= _BACKWARD_TOL * (norm_k * np.linalg.norm(sol)
+                                       + np.linalg.norm(rhs)):
+            raise KKTSingularError(f"KKT solve residual {res:.3e} exceeds "
+                                   "the backward-error bound", 0)
+        return sol
 
 
-def solve_kkt(system: SaddleSystem, tol_rel: float = _RESIDUAL_TOL,
-              band: Optional[BandedKKT] = None
+def solve_kkt(system: SaddleSystem, band: Optional[BandedKKT] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve the block system; returns (x, lam).
-
-    A banded LU of the reordered K, with ``band`` (built for the patterns
-    of this A and B) or a band built here; a dense factorization with pivot
-    diagnostics takes over when a banded pivot falls below _PIVOT_TOL times
-    the largest or the residual exceeds tol_rel times the right-hand-side
-    norm, and raises ``KKTSingularError`` when it fails the same tests.
-    A and B need sorted, unique column indices in every row.
+    """Solve the block system with ``band`` (built for the patterns of
+    this A and B) or a band built here; returns (x, lam).  Raises
+    ``KKTSingularError`` from ``BandedKKT.solve``.  A and B need sorted,
+    unique column indices in every row.
     """
     if band is None:
         band = BandedKKT(system.A, system.B)
-    rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
-    rhs_norm = np.linalg.norm(rhs)
-    sol, res = band.solve(system, rhs)
-    if sol is not None and np.all(np.isfinite(sol)) \
-            and res <= tol_rel * max(rhs_norm, 1e-300):
-        return sol[:system.n], sol[system.n:]
-    return _dense_solve(system, tol_rel, rhs_norm)
+    sol = band.solve(system, np.concatenate([system.rhs_top,
+                                             system.rhs_bottom]))
+    return sol[:system.n], sol[system.n:]
 
 
 class SchurSolver:
@@ -313,8 +275,9 @@ class SchurSolver:
             c, low = sla.cho_factor(schur)
             lam = sla.cho_solve((c, low), B @ y0 - rhs_bottom)
         except np.linalg.LinAlgError as exc:
+            svals = sla.svdvals(schur)
             raise KKTSingularError(
                 "Schur complement not positive definite",
-                _estimate_deficiency(schur)) from exc
+                int(np.sum(svals <= _PIVOT_TOL * svals[0]))) from exc
         x = y0 - Y @ lam
         return x, lam

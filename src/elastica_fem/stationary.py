@@ -188,9 +188,9 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     Stops when the Euclidean norm of the stacked residual drops below
     ``tol``; a step-halving fallback engages only when a full step would
     increase the residual norm.  Returns the solution and an iteration log
-    with the residual-norm history.
+    with the residual-norm history; a failed KKT solve raises ``NewtonError``.
     """
-    from .saddle_solver import SaddleSystem, solve_kkt
+    from .saddle_solver import KKTSingularError, SaddleSystem, solve_kkt
 
     mesh, dim = p0.u.mesh, p0.u.dim
     P = _pattern(matrices, variant, bc).restriction
@@ -203,7 +203,10 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
         if norms[-1] <= tol:
             break
         A, B, _ = jacobian(p, variant, bc, matrices)
-        du, dlam = solve_kkt(SaddleSystem(A, B, -r_u, -r_mu))
+        try:
+            du, dlam = solve_kkt(SaddleSystem(A, B, -r_u, -r_mu))
+        except KKTSingularError as exc:
+            raise NewtonError(f"KKT solve failed: {exc}", norms) from exc
 
         step_scale = 1.0
         u_dofs = p.u.dofs

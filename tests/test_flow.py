@@ -1,4 +1,5 @@
 import os
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           FlowSolveError, FunctionOracle, KKTSingularError,
                           Mesh1D, SaddleSystem, assemble_constraint,
                           assemble_matrices, dump_trajectory, init_state,
-                          kkt_residual, run, solve_kkt, step,
-                          unit_speed_violation)
+                          run, solve_kkt, step, unit_speed_violation)
 from elastica_fem.experiments import (circle_initial, named_experiment,
                                       oval_initial)
 from elastica_fem.flow import StepStructure
@@ -232,28 +232,19 @@ class TestStepStructure:
                                                M):
         system, structure, _, _ = _flow_kkt(name, variant, bc_kind, M)
         rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
-        banded, res = structure.band.solve(system, rhs)
         try:
-            unbanded = np.concatenate(solve_kkt(system))
+            banded = structure.band.solve(system, rhs)
         except KKTSingularError as exc:
-            # singular flow KKTs (some single-element meshes): the banded
-            # pivot test rejects them and the dense diagnosis is reached,
-            # with the structure's band as with one built for the call
-            assert banded is None
+            # singular flow KKTs (some single-element meshes): the scaled
+            # pivot test rejects them with the same diagnosis for the
+            # structure's band as for one built for the call
             with pytest.raises(KKTSingularError) as info:
-                solve_kkt(system, band=structure.band)
+                solve_kkt(system)
             assert info.value.deficiency == exc.deficiency >= 1
             return
-        # the banded factorization is accepted on its own, no fallback
-        assert banded is not None
-        n = system.n
-        assert res == pytest.approx(
-            np.hypot(*kkt_residual(system, banded[:n], banded[n:])),
-            rel=1e-6, abs=1e-20)
-        assert res <= 1e-10 * np.linalg.norm(rhs)
         x, lam = solve_kkt(system, band=structure.band)
         assert np.array_equal(np.concatenate([x, lam]), banded)
-        assert np.array_equal(unbanded, banded)
+        assert np.array_equal(np.concatenate(solve_kkt(system)), banded)
         reference = _refined_dense_solution(system)
         assert np.linalg.norm(banded - reference) \
             <= 1e-12 * np.linalg.norm(reference)
@@ -315,14 +306,38 @@ class TestStepStructure:
         assert alone.energy == first.energy
         assert alone.max_identity_violation == first.max_identity_violation
 
-    def test_h2_flow_periodic_fails_in_kkt_diagnosis(self):
-        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 8)
+    @pytest.mark.parametrize("M", [8, 1280])
+    def test_h2_flow_periodic_fails_in_kkt_diagnosis(self, M):
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
         cfg = FlowConfig(tau=0.1, T=0.2, variant="h2", constraint=P2,
                          bc=BoundaryConditions(periodic=True))
+        start = time.perf_counter()
         with pytest.raises(FlowSolveError) as info:
             run(cfg, mesh, circle_initial(), 2)
+        # the band's own pivots diagnose the singular K, with no O(N^3) work
+        assert time.perf_counter() - start < 1.0
         assert isinstance(info.value.__cause__, KKTSingularError)
         assert info.value.__cause__.deficiency >= 1
+
+    @pytest.mark.parametrize("name, variant, M, flow, free, tau, steps", [
+        ("oval-h2", P2, 320, "h2", False, 1.0 / 200.0, 3),
+        ("oval-h2", P2, 1280, "h2", False, 1.0 / 200.0, 3),
+        ("oval-h2", P2, 1280, "l2", False, 1.0 / 200.0, 3),
+        ("circle", P2, 320, "l2", True, 0.1, 2),
+        ("helix", P1, 320, "l2", True, 0.1, 2),
+    ])
+    def test_fine_mesh_flow_takes_its_steps(self, name, variant, M, flow,
+                                            free, tau, steps):
+        # sound solves (backward error below 1e-17) whose relative residual
+        # exceeds 1e-10 at these M
+        spec = named_experiment(name, constraint=variant)
+        bc = BoundaryConditions.free() if free else spec.bc
+        cfg = FlowConfig(tau=tau, T=steps * tau, variant=flow,
+                         constraint=variant, bc=bc)
+        state, _ = run(cfg, Mesh1D.uniform(*spec.interval, M), spec.z0,
+                       spec.dim, initializer=spec.initializer)
+        assert state.n == steps
+        assert state.max_constraint_residual <= 1e-12
 
 
 def test_snapshots_and_trajectory_dump(tmp_path):

@@ -4,8 +4,8 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant,
-                          FunctionOracle, HermiteCurve, Mesh1D, NewtonError,
-                          QuadraticField, assemble_matrices, fit_rate,
+                          FunctionOracle, HermiteCurve, KKTSingularError,
+                          Mesh1D, NewtonError, QuadraticField, assemble_matrices, fit_rate,
                           unit_speed_violation)
 from elastica_fem import assembly, saddle_solver
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
@@ -201,20 +201,14 @@ class TestNewton:
     @pytest.mark.parametrize("variant", [P1, P2])
     @pytest.mark.parametrize("name", ["circle", "helix"])
     def test_iterations_solve_on_the_band(self, monkeypatch, name, variant):
-        calls = {"band": 0, "dense": 0}
+        calls = []
         band_solve = saddle_solver.BandedKKT.solve
-        dense_solve = saddle_solver._dense_solve
 
         def band_spy(band, *args):
-            calls["band"] += 1
+            calls.append(band)
             return band_solve(band, *args)
 
-        def dense_spy(*args):
-            calls["dense"] += 1
-            return dense_solve(*args)
-
         monkeypatch.setattr(saddle_solver.BandedKKT, "solve", band_spy)
-        monkeypatch.setattr(saddle_solver, "_dense_solve", dense_spy)
         spec = named_experiment(name)
         mesh = Mesh1D.uniform(*spec.interval, 40)
         mats = assemble_matrices(mesh, spec.dim)
@@ -222,7 +216,26 @@ class TestNewton:
                                      mesh, spec.dim, variant)
         _, log = newton_solve(pair, variant, spec.bc, mats)
         assert log["iterations"] >= 1
-        assert calls == {"band": log["iterations"], "dense": 0}
+        assert len(calls) == log["iterations"]
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    def test_singular_jacobian_raises_newton_error(self, circle_spec,
+                                                   variant):
+        # the degenerate tangent of test_degenerate_tangent_detected makes
+        # the first Jacobian singular; newton_solve wraps the KKT failure
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 8)
+        mats = assemble_matrices(mesh, 2)
+        pair = make_interpolant_pair(circle_spec.exact.oracle,
+                                     circle_spec.exact.multiplier, mesh, 2,
+                                     variant)
+        derivs = pair.u.derivs.copy()
+        derivs[3] = 0.0
+        broken = SaddlePoint(HermiteCurve(mesh, 2, pair.u.values, derivs),
+                             pair.lam)
+        with pytest.raises(NewtonError) as info:
+            newton_solve(broken, variant, circle_spec.bc, mats)
+        assert isinstance(info.value.__cause__, KKTSingularError)
+        assert info.value.__cause__.deficiency >= 1
 
 
 def test_derivative_map_built_once_per_matrices_and_variant(monkeypatch,

@@ -9,30 +9,15 @@ midpoint-enforced inextensibility constraint exactly.
 
 import numpy as np
 
-from elastica_fem import (ConstraintVariant, FunctionOracle, Mesh1D,
-                          interp_hermite, interp_j3, linf_error,
-                          quadrature_error, eoc, unit_speed_violation)
+from elastica_fem import (ConstraintVariant, Mesh1D, interp_j3,
+                          unit_speed_violation)
+from elastica_fem.cli import console_main
 
-f = FunctionOracle(value=np.sin, deriv=np.cos, second=lambda x: -np.sin(x))
-
-print("Cubic C1 interpolation of sin on [0, 2pi]")
-print(f"{'M':>4} {'h':>10} {'Linf':>12} {'L2':>12} {'H1':>12} {'H2':>12}")
-errs = {k: [] for k in ("linf", "l2", "h1", "h2")}
-hs = []
-for M in (8, 16, 32, 64, 128):
-    mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
-    curve = interp_hermite(f, mesh, 1)
-    hs.append(mesh.h)
-    errs["linf"].append(linf_error(curve, f.value))
-    errs["l2"].append(quadrature_error(curve, f.value, 0))
-    errs["h1"].append(quadrature_error(curve, f.deriv, 1))
-    errs["h2"].append(quadrature_error(curve, f.second, 2))
-    print(f"{M:>4} {mesh.h:>10.3e} " + " ".join(
-        f"{errs[k][-1]:>12.3e}" for k in ("linf", "l2", "h1", "h2")))
-
-print("\nobserved orders (expected 4, 4, 3, 2):")
-for k in ("linf", "l2", "h1", "h2"):
-    print(f"  {k:>4}: " + "  ".join(f"{r:.2f}" for r in eoc(errs[k], hs)))
+# the table of `elastica-fem interp-study`: cubic C1 interpolants of sin on
+# [0, 2pi], M = 8 ... 128, errors in four norms and their observed orders
+print("Cubic C1 interpolation of sin on [0, 2pi] (expected orders 4, 4, 3, 2)")
+if console_main(["interp-study"]) != 0:
+    raise SystemExit(1)
 
 print("\nCumulative-integral initializer on the unit circle")
 z0_deriv = lambda x: np.stack([-np.sin(x), np.cos(x)], axis=-1)

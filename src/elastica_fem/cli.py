@@ -23,8 +23,8 @@ from .experiments import (ExperimentSpec, emit_csv, named_experiment,
                           run_experiment, stationarity_check)
 from .mesh import ConstraintVariant, Mesh1D
 from .splines import FunctionOracle, interp_hermite
-from .stationary import (DiscreteNorms, make_interpolant_pair, newton_solve,
-                         coercivity_estimate, infsup_estimate,
+from .stationary import (DiscreteNorms, NewtonError, make_interpolant_pair,
+                         newton_solve, coercivity_estimate, infsup_estimate,
                          residual_dual_norm)
 
 EXPERIMENT_NAMES = ("circle", "helix", "oval", "oval-h2")
@@ -284,17 +284,23 @@ def _cmd_diagnostics(cfg: CliConfig) -> int:
         dual = residual_dual_norm(pair, variant, spec.bc, matrices, norms)
         alpha = coercivity_estimate(pair, variant, spec.bc, matrices, norms)
         beta = infsup_estimate(pair, variant, spec.bc, matrices, norms)
-        _, log = newton_solve(pair, variant, spec.bc, matrices)
+        line = (f"M={M:4d} h={mesh.h:.3e} residual_dual={dual:.3e} "
+                f"alpha={alpha:.4f} beta={beta:.4f}")
+        try:
+            _, log = newton_solve(pair, variant, spec.bc, matrices)
+        except NewtonError as exc:
+            rows.append((M, mesh.h, dual, alpha, beta, "FAILED"))
+            print(f"FAILED row: {line} newton: {exc}", file=sys.stderr)
+            continue
         rows.append((M, mesh.h, dual, alpha, beta, log["iterations"]))
-        print(f"M={M:4d} h={mesh.h:.3e} residual_dual={dual:.3e} "
-              f"alpha={alpha:.4f} beta={beta:.4f} newton_iters={log['iterations']}")
+        print(f"{line} newton_iters={log['iterations']}")
     out = _output_dir(cfg)
     path = os.path.join(out, f"diagnostics_{spec.name}_{variant.value}.csv")
     with open(path, "w") as fh:
         for M, h, dual, alpha, beta, iters in rows:
             fh.write(f"{M},{h:.3e},{dual:.3e},{alpha:.6e},{beta:.6e},{iters}\n")
     print(f"wrote {path}")
-    return 0
+    return 1 if any(row[-1] == "FAILED" for row in rows) else 0
 
 
 def _cmd_interp_study(cfg: CliConfig) -> int:

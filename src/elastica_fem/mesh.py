@@ -11,12 +11,19 @@ import numpy as np
 class ConstraintVariant(Enum):
     """Where the inextensibility constraint is enforced.
 
-    P1: at the mesh nodes only (M+1 points).
-    P2: at the nodes and the element midpoints (2M+1 points).
+    P2: at the nodes and the element midpoints, the 2M+1 points of the
+    sequence node, midpoint, node, ...
+    P1: at the mesh nodes only, the M+1 even entries of that sequence.
     """
 
     P1 = "p1"
     P2 = "p2"
+
+    @property
+    def stride(self) -> int:
+        """Step that picks this variant's constraint nodes out of the P2
+        sequence: every array ordered like that sequence is sliced [::stride]."""
+        return 2 if self is ConstraintVariant.P1 else 1
 
 
 @dataclass(frozen=True)
@@ -80,15 +87,12 @@ class Mesh1D:
     def constraint_nodes(self, variant: ConstraintVariant) -> np.ndarray:
         """Points where the constraint is enforced, in ascending order.
 
-        P1 returns the M+1 mesh nodes, P2 the 2M+1 interleaved sequence
-        node, midpoint, node, ...
+        The P2 sequence node, midpoint, node, ... sliced by ``variant.stride``.
         """
-        if variant is ConstraintVariant.P1:
-            return self.nodes.copy()
         pts = np.empty(2 * self.num_elements + 1)
         pts[0::2] = self.nodes
         pts[1::2] = self.midpoints
-        return pts
+        return pts[::variant.stride]
 
     def element_of(self, x: np.ndarray, side: str = "right") -> np.ndarray:
         """Element indices containing the points x.

@@ -166,13 +166,12 @@ class HermiteCurve:
             - 0.25 * (self.derivs[:-1] + self.derivs[1:])
 
     def derivative_at_constraint_nodes(self, variant: ConstraintVariant) -> np.ndarray:
-        """u' at the constraint nodes of the variant, bit-stable ordering."""
-        if variant is ConstraintVariant.P1:
-            return self.derivs.copy()
+        """u' at the constraint nodes of the variant, ordered like
+        ``Mesh1D.constraint_nodes``."""
         out = np.empty((2 * self.mesh.num_elements + 1, self.dim))
         out[0::2] = self.derivs
         out[1::2] = self.derivative_at_midpoints()
-        return out
+        return out[::variant.stride]
 
 
 @dataclass(frozen=True)
@@ -192,10 +191,6 @@ class QuadraticField:
         values = np.ascontiguousarray(self.values, dtype=float).reshape(n, self.dim)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def node_values(self) -> np.ndarray:
-        return self.values[0::2]
 
     @property
     def midpoint_values(self) -> np.ndarray:
@@ -340,9 +335,7 @@ def lumped_product(f: QuadraticField, g: QuadraticField,
     if f.dim != g.dim:
         raise ValueError("lumped product requires fields of equal dimension")
     prod = np.einsum("nd,nd->n", f.values, g.values)
-    if variant is ConstraintVariant.P1:
-        return float(np.dot(lumped_weights(f.mesh, variant), prod[0::2]))
-    return float(np.dot(lumped_weights(f.mesh, variant), prod))
+    return float(np.dot(lumped_weights(f.mesh, variant), prod[::variant.stride]))
 
 
 def unit_speed_violation(curve: HermiteCurve, variant: ConstraintVariant) -> float:

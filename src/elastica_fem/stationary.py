@@ -51,31 +51,16 @@ def multiplier_field(mesh: Mesh1D, interior_values: np.ndarray,
     """Scalar multiplier from its active DOFs (values at interior constraint
     nodes), embedded in the quadratic storage; endpoints are zero.  For the
     node-only variant the field is piecewise linear (midpoints are means)."""
-    interior_values = np.asarray(interior_values, dtype=float).ravel()
-    if variant is ConstraintVariant.P2:
-        vals = np.zeros(2 * mesh.num_elements + 1)
-        vals[1:-1] = interior_values
-    else:
-        nodal = np.zeros(mesh.num_elements + 1)
-        nodal[1:-1] = interior_values
-        vals = np.zeros(2 * mesh.num_elements + 1)
-        vals[0::2] = nodal
-        vals[1::2] = 0.5 * (nodal[:-1] + nodal[1:])
+    vals = np.zeros(2 * mesh.num_elements + 1)
+    vals[::variant.stride][1:-1] = np.asarray(interior_values, dtype=float).ravel()
+    if variant is ConstraintVariant.P1:
+        vals[1::2] = 0.5 * (vals[:-1:2] + vals[2::2])
     return QuadraticField(mesh, 1, vals)
 
 
 def multiplier_dofs(lam: QuadraticField, variant: ConstraintVariant) -> np.ndarray:
     """Active DOFs (interior constraint-node values) of a multiplier field."""
-    if variant is ConstraintVariant.P2:
-        return lam.values[1:-1, 0].copy()
-    return lam.node_values[1:-1, 0].copy()
-
-
-def _lambda_at_constraint_nodes(lam: QuadraticField, variant: ConstraintVariant
-                                ) -> np.ndarray:
-    if variant is ConstraintVariant.P2:
-        return lam.values[:, 0]
-    return lam.node_values[:, 0]
+    return lam.values[::variant.stride, 0][1:-1].copy()
 
 
 def _pattern(matrices: SystemMatrices, variant: ConstraintVariant,
@@ -105,7 +90,7 @@ def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     """
     beta = lumped_weights(p.u.mesh, variant)
     du = p.u.derivative_at_constraint_nodes(variant)
-    lam_z = _lambda_at_constraint_nodes(p.lam, variant)
+    lam_z = p.lam.values[::variant.stride, 0]
 
     D = matrices.derivative_map(variant)
     w = (beta * lam_z)[:, None] * du
@@ -128,7 +113,7 @@ def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     """
     dim = p.u.dim
     beta = lumped_weights(p.u.mesh, variant)
-    lam_z = _lambda_at_constraint_nodes(p.lam, variant)
+    lam_z = p.lam.values[::variant.stride, 0]
 
     D = matrices.derivative_map(variant)
     weights = np.repeat(beta * lam_z, dim)
@@ -170,13 +155,10 @@ def default_multiplier_values(u: HermiteCurve, variant: ConstraintVariant
     basis_right = u.eval(np.nextafter(mesh.nodes[1:-1], mesh.b), order=2)
     nodes_sq = 0.5 * (np.einsum("nd,nd->n", left, left)
                       + np.einsum("nd,nd->n", basis_right, basis_right))
-    mids_sq = np.einsum("nd,nd->n", mids, mids)
-    if variant is ConstraintVariant.P1:
-        return -nodes_sq
-    vals = np.empty(2 * mesh.num_elements - 1)
-    vals[1::2] = -nodes_sq
-    vals[0::2] = -mids_sq
-    return vals
+    vals = np.zeros(2 * mesh.num_elements + 1)
+    vals[2:-1:2] = -nodes_sq
+    vals[1::2] = -np.einsum("nd,nd->n", mids, mids)
+    return vals[::variant.stride][1:-1]
 
 
 def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
@@ -268,13 +250,12 @@ def _multiplier_fe_matrices(mesh: Mesh1D, variant: ConstraintVariant
 
 @dataclass
 class DiscreteNorms:
-    """Gram matrices for the H2 norm and the H1 norm on the reduced curve
-    DOFs, and the computable surrogate of the dual norm on multiplier DOFs
+    """Gram matrix of the H2 norm on the reduced curve DOFs, and the
+    computable surrogate of the dual norm on multiplier DOFs
     (mu -> sqrt(r^T K^{-1} r) with r the load vector of mu and K the H1 Gram
     of the zero-boundary multiplier basis)."""
 
     h2_gram: np.ndarray
-    h1_gram: np.ndarray
     mult_mass: np.ndarray
     mult_h1: np.ndarray
 
@@ -282,10 +263,10 @@ class DiscreteNorms:
     def build(cls, matrices: SystemMatrices, bc: BoundaryConditions,
               variant: ConstraintVariant) -> "DiscreteNorms":
         pattern = _pattern(matrices, variant, bc)
-        h1 = matrices.mass + matrices.gradient
         mass, stiff = _multiplier_fe_matrices(matrices.mesh, variant)
-        return cls(pattern.restrict(h1 + matrices.bending).toarray(),
-                   pattern.restrict(h1).toarray(), mass, mass + stiff)
+        return cls(pattern.restrict(matrices.mass + matrices.gradient
+                                    + matrices.bending).toarray(),
+                   mass, mass + stiff)
 
     def curve_dual_norm(self, r_u: np.ndarray) -> float:
         """Dual norm of a curve-block functional w.r.t. the H2 norm."""
@@ -325,9 +306,10 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
         norms = DiscreteNorms.build(matrices, bc, variant)
     A, B, _ = jacobian(p, variant, bc, matrices)
     Bd = B.toarray()
-    if np.linalg.matrix_rank(Bd) < Bd.shape[0]:
-        raise ValueError("constraint block is rank deficient")
+    # null_space's rank tolerance is matrix_rank's: eps * max(m, n) * s_max
     Z = sla.null_space(Bd)
+    if Bd.shape[1] - Z.shape[1] < Bd.shape[0]:
+        raise ValueError("constraint block is rank deficient")
     a_red = Z.T @ A.toarray() @ Z
     g_red = Z.T @ norms.h2_gram @ Z
     return float(sla.eigh(0.5 * (a_red + a_red.T), g_red,

@@ -10,6 +10,8 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           assemble_matrices, bending_energy, interp_j3, run)
 from elastica_fem.assembly import constraint_pattern, derivative_map
 from elastica_fem.experiments import circle_initial, helix_initial, HELIX_FREQ
+from elastica_fem.splines import QuadraticField
+from elastica_fem.stationary import multiplier_dofs
 
 from conftest import random_graded_mesh
 
@@ -139,6 +141,28 @@ class TestBendingEnergy:
         mats = assemble_matrices(mesh, 3)
         curve = interp_j3(z0.value(np.array([0.0]))[0], z0.deriv, mesh, 3)
         assert bending_energy(curve, mats) == pytest.approx(target, rel=2e-4)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_p1_is_p2_at_the_mesh_nodes(rng, dim):
+    """Every P1 constraint-node quantity is the even entries of the P2 one,
+    bit for bit."""
+    for _ in range(5):
+        mesh = random_graded_mesh(rng, max_elements=9)
+        n = mesh.nodes.size
+        curve = HermiteCurve(mesh, dim, rng.normal(size=(n, dim)),
+                             rng.normal(size=(n, dim)))
+        assert np.array_equal(mesh.constraint_nodes(P1),
+                              mesh.constraint_nodes(P2)[::2])
+        assert np.array_equal(curve.derivative_at_constraint_nodes(P1),
+                              curve.derivative_at_constraint_nodes(P2)[::2])
+        d2 = derivative_map(mesh, dim, P2).toarray()
+        assert np.array_equal(
+            derivative_map(mesh, dim, P1).toarray(),
+            d2.reshape(-1, dim, d2.shape[1])[::2].reshape(-1, d2.shape[1]))
+        lam = QuadraticField(mesh, 1, rng.normal(size=2 * n - 1))
+        assert np.array_equal(multiplier_dofs(lam, P1),
+                              multiplier_dofs(lam, P2)[1::2])
 
 
 class TestConstraintMatrix:

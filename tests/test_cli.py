@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from elastica_fem import cli
 from elastica_fem.cli import (CliConfig, UsageError, _spec_from_config,
                               console_main, load_config, main, parse_args)
 from elastica_fem.experiments import named_experiment
+from elastica_fem.stationary import NewtonError
 
 
 class TestParseArgs:
@@ -166,6 +168,28 @@ class TestMain:
         assert len(rows) == 2
         assert all(len(r) == 6 for r in rows)
         assert float(rows[0][3]) > 0.0 and float(rows[0][4]) > 0.0
+
+    def test_diagnostics_records_failed_newton_row(self, tmp_path, capsys,
+                                                   monkeypatch):
+        solve = cli.newton_solve
+
+        def failing_at_8(p0, *args, **kwargs):
+            if p0.u.mesh.num_elements == 8:
+                raise NewtonError("Newton step halving stalled", [1.0])
+            return solve(p0, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "newton_solve", failing_at_8)
+        cfg = parse_args(["diagnostics", "circle", "-M", "4,8",
+                          "--output-dir", str(tmp_path)])
+        assert main(cfg) == 1
+        rows = [line.split(",") for line in
+                (tmp_path / "diagnostics_circle_p2.csv").read_text()
+                .strip().splitlines()]
+        assert len(rows) == 2
+        assert rows[0][5] != "FAILED" and rows[1][5] == "FAILED"
+        assert float(rows[1][3]) > 0.0 and float(rows[1][4]) > 0.0
+        err = capsys.readouterr().err
+        assert "FAILED row: M=   8" in err and "halving stalled" in err
 
     def test_interp_study(self, capsys):
         cfg = parse_args(["interp-study", "-M", "8,16,32"])

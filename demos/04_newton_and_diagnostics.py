@@ -14,11 +14,10 @@ helix, not -|u''|^2.
 import numpy as np
 
 from elastica_fem import ConstraintVariant, Mesh1D, assemble_matrices
+from elastica_fem.cli import console_main
 from elastica_fem.experiments import HELIX_FREQ, named_experiment
-from elastica_fem.stationary import (DiscreteNorms, coercivity_estimate,
-                                     infsup_estimate, make_interpolant_pair,
-                                     multiplier_dofs, newton_solve,
-                                     residual_dual_norm)
+from elastica_fem.stationary import (make_interpolant_pair, multiplier_dofs,
+                                     newton_solve)
 
 P2 = ConstraintVariant.P2
 
@@ -36,18 +35,10 @@ for name in ("circle", "helix"):
 print(f"  (helix reference: -freq^2 = {-HELIX_FREQ**2:+.6f}, "
       f"-freq^4 = {-HELIX_FREQ**4:+.6f})")
 
+# the table of `elastica-fem diagnostics circle -M 10,20,40`: residual dual
+# norm, coercivity alpha, inf-sup beta and Newton iterations per mesh
 print("\nDiagnostics on the circle across meshes:")
-spec = named_experiment("circle")
-print(f"{'M':>4} {'residual dual':>14} {'coercivity':>11} {'inf-sup':>8}")
-for M in (10, 20, 40):
-    mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
-    mats = assemble_matrices(mesh, 2)
-    pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
-                                 mesh, 2, P2)
-    norms = DiscreteNorms.build(mats, spec.bc, P2)
-    dual = residual_dual_norm(pair, P2, spec.bc, mats, norms)
-    alpha = coercivity_estimate(pair, P2, spec.bc, mats, norms)
-    beta = infsup_estimate(pair, P2, spec.bc, mats, norms)
-    print(f"{M:>4} {dual:>14.3e} {alpha:>11.4f} {beta:>8.4f}")
+if console_main(["diagnostics", "circle", "-M", "10,20,40"]) != 0:
+    raise SystemExit(1)
 print("the interpolant-pair residual vanishes under refinement while both "
       "stability estimates stay bounded away from zero")

@@ -1,9 +1,11 @@
 """Command-line interface: run experiments, stationarity checks, saddle-point
 diagnostics, and interpolation studies.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage error.  The output
-directory defaults to the current directory and can be overridden with
---output-dir or the ELASTICA_FEM_OUTPUT_DIR environment variable.
+`run` takes an experiment name or --config FILE, not both; a flag given
+with --config overrides the file's key.  Exit codes: 0 success, 1 numerical
+failure, 2 usage error (a mesh size below 1, tau <= 0 and T < 0 among them).
+The output directory defaults to the current directory and can be
+overridden with --output-dir or the ELASTICA_FEM_OUTPUT_DIR variable.
 """
 
 from __future__ import annotations
@@ -11,14 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
 
 from . import flow
 from .analysis import eoc, linf_error, quadrature_error
-from .assembly import BoundaryConditions, assemble_matrices
+from .assembly import TARGETS, BoundaryConditions, assemble_matrices
 from .experiments import (ExperimentSpec, emit_csv, named_experiment,
                           run_experiment, stationarity_check)
 from .mesh import ConstraintVariant, Mesh1D
@@ -40,29 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    experiment: Optional[str] = None
-    config_path: Optional[str] = None
-    mesh_sizes: Optional[List[int]] = None
-    taus: Optional[List[float]] = None
-    T: Optional[float] = None
-    flow: Optional[str] = None
-    constraint: Optional[str] = None
-    initializer: Optional[str] = None
-    norms: Optional[List[str]] = None
-    output_dir: Optional[str] = None
-    long: bool = False
-    snapshot_stride: int = 0
-    mesh_size: int = 20
-
-
-def _int_list(text: str) -> List[int]:
+def _mesh_size(text: str) -> int:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        M = int(text)
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
+        raise UsageError(f"expected an integer mesh size, got {text!r}")
+    if M < 1:
+        raise UsageError(f"mesh sizes must be >= 1, got {M}")
+    return M
+
+
+def _mesh_sizes(text: str) -> List[int]:
+    return [_mesh_size(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _float_list(text: str) -> List[float]:
@@ -72,6 +63,19 @@ def _float_list(text: str) -> List[float]:
         raise UsageError(f"expected comma-separated reals, got {text!r}")
 
 
+def _names(text: str) -> List[str]:
+    return text.split(",")
+
+
+# config key -> (ExperimentSpec field, parser of the value).  `run` stores
+# each flag under the field, so a flag given overrides the file's key.
+_SPEC_KEYS = {"M": ("mesh_sizes", _mesh_sizes), "tau": ("taus", _float_list),
+              "T": ("T", float), "flow": ("flow_variant", str),
+              "initializer": ("initializer", str), "norms": ("norms", _names)}
+_CONFIG_KEYS = ("experiment", "constraint", *_SPEC_KEYS,
+                *(f"bc.{name}" for name in TARGETS), "bc.periodic")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="elastica-fem",
                      description="Bending-energy minimization of inextensible "
@@ -79,15 +83,18 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand")
 
     runp = sub.add_parser("run", help="run a convergence experiment")
-    runp.add_argument("experiment", nargs="?", choices=EXPERIMENT_NAMES)
-    runp.add_argument("--config", dest="config_path")
-    runp.add_argument("--mesh-sizes", "-M", type=_int_list)
-    runp.add_argument("--tau", type=_float_list)
+    runp.set_defaults(handler=_cmd_run)
+    which = runp.add_mutually_exclusive_group(required=True)
+    which.add_argument("experiment", nargs="?", choices=EXPERIMENT_NAMES)
+    which.add_argument("--config", dest="config_path")
+    runp.add_argument("--mesh-sizes", "-M", type=_mesh_sizes)
+    runp.add_argument("--tau", dest="taus", type=_float_list)
     runp.add_argument("--T", type=float)
-    runp.add_argument("--flow", choices=("l2", "h2", "newton"))
+    runp.add_argument("--flow", dest="flow_variant",
+                      choices=("l2", "h2", "newton"))
     runp.add_argument("--constraint", choices=("p1", "p2"))
     runp.add_argument("--initializer", choices=("j3", "j2"))
-    runp.add_argument("--norms", type=lambda s: s.split(","))
+    runp.add_argument("--norms", type=_names)
     runp.add_argument("--output-dir")
     runp.add_argument("--long", action="store_true",
                       help="allow long-running experiments (oval L2 flow)")
@@ -95,56 +102,42 @@ def _build_parser() -> _Parser:
 
     statp = sub.add_parser("stationarity",
                            help="velocity norm of the first flow step")
+    statp.set_defaults(handler=_cmd_stationarity)
     statp.add_argument("experiment", choices=EXPERIMENT_NAMES)
     statp.add_argument("--constraint", choices=("p1", "p2"), default="p2")
     statp.add_argument("--initializer", choices=("j3", "j2"), default="j3")
-    statp.add_argument("--mesh-size", type=int, default=20)
+    statp.add_argument("--mesh-size", type=_mesh_size, default=20)
 
     diagp = sub.add_parser("diagnostics",
                            help="saddle-point diagnostics across meshes")
+    diagp.set_defaults(handler=_cmd_diagnostics)
     diagp.add_argument("experiment", nargs="?", default="circle",
                        choices=EXPERIMENT_NAMES)
     diagp.add_argument("--constraint", choices=("p1", "p2"), default="p2")
-    diagp.add_argument("--mesh-sizes", "-M", type=_int_list)
+    diagp.add_argument("--mesh-sizes", "-M", type=_mesh_sizes,
+                       default=[10, 20, 40])
     diagp.add_argument("--output-dir")
 
     interp = sub.add_parser("interp-study",
                             help="interpolation error orders for a smooth test function")
-    interp.add_argument("--mesh-sizes", "-M", type=_int_list)
+    interp.set_defaults(handler=_cmd_interp_study)
+    interp.add_argument("--mesh-sizes", "-M", type=_mesh_sizes,
+                        default=[8, 16, 32, 64, 128])
     return parser
 
 
-def parse_args(argv: List[str]) -> CliConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+def parse_args(argv: List[str]) -> argparse.Namespace:
+    ns = _build_parser().parse_args(argv)
     if ns.subcommand is None:
         raise UsageError("a subcommand is required "
                          "(run, stationarity, diagnostics, interp-study)")
-    cfg = CliConfig(subcommand=ns.subcommand)
-    for name in ("experiment", "config_path", "mesh_sizes", "taus", "T",
-                 "flow", "constraint", "initializer", "norms", "output_dir",
-                 "long", "snapshot_stride", "mesh_size"):
-        src = {"taus": "tau"}.get(name, name)
-        if hasattr(ns, src):
-            val = getattr(ns, src)
-            if val is not None:
-                setattr(cfg, name, val)
-    if cfg.subcommand == "run" and cfg.experiment is None and cfg.config_path is None:
-        raise UsageError("run requires an experiment name or --config FILE")
-    return cfg
-
-
-_CONFIG_KEYS = ("experiment", "M", "tau", "T", "flow", "constraint",
-                "initializer", "norms", "bc.value_a", "bc.deriv_a",
-                "bc.value_b", "bc.deriv_b", "bc.periodic")
+    return ns
 
 
 def load_config(path: str) -> dict:
-    """Plain key=value experiment configuration.
-
-    Recognized keys: experiment, M, tau, T, flow, constraint, initializer,
-    norms, bc.value_a, bc.deriv_a, bc.value_b, bc.deriv_b, bc.periodic.
-    Unknown and duplicate keys are rejected with the offending line number.
+    """Plain key=value experiment configuration with the keys of
+    ``_CONFIG_KEYS``.  Unknown and duplicate keys are rejected with the
+    offending line number.
     """
     seen = {}
     with open(path) as fh:
@@ -166,85 +159,64 @@ def load_config(path: str) -> dict:
     return seen
 
 
-def _named_spec(name: str, constraint: Optional[str],
-                overrides: dict) -> ExperimentSpec:
-    """``named_experiment`` with CLI overrides; invalid values are usage
+def _run_spec(ns: argparse.Namespace) -> ExperimentSpec:
+    """The experiment of `run`: the named one or the config file's, with
+    every flag given overriding the file's key.  Invalid values are usage
     errors."""
-    if name not in EXPERIMENT_NAMES:
-        raise UsageError(f"unknown experiment: {name}")
+    raw = load_config(ns.config_path) if ns.config_path \
+        else {"experiment": ns.experiment}
+    fields = {name: parse(raw[key]) for key, (name, parse) in _SPEC_KEYS.items()
+              if key in raw}
+    fields.update({name: getattr(ns, name) for name, _ in _SPEC_KEYS.values()
+                   if getattr(ns, name) is not None})
+    targets = {name: np.array(_float_list(raw[f"bc.{name}"]))
+               for name in TARGETS if f"bc.{name}" in raw}
     try:
-        return named_experiment(name, ConstraintVariant(constraint or "p2"),
-                                **overrides)
+        spec = named_experiment(
+            raw["experiment"],
+            ConstraintVariant(ns.constraint or raw.get("constraint", "p2")),
+            **fields)
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-# config key -> (ExperimentSpec field, parser of the value)
-_CONFIG_OVERRIDES = {"M": ("mesh_sizes", _int_list),
-                     "tau": ("taus", _float_list), "T": ("T", float),
-                     "flow": ("flow_variant", str),
-                     "initializer": ("initializer", str),
-                     "norms": ("norms", lambda text: text.split(","))}
-
-
-def _spec_from_config(raw: dict) -> ExperimentSpec:
-    overrides = {name: parse(raw[key])
-                 for key, (name, parse) in _CONFIG_OVERRIDES.items()
-                 if key in raw}
-    spec = _named_spec(raw["experiment"], raw.get("constraint"), overrides)
-    bc_keys = [k for k in raw if k.startswith("bc.")]
-    if bc_keys:
-        if raw.get("bc.periodic", "").lower() in ("1", "true", "yes"):
-            if any(k in raw for k in ("bc.value_a", "bc.deriv_a",
-                                      "bc.value_b", "bc.deriv_b")):
-                raise UsageError("conflicting keys: bc.periodic excludes endpoint fixing")
-            bc = BoundaryConditions(periodic=True)
-        else:
-            bc = replace(spec.bc, **{key[3:]: np.array(_float_list(raw[key]))
-                                     for key in bc_keys
-                                     if key != "bc.periodic"})
-            try:
-                bc.check_dim(spec.dim)
-            except ValueError as exc:
-                raise UsageError(f"bc.{exc}")
-        spec = spec.override(bc=bc)
+    if raw.get("bc.periodic", "").lower() in ("1", "true", "yes"):
+        if targets:
+            raise UsageError("conflicting keys: bc.periodic excludes endpoint fixing")
+        return spec.override(bc=BoundaryConditions(periodic=True))
+    if targets:
+        spec = spec.override(bc=replace(spec.bc, **targets))
+        try:
+            spec.bc.check_dim(spec.dim)
+        except ValueError as exc:
+            raise UsageError(f"bc.{exc}")
     return spec
 
 
-def _output_dir(cfg: CliConfig) -> str:
-    out = cfg.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
+def _output_dir(ns: argparse.Namespace) -> str:
+    out = ns.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _cmd_run(cfg: CliConfig) -> int:
-    if cfg.config_path is not None:
-        spec = _spec_from_config(load_config(cfg.config_path))
-    else:
-        given = {"mesh_sizes": cfg.mesh_sizes, "taus": cfg.taus, "T": cfg.T,
-                 "flow_variant": cfg.flow, "initializer": cfg.initializer,
-                 "norms": cfg.norms}
-        spec = _named_spec(cfg.experiment, cfg.constraint,
-                           {name: value for name, value in given.items()
-                            if value is not None and value != []})
-    if spec.long_running and not cfg.long:
+def _cmd_run(ns: argparse.Namespace) -> int:
+    spec = _run_spec(ns)
+    if spec.long_running and not ns.long:
         raise UsageError(
             f"experiment {spec.name!r} is long-running; pass --long to confirm "
             "(or use oval-h2 for the fast variant)")
 
     table = run_experiment(spec)
-    out = _output_dir(cfg)
+    out = _output_dir(ns)
     path = os.path.join(out, f"{spec.name}_{spec.constraint.value}_{spec.flow_variant}.csv")
     emit_csv(table, path)
     print(f"wrote {path}")
-    if cfg.snapshot_stride > 0 and spec.flow_variant != "newton":
+    if ns.snapshot_stride > 0 and spec.flow_variant != "newton":
         mesh = Mesh1D.uniform(*spec.interval, spec.mesh_sizes[0])
         fc = flow.FlowConfig(tau=spec.taus[0], T=spec.T,
                              variant=spec.flow_variant,
                              constraint=spec.constraint, bc=spec.bc)
         _, snaps = flow.run(fc, mesh, spec.z0, spec.dim,
                             initializer=spec.initializer,
-                            snapshot_stride=cfg.snapshot_stride)
+                            snapshot_stride=ns.snapshot_stride)
         traj = os.path.join(out, f"{spec.name}_trajectory.txt")
         flow.dump_trajectory(snaps, spec.taus[0], traj)
         print(f"wrote {traj}")
@@ -258,25 +230,19 @@ def _cmd_run(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_stationarity(cfg: CliConfig) -> int:
-    vel = stationarity_check(cfg.experiment,
-                             ConstraintVariant(cfg.constraint or "p2"),
-                             cfg.initializer or "j3",
-                             mesh_size=cfg.mesh_size)
+def _cmd_stationarity(ns: argparse.Namespace) -> int:
+    vel = stationarity_check(ns.experiment, ConstraintVariant(ns.constraint),
+                             ns.initializer, mesh_size=ns.mesh_size)
     print(f"first-step velocity norm: {vel:.6e}")
     return 0
 
 
-def _cmd_diagnostics(cfg: CliConfig) -> int:
-    variant = ConstraintVariant(cfg.constraint or "p2")
-    spec = named_experiment(cfg.experiment or "circle", constraint=variant)
-    if spec.exact is None or spec.exact.multiplier is None:
-        raise UsageError(f"experiment {spec.name!r} has no analytic multiplier")
-    mesh_sizes = cfg.mesh_sizes or [10, 20, 40]
-    a, b = spec.interval
+def _cmd_diagnostics(ns: argparse.Namespace) -> int:
+    variant = ConstraintVariant(ns.constraint)
+    spec = named_experiment(ns.experiment, constraint=variant)
     rows = []
-    for M in mesh_sizes:
-        mesh = Mesh1D.uniform(a, b, M)
+    for M in ns.mesh_sizes:
+        mesh = Mesh1D.uniform(*spec.interval, M)
         matrices = assemble_matrices(mesh, spec.dim)
         pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
                                      mesh, spec.dim, variant)
@@ -294,7 +260,7 @@ def _cmd_diagnostics(cfg: CliConfig) -> int:
             continue
         rows.append((M, mesh.h, dual, alpha, beta, log["iterations"]))
         print(f"{line} newton_iters={log['iterations']}")
-    out = _output_dir(cfg)
+    out = _output_dir(ns)
     path = os.path.join(out, f"diagnostics_{spec.name}_{variant.value}.csv")
     with open(path, "w") as fh:
         for M, h, dual, alpha, beta, iters in rows:
@@ -303,13 +269,12 @@ def _cmd_diagnostics(cfg: CliConfig) -> int:
     return 1 if any(row[-1] == "FAILED" for row in rows) else 0
 
 
-def _cmd_interp_study(cfg: CliConfig) -> int:
-    mesh_sizes = cfg.mesh_sizes or [8, 16, 32, 64, 128]
+def _cmd_interp_study(ns: argparse.Namespace) -> int:
     f = FunctionOracle(value=np.sin, deriv=np.cos,
                        second=lambda x: -np.sin(x))
     errs = {k: [] for k in ("linf", "l2", "h1", "h2")}
     hs = []
-    for M in mesh_sizes:
+    for M in ns.mesh_sizes:
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
         curve = interp_hermite(f, mesh, 1)
         hs.append(mesh.h)
@@ -318,7 +283,7 @@ def _cmd_interp_study(cfg: CliConfig) -> int:
         errs["h1"].append(quadrature_error(curve, f.deriv, 1))
         errs["h2"].append(quadrature_error(curve, f.second, 2))
     print("M     h          Linf       L2         H1         H2")
-    for i, M in enumerate(mesh_sizes):
+    for i, M in enumerate(ns.mesh_sizes):
         print(f"{M:<5d} {hs[i]:.3e}  " + "  ".join(
             f"{errs[k][i]:.3e}" for k in ("linf", "l2", "h1", "h2")))
     print("eoc:")
@@ -328,20 +293,10 @@ def _cmd_interp_study(cfg: CliConfig) -> int:
     return 0
 
 
-def main(config: CliConfig) -> int:
-    """Dispatch a parsed CLI configuration; returns the process exit code."""
+def main(ns: argparse.Namespace) -> int:
+    """Run the parsed subcommand's handler; returns the process exit code."""
     try:
-        if config.subcommand == "run":
-            return _cmd_run(config)
-        if config.subcommand == "stationarity":
-            return _cmd_stationarity(config)
-        if config.subcommand == "diagnostics":
-            return _cmd_diagnostics(config)
-        if config.subcommand == "interp-study":
-            return _cmd_interp_study(config)
-        raise UsageError(f"unknown subcommand: {config.subcommand!r}")
-    except UsageError:
-        raise
+        return ns.handler(ns)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -349,8 +304,7 @@ def main(config: CliConfig) -> int:
 
 def console_main(argv: Optional[List[str]] = None) -> int:
     try:
-        config = parse_args(sys.argv[1:] if argv is None else argv)
-        return main(config)
+        return main(parse_args(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

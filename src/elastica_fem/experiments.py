@@ -138,6 +138,12 @@ class ExperimentSpec:
                 raise ValueError(f"unknown norm: {n!r}")
         if len(self.mesh_sizes) < 1:
             raise ValueError("need at least one mesh size")
+        if min(self.mesh_sizes) < 1:
+            raise ValueError("mesh sizes must be >= 1")
+        if min(self.taus, default=1.0) <= 0.0:
+            raise ValueError("time steps tau must be positive")
+        if self.T < 0.0:
+            raise ValueError("end time T must be non-negative")
 
     def override(self, **kwargs) -> "ExperimentSpec":
         return replace(self, **kwargs)

@@ -163,14 +163,17 @@ def default_multiplier_values(u: HermiteCurve, variant: ConstraintVariant
 
 def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
                  bc: BoundaryConditions, matrices: SystemMatrices,
-                 tol: float = 1e-11, max_iter: int = 25
+                 tol: Optional[float] = None, max_iter: int = 25
                  ) -> Tuple[SaddlePoint, dict]:
     """Plain Newton iteration on the optimality system.
 
     Stops when the Euclidean norm of the stacked residual drops below
-    ``tol``; a step-halving fallback engages only when a full step would
-    increase the residual norm.  Returns the solution and an iteration log
-    with the residual-norm history; a failed KKT solve raises ``NewtonError``.
+    ``tol``, by default its roundoff floor max(1e-11, 0.1 eps |S|_inf
+    |u0|_inf sqrt(n)): S the bending matrix, u0 the starting DOFs, n the
+    residual length.  A step-halving fallback engages only when a full step
+    would increase the residual norm.  Returns the solution and a log with
+    the residual norms and the tol used; a failed KKT solve raises
+    ``NewtonError``.
     """
     from .saddle_solver import KKTSingularError, SaddleSystem, solve_kkt
 
@@ -180,6 +183,11 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     r_u, r_mu = residual(p, variant, bc, matrices)
     norms = [float(np.sqrt(np.dot(r_u, r_u) + np.dot(r_mu, r_mu)))]
     halvings = 0
+    if tol is None:
+        tol = max(1e-11, float(0.1 * np.finfo(float).eps
+                               * abs(matrices.bending).sum(axis=1).max()
+                               * np.abs(p0.u.dofs).max()
+                               * np.sqrt(r_u.size + r_mu.size)))
 
     for _ in range(max_iter):
         if norms[-1] <= tol:
@@ -215,7 +223,7 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
             f"Newton did not reach tolerance {tol:.1e} in {max_iter} iterations "
             f"(last residual {norms[-1]:.3e})", norms)
     log = {"residual_norms": norms, "iterations": len(norms) - 1,
-           "step_halvings": halvings, "converged": True}
+           "step_halvings": halvings, "converged": True, "tol": tol}
     return p, log
 
 

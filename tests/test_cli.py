@@ -1,12 +1,15 @@
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from elastica_fem import cli
-from elastica_fem.cli import (CliConfig, UsageError, _spec_from_config,
-                              console_main, load_config, main, parse_args)
+from elastica_fem.cli import (UsageError, _run_spec, console_main,
+                              load_config, main, parse_args)
 from elastica_fem.experiments import named_experiment
 from elastica_fem.stationary import NewtonError
 
@@ -82,22 +85,22 @@ class TestLoadConfig:
     def test_periodic_conflict(self, tmp_path):
         path = self.write(
             tmp_path, "experiment=circle\nbc.periodic=true\nbc.value_a=1,0\n")
-        cfg = CliConfig(subcommand="run", config_path=path,
-                        mesh_sizes=[4], taus=[0.1], T=0.2)
+        cfg = parse_args(["run", "--config", path, "-M", "4", "--tau", "0.1",
+                          "--T", "0.2"])
         with pytest.raises(UsageError, match="periodic"):
             main(cfg)
 
     def test_bc_vector_length(self, tmp_path):
         path = self.write(tmp_path, "experiment=circle\nbc.value_a=1,0,0\n")
-        cfg = CliConfig(subcommand="run", config_path=path,
-                        mesh_sizes=[4], taus=[0.1], T=0.2)
+        cfg = parse_args(["run", "--config", path, "-M", "4", "--tau", "0.1",
+                          "--T", "0.2"])
         with pytest.raises(UsageError,
                            match="bc.value_a needs 2 components, got 3"):
             main(cfg)
 
-    def test_bc_override_applies(self):
-        spec = _spec_from_config({"experiment": "circle",
-                                  "bc.value_b": "1,0"})
+    def test_bc_override_applies(self, tmp_path):
+        path = self.write(tmp_path, "experiment=circle\nbc.value_b=1,0\n")
+        spec = _run_spec(parse_args(["run", "--config", path]))
         assert spec.bc.value_b.dtype == float
         assert_allclose(spec.bc.value_b, [1.0, 0.0])
         assert named_experiment("circle").bc.value_b is None
@@ -196,6 +199,86 @@ class TestMain:
         assert main(cfg) == 0
         out = capsys.readouterr().out
         assert "eoc" in out
+
+
+class TestFlagsAndConfig:
+    def test_flags_override_config_keys(self, tmp_path):
+        cfg_file = tmp_path / "circle.cfg"
+        cfg_file.write_text("experiment=circle\nM=4\ntau=0.1\nT=0.2\n"
+                            "constraint=p2\n")
+        assert console_main(["run", "--config", str(cfg_file), "-M", "4,8",
+                             "--constraint", "p1",
+                             "--output-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "circle_p1_l2.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert not (tmp_path / "circle_p2_l2.csv").exists()
+
+    def test_name_with_config_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "circle.cfg"
+        cfg_file.write_text("experiment=circle\nM=4\ntau=0.1\nT=0.2\n")
+        assert console_main(["run", "helix", "--config", str(cfg_file),
+                             "--output-dir", str(tmp_path)]) == 2
+        assert "not allowed" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "circle", "-M", "4", "--tau", "0"],
+        ["run", "circle", "-M", "4", "--tau", "0.1,-0.05"],
+        ["run", "circle", "-M", "4", "--T", "-1"],
+        ["run", "circle", "-M", "0"],
+        ["run", "circle", "-M", "4,-8"],
+    ], ids=["tau-zero", "tau-negative", "T-negative", "M-zero", "M-negative"])
+    def test_out_of_range_run_is_usage_error(self, argv, tmp_path, capsys):
+        assert console_main(argv + ["--output-dir", str(tmp_path)]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_range_config_is_usage_error(self, tmp_path):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("experiment=circle\nM=4\ntau=0.1\nT=-0.2\n")
+        assert console_main(["run", "--config", str(cfg_file),
+                             "--output-dir", str(tmp_path)]) == 2
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["stationarity", "circle", "--mesh-size", "0"],
+        ["diagnostics", "circle", "-M", "0,4"],
+        ["interp-study", "-M", "8,0"],
+    ], ids=["stationarity", "diagnostics", "interp-study"])
+    def test_mesh_size_below_one_is_usage_error(self, argv, capsys):
+        assert console_main(argv) == 2
+        assert "mesh sizes must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_default_newton_run_succeeds(self, name, tmp_path):
+        assert console_main(["run", name, "--flow", "newton",
+                             "--output-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / f"{name}_p2_newton.csv").read_text().splitlines()
+        assert len(rows) == 5 and "FAILED" not in "".join(rows)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    """The README's command-line section stays in step with the parser."""
+
+    def section(self):
+        text = README.read_text()
+        return text[text.index("## Command line"):text.index("## Built-in")]
+
+    def test_example_commands_parse(self):
+        block = self.section().split("```sh\n")[1].split("```")[0]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("elastica-fem ")]
+        assert len(lines) >= 5
+        for line in lines:
+            parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_config_keys_listed(self):
+        listed = re.search(r"with the keys (.*?);", self.section(), re.S)
+        assert tuple(re.findall(r"`([^`]+)`", listed.group(1))) == \
+            cli._CONFIG_KEYS
 
 
 class TestConsoleEntry:

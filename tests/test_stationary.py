@@ -147,6 +147,22 @@ class TestNewton:
         assert log["residual_norms"][-1] <= 1e-11
         assert unit_speed_violation(sol.u, P2) <= 1e-10
 
+    @pytest.mark.parametrize("M", [80, 160])
+    @pytest.mark.parametrize("variant", [P1, P2], ids=["p1", "p2"])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_default_tol_converges_on_fine_meshes(self, name, variant, M):
+        # the default stop sits at the residual's roundoff floor, which
+        # exceeds 1e-11 from M=80 on
+        spec = named_experiment(name)
+        mesh = Mesh1D.uniform(*spec.interval, M)
+        mats = assemble_matrices(mesh, spec.dim)
+        pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
+                                     mesh, spec.dim, variant)
+        _, log = newton_solve(pair, variant, spec.bc, mats)
+        assert 1e-11 < log["tol"] < 1e-8
+        assert 1 <= log["iterations"] <= 2
+        assert log["residual_norms"][-1] <= log["tol"]
+
     def test_helix_multiplier_value(self, helix_spec):
         # clamped ends force a constant multiplier lam with
         # u'''' = lam * u'', i.e. lam = -freq^2 (not -|u''|^2 = -freq^4,

@@ -17,6 +17,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import flow
 from .analysis import eoc, linf_error, quadrature_error
@@ -246,27 +247,38 @@ def _cmd_diagnostics(ns: argparse.Namespace) -> int:
         matrices = assemble_matrices(mesh, spec.dim)
         pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
                                      mesh, spec.dim, variant)
-        norms = DiscreteNorms.build(matrices, spec.bc, variant)
-        dual = residual_dual_norm(pair, variant, spec.bc, matrices, norms)
-        alpha = coercivity_estimate(pair, variant, spec.bc, matrices, norms)
-        beta = infsup_estimate(pair, variant, spec.bc, matrices, norms)
-        line = (f"M={M:4d} h={mesh.h:.3e} residual_dual={dual:.3e} "
-                f"alpha={alpha:.4f} beta={beta:.4f}")
+        errors = []
         try:
-            _, log = newton_solve(pair, variant, spec.bc, matrices)
+            norms = DiscreteNorms.build(matrices, spec.bc, variant)
+            brezzi = [f(pair, variant, spec.bc, matrices, norms) for f in
+                      (residual_dual_norm, coercivity_estimate, infsup_estimate)]
+        except (ValueError, ArpackNoConvergence) as exc:
+            brezzi, errors = ["FAILED"] * 3, [f"brezzi: {exc}"]
+        try:
+            iters = newton_solve(pair, variant, spec.bc, matrices)[1]["iterations"]
         except NewtonError as exc:
-            rows.append((M, mesh.h, dual, alpha, beta, "FAILED"))
-            print(f"FAILED row: {line} newton: {exc}", file=sys.stderr)
-            continue
-        rows.append((M, mesh.h, dual, alpha, beta, log["iterations"]))
-        print(f"{line} newton_iters={log['iterations']}")
+            iters = "FAILED"
+            errors.append(f"newton: {exc}")
+        rows.append((M, mesh.h, *brezzi, iters))
+        dual, alpha, beta = map(_fmt, brezzi, (".3e", ".4f", ".4f"))
+        line = (f"M={M:4d} h={mesh.h:.3e} residual_dual={dual} "
+                f"alpha={alpha} beta={beta}")
+        if errors:
+            print(f"FAILED row: {line} {' '.join(errors)}", file=sys.stderr)
+        else:
+            print(f"{line} newton_iters={iters}")
     out = _output_dir(ns)
     path = os.path.join(out, f"diagnostics_{spec.name}_{variant.value}.csv")
     with open(path, "w") as fh:
         for M, h, dual, alpha, beta, iters in rows:
-            fh.write(f"{M},{h:.3e},{dual:.3e},{alpha:.6e},{beta:.6e},{iters}\n")
+            fh.write(f"{M},{h:.3e},{_fmt(dual, '.3e')},{_fmt(alpha, '.6e')},"
+                     f"{_fmt(beta, '.6e')},{iters}\n")
     print(f"wrote {path}")
-    return 1 if any(row[-1] == "FAILED" for row in rows) else 0
+    return 1 if any("FAILED" in row for row in rows) else 0
+
+
+def _fmt(value, spec: str) -> str:
+    return value if isinstance(value, str) else format(value, spec)
 
 
 def _cmd_interp_study(ns: argparse.Namespace) -> int:

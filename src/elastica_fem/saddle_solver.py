@@ -75,13 +75,17 @@ _BACKWARD_TOL = 1e-14   # largest normwise backward error of a solve
 def kkt_residual(system: SaddleSystem, x: np.ndarray, lam: np.ndarray
                  ) -> Tuple[float, float]:
     """Norms of A x + B^T lam - rhs_top and B x - rhs_bottom."""
-    B = system.B
+    return _residual(system.A, system.B, x, lam, system.rhs_top,
+                     system.rhs_bottom)
+
+
+def _residual(A, B, x, lam, rhs_top, rhs_bottom) -> Tuple[float, float]:
     # B^T lam accumulated entry by entry in B's order, as a CSC product
     # would, without the cost of forming the transpose
     bt_lam = np.bincount(B.indices, B.data * np.repeat(lam, np.diff(B.indptr)),
-                         minlength=system.n)
-    top = system.A @ x + bt_lam - system.rhs_top
-    bottom = system.B @ x - system.rhs_bottom
+                         minlength=x.size)
+    top = A @ x + bt_lam - rhs_top
+    bottom = B @ x - rhs_bottom
     return float(np.linalg.norm(top)), float(np.linalg.norm(bottom))
 
 
@@ -103,10 +107,11 @@ class BandedKKT:
     row's column range, keeps the half-bandwidth small and independent of
     M (flow and Newton systems: 8-9 for d=2, 11-12 for d=3).  Periodic
     ends, and systems with no such structure, take the reverse
-    Cuthill-McKee order of K's pattern when it is narrower.  Each solve
-    scatters the values of A and B into one preallocated band array,
+    Cuthill-McKee order of K's pattern when it is narrower.  ``factor``
+    scatters the values of A and B into one preallocated band array and
     factors it in place with LAPACK gbtrf (partial pivoting, safe for the
-    indefinite K) and solves with gbtrs.
+    indefinite K); ``apply`` solves with gbtrs, as often as a caller with
+    one K (a Lanczos iteration) needs.
 
     The band holds D K D, d_i = |A_ii|^(-1/2) on x (1 on the multipliers
     and where A_ii = 0) from the A given at construction.  Value and
@@ -184,20 +189,16 @@ class BandedKKT:
         self._d_perm = d[self.perm]
 
     def solve(self, system: SaddleSystem, rhs: np.ndarray) -> np.ndarray:
-        """Solution (x, lam) of the system after one refinement step.
-        ``system.A`` and ``system.B`` must have the patterns given at
-        construction.  Raises ``KKTSingularError`` when a pivot of the
-        scaled band is at most _PIVOT_TOL times the largest, or when the
-        normwise backward error |K sol - rhs| / (|K|_F |sol| + |rhs|),
-        which unlike a relative residual does not grow with cond(K)
-        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7),
-        exceeds _BACKWARD_TOL.
+        """Solution (x, lam) of the system after one refinement step:
+        ``factor`` with its A and B, then ``apply`` to ``rhs``."""
+        self.factor(system.A, system.B)
+        return self.apply(rhs)
 
-        The refinement residual is summed in np.longdouble in K's units;
-        where that is wider than float64 (80-bit x87 on x86-64 Linux), the
-        solution does not carry cond(K) times a float64 residual's roundoff.
-        """
-        A, B = system.A, system.B
+    def factor(self, A: sp.csr_matrix, B: sp.csr_matrix) -> None:
+        """Factor the band of A and B, which have the patterns given at
+        construction, for the ``apply`` calls that follow.  Raises
+        ``KKTSingularError`` when a pivot of the scaled band is at most
+        _PIVOT_TOL times the largest."""
         # flow and Newton pass the index arrays the band was built from;
         # identity settles those without comparing them (a few us each,
         # several percent of a small flow step)
@@ -205,7 +206,7 @@ class BandedKKT:
                    for given, built in zip((A.indptr, A.indices, B.indptr,
                                             B.indices), self._patterns)):
             raise ValueError("KKT blocks do not match the band pattern")
-        bw, n, d = self.bandwidth, self._n, self._d_perm
+        bw, self._factors = self.bandwidth, None   # the band is overwritten
         self._stack.data[:A.nnz] = A.data
         self._stack.data[self._slot_b] = B.data
         # gbtrf sets the fill-in rows itself; zero the rows that hold D K D
@@ -217,6 +218,22 @@ class BandedKKT:
         small = int(np.count_nonzero(pivots <= _PIVOT_TOL * pivots.max()))
         if small:
             raise KKTSingularError("KKT matrix numerically singular", small)
+        self._factors = (A, B, lu, piv, np.sqrt(np.dot(A.data, A.data)
+                                                + 2.0 * np.dot(B.data, B.data)))
+
+    def apply(self, rhs: np.ndarray) -> np.ndarray:
+        """Solution (x, lam) for ``rhs`` with the last ``factor``, after one
+        refinement step.  Raises ``KKTSingularError`` when the normwise
+        backward error |K sol - rhs| / (|K|_F |sol| + |rhs|), which unlike
+        a relative residual does not grow with cond(K) (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 7), exceeds _BACKWARD_TOL.
+
+        The refinement residual is summed in np.longdouble in K's units;
+        where that is wider than float64 (80-bit x87 on x86-64 Linux), the
+        solution does not carry cond(K) times a float64 residual's roundoff.
+        """
+        A, B, lu, piv, norm_k = self._factors
+        bw, n, d = self.bandwidth, self._n, self._d_perm
         sol = np.empty_like(rhs)
         sol[self.perm] = d * lapack.dgbtrs(lu, bw, bw, d * rhs[self.perm],
                                            piv)[0]
@@ -224,8 +241,7 @@ class BandedKKT:
         correction = rhs - np.concatenate([y[:n] + y[n:2 * n], y[2 * n:]])
         sol[self.perm] += d * lapack.dgbtrs(
             lu, bw, bw, d * correction[self.perm].astype(float), piv)[0]
-        res = np.hypot(*kkt_residual(system, sol[:n], sol[n:]))
-        norm_k = np.sqrt(np.dot(A.data, A.data) + 2.0 * np.dot(B.data, B.data))
+        res = np.hypot(*_residual(A, B, sol[:n], sol[n:], rhs[:n], rhs[n:]))
         if not res <= _BACKWARD_TOL * (norm_k * np.linalg.norm(sol)
                                        + np.linalg.norm(rhs)):
             raise KKTSingularError(f"KKT solve residual {res:.3e} exceeds "

@@ -17,12 +17,15 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
-from .assembly import (TARGETS, BoundaryConditions, ConstraintPattern,
-                       SystemMatrices, constraint_pattern)
+from .assembly import (_GAUSS4_T, _GAUSS4_W, TARGETS, BoundaryConditions,
+                       ConstraintPattern, SystemMatrices, constraint_pattern)
 from .mesh import ConstraintVariant, Mesh1D
+from .saddle_solver import BandedKKT, KKTSingularError, SaddleSystem
 from .splines import (FunctionOracle, HermiteCurve, QuadraticField,
-                      interp_hermite, lumped_weights)
+                      _quadratic_reference, interp_hermite, lumped_weights)
 
 
 class NewtonError(RuntimeError):
@@ -175,7 +178,8 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     the residual norms and the tol used; a failed KKT solve raises
     ``NewtonError``.
     """
-    from .saddle_solver import KKTSingularError, SaddleSystem, solve_kkt
+    # per call, so that a wrapper of saddle_solver.solve_kkt sees Newton
+    from .saddle_solver import solve_kkt
 
     mesh, dim = p0.u.mesh, p0.u.dim
     P = _pattern(matrices, variant, bc).restriction
@@ -228,70 +232,91 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
 
 
 # ---------------------------------------------------------------------------
-# discrete norms and Brezzi diagnostics
+# discrete norms and Brezzi diagnostics, on Cholesky factors U^T U of the
+# Gram matrices in LAPACK's upper band storage
 
-def _multiplier_fe_matrices(mesh: Mesh1D, variant: ConstraintVariant
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-    """(mass, stiffness) of the multiplier space restricted to the interior
-    constraint nodes (zero boundary values)."""
-    h = mesh.element_lengths
-    if variant is ConstraintVariant.P2:
-        mass_ref = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0],
-                             [-1.0, 2.0, 4.0]]) / 30.0
-        stiff_ref = np.array([[7.0, -8.0, 1.0], [-8.0, 16.0, -8.0],
-                              [1.0, -8.0, 7.0]]) / 3.0
-    else:
-        mass_ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-        stiff_ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    # element e holds the constraint nodes step*e, ..., step*(e+1)
-    step = mass_ref.shape[0] - 1
-    loc = step * np.arange(mesh.num_elements)[:, None] + np.arange(step + 1)
+def _upper_band(A: sp.csr_matrix) -> np.ndarray:
+    """Upper band storage, ab[u + i - j, j] = A[i, j], of a symmetric A."""
+    off = A.indices - np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    ab, up = np.zeros((off.max() + 1, A.shape[0])), off >= 0
+    ab[off.max() - off[up], A.indices[up]] = A.data[up]
+    return ab
+
+
+def _tri(U: np.ndarray, x: np.ndarray, trans=0, solve=False) -> np.ndarray:
+    """U x, or U^-1 x with ``solve``; transposed if ``trans`` is 1."""
+    return (blas.dtbsv if solve else blas.dtbmv)(U.shape[0] - 1, U, x,
+                                                 trans=trans)
+
+
+def _multiplier_factors(mesh: Mesh1D, variant: ConstraintVariant
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of the mass and H1 Grams of the multiplier space on
+    the interior constraint nodes (zero boundary values)."""
+    basis = [_quadratic_reference(0.5 * (_GAUSS4_T + 1.0), k) for k in (0, 1)]
+    if variant is ConstraintVariant.P1:     # hats: midpoints are means
+        basis = [b[::2] + 0.5 * b[1] for b in basis]
+    mass_ref, stiff_ref = (np.einsum("q,aq,bq->ab", 0.5 * _GAUSS4_W, b, b)
+                           for b in basis)
+    # element e holds the constraint nodes step*e, ..., step*(e+1); its
+    # entry (a, b), a <= b, goes to band row step + a - b, column step*e + b
+    step, h = mass_ref.shape[0] - 1, mesh.element_lengths
+    a, b = np.triu_indices(step + 1)
     nz = step * mesh.num_elements + 1
-    mass = np.zeros((nz, nz))
-    stiff = np.zeros((nz, nz))
-    for e in range(mesh.num_elements):
-        idx = np.ix_(loc[e], loc[e])
-        mass[idx] += h[e] * mass_ref
-        stiff[idx] += stiff_ref / h[e]
-    return mass[1:-1, 1:-1], stiff[1:-1, 1:-1]
+    flat = ((step + a - b) * nz + b
+            + step * np.arange(mesh.num_elements)[:, None]).ravel()
+    # dropping the first node leaves its couplings in the unread corner
+    mass, stiff = (np.bincount(flat, v.ravel(), (step + 1) * nz)
+                   .reshape(step + 1, nz)[:, 1:-1]
+                   for v in (h[:, None] * mass_ref[a, b],
+                             stiff_ref[a, b] / h[:, None]))
+    return sla.cholesky_banded(mass), sla.cholesky_banded(mass + stiff)
+
+
+def _extreme_eigenvalue(matvec: Callable, n: int, which: str,
+                        tol: float = 0.0) -> float:
+    """Largest (``which="LA"``) or smallest (``"SA"``) eigenvalue of the
+    symmetric operator ``matvec`` on R^n to relative residual ``tol`` (0:
+    machine precision), by Lanczos (ARPACK) on at most 10 basis vectors
+    from a fixed start, so that a rerun gives the same bits."""
+    if n == 1:
+        return float(matvec(np.ones(1))[0])
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    return float(spla.eigsh(op, k=1, which=which, v0=v0, ncv=min(n, 10),
+                            tol=tol, return_eigenvectors=False)[0])
 
 
 @dataclass
 class DiscreteNorms:
-    """Gram matrix of the H2 norm on the reduced curve DOFs, and the
-    computable surrogate of the dual norm on multiplier DOFs
-    (mu -> sqrt(r^T K^{-1} r) with r the load vector of mu and K the H1 Gram
-    of the zero-boundary multiplier basis)."""
+    """The H2 Gram G = U^T U of the reduced curve DOFs with its factor, and
+    the factors of the mass and H1 Gram H of the zero-boundary multiplier
+    space.  The dual norm on multiplier DOFs is the computable surrogate
+    mu -> sqrt(t^T H t), with t = mass^-1 r and r the load vector of mu."""
 
-    h2_gram: np.ndarray
-    mult_mass: np.ndarray
-    mult_h1: np.ndarray
+    gram: sp.csr_matrix
+    gram_factor: np.ndarray
+    mass_factor: np.ndarray
+    h1_factor: np.ndarray
 
     @classmethod
     def build(cls, matrices: SystemMatrices, bc: BoundaryConditions,
               variant: ConstraintVariant) -> "DiscreteNorms":
-        pattern = _pattern(matrices, variant, bc)
-        mass, stiff = _multiplier_fe_matrices(matrices.mesh, variant)
-        return cls(pattern.restrict(matrices.mass + matrices.gradient
-                                    + matrices.bending).toarray(),
-                   mass, mass + stiff)
+        gram = _pattern(matrices, variant, bc).restrict(
+            matrices.mass + matrices.gradient + matrices.bending)
+        return cls(gram, sla.cholesky_banded(_upper_band(gram)),
+                   *_multiplier_factors(matrices.mesh, variant))
 
     def curve_dual_norm(self, r_u: np.ndarray) -> float:
-        """Dual norm of a curve-block functional w.r.t. the H2 norm."""
-        return float(np.sqrt(max(r_u @ sla.solve(self.h2_gram, r_u,
-                                                 assume_a="pos"), 0.0)))
+        """Dual norm |U^-T r_u| of a curve-block functional w.r.t. the H2
+        norm."""
+        return float(np.linalg.norm(_tri(self.gram_factor, r_u, 1, True)))
 
     def multiplier_dual_norm(self, r_mu: np.ndarray) -> float:
         """Dual norm of a multiplier-block functional: coefficients are mapped
         to the representing field (mass solve), then measured in the H1 Gram."""
-        t = sla.solve(self.mult_mass, r_mu, assume_a="pos")
-        return float(np.sqrt(max(t @ self.mult_h1 @ t, 0.0)))
-
-    def multiplier_norm_matrix(self) -> np.ndarray:
-        """Gram of the dual-norm surrogate on multiplier DOFs:
-        N = mass * H1gram^{-1} * mass."""
-        return self.mult_mass @ sla.solve(self.mult_h1, self.mult_mass,
-                                          assume_a="pos")
+        t = sla.cho_solve_banded((self.mass_factor, False), r_mu)
+        return float(np.linalg.norm(_tri(self.h1_factor, t)))
 
 
 def residual_dual_norm(p: SaddlePoint, variant: ConstraintVariant,
@@ -308,33 +333,66 @@ def residual_dual_norm(p: SaddlePoint, variant: ConstraintVariant,
 def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
                         bc: BoundaryConditions, matrices: SystemMatrices,
                         norms: Optional[DiscreteNorms] = None) -> float:
-    """Smallest eigenvalue of the primal form restricted to ker B, relative
-    to the H2 Gram: positive values certify discrete kernel coercivity."""
+    """Smallest eigenvalue alpha of the primal form A on ker B, relative to
+    the H2 Gram G = U^T U: positive values certify discrete kernel
+    coercivity.
+
+    A shift sigma below the smallest eigenvalue of the pencil (A, G),
+    placed by Lanczos on U^-T A U^-1 and certified by a Cholesky factor of
+    A - sigma G, is below alpha (interlacing).  Then alpha = sigma + 1/nu,
+    nu the largest eigenvalue of y -> U x with x the curve part of the
+    solution of [[A - sigma G, B^T], [B, 0]] for (U^T y, 0), whose band is
+    factored once.  Unshifted, 1/nu would miss a negative alpha.
+    """
     if norms is None:
         norms = DiscreteNorms.build(matrices, bc, variant)
     A, B, _ = jacobian(p, variant, bc, matrices)
-    Bd = B.toarray()
-    # null_space's rank tolerance is matrix_rank's: eps * max(m, n) * s_max
-    Z = sla.null_space(Bd)
-    if Bd.shape[1] - Z.shape[1] < Bd.shape[0]:
-        raise ValueError("constraint block is rank deficient")
-    a_red = Z.T @ A.toarray() @ Z
-    g_red = Z.T @ norms.h2_gram @ Z
-    return float(sla.eigh(0.5 * (a_red + a_red.T), g_red,
-                          eigvals_only=True, subset_by_index=[0, 0])[0])
+    U, n = norms.gram_factor, A.shape[0]
+    lowest = _extreme_eigenvalue(lambda y: _tri(U, A @ _tri(U, y, 0, True),
+                                                1, True), n, "SA", 1e-2)
+    gap = 0.1 * (1.0 + abs(lowest))
+    # a Ritz value may miss the bottom of the spectrum
+    while lapack.dpbtrf(_upper_band(A - (lowest - gap) * norms.gram))[1]:
+        gap *= 2.0
+    shifted = A - (lowest - gap) * norms.gram
+    band, tail = BandedKKT(shifted, B), np.zeros(B.shape[0])
+    try:
+        band.factor(shifted, B)
+        nu = _extreme_eigenvalue(lambda y: _tri(U, band.apply(np.concatenate(
+            [_tri(U, y, 1), tail]))[:n]), n, "LA")
+    except KKTSingularError as exc:
+        raise ValueError("constraint block is rank deficient") from exc
+    return float(lowest - gap + 1.0 / nu)
 
 
 def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
                     bc: BoundaryConditions, matrices: SystemMatrices,
                     norms: Optional[DiscreteNorms] = None) -> float:
-    """Smallest generalized singular value of the constraint block under the
-    H2 Gram on curve DOFs and the dual-norm Gram on multiplier DOFs."""
+    """Smallest generalized singular value beta of the constraint block
+    under the H2 Gram G on curve DOFs and N = mass H^-1 mass on multiplier
+    DOFs (Chapelle & Bathe, "The inf-sup test", Comput. Struct. 47, 1993).
+
+    beta^2 = 1/nu, nu the largest eigenvalue of U_H^-T mass W^-1 mass
+    U_H^-1 (H = U_H^T U_H, W = B G^-1 B^T).  W^-1 r is -lam of the solution
+    of [[G, B^T], [B, 0]] for (0, r), whose band is factored once; beta is
+    0 when that band is singular.
+    """
     if norms is None:
         norms = DiscreteNorms.build(matrices, bc, variant)
     _, B, _ = jacobian(p, variant, bc, matrices)
-    Bd = B.toarray()
-    W = Bd @ sla.solve(norms.h2_gram, Bd.T, assume_a="pos")
-    N = norms.multiplier_norm_matrix()
-    lam_min = sla.eigh(0.5 * (W + W.T), 0.5 * (N + N.T),
-                       eigvals_only=True, subset_by_index=[0, 0])[0]
-    return float(np.sqrt(max(lam_min, 0.0)))
+    H, F, head = norms.h1_factor, norms.mass_factor, np.zeros(B.shape[1])
+    band = BandedKKT(norms.gram, B)
+
+    def mass(x):
+        return _tri(F, _tri(F, x), 1)
+
+    def matvec(y):
+        r = band.apply(np.concatenate([head, mass(_tri(H, y, 0, True))]))
+        return -_tri(H, mass(r[head.size:]), 1, True)
+
+    try:
+        band.factor(norms.gram, B)
+        return float(np.sqrt(1.0 / _extreme_eigenvalue(matvec, B.shape[0],
+                                                        "LA")))
+    except KKTSingularError:
+        return 0.0

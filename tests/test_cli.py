@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from elastica_fem import cli
 from elastica_fem.cli import (UsageError, _run_spec, console_main,
@@ -193,6 +194,47 @@ class TestMain:
         assert float(rows[1][3]) > 0.0 and float(rows[1][4]) > 0.0
         err = capsys.readouterr().err
         assert "FAILED row: M=   8" in err and "halving stalled" in err
+
+    @pytest.mark.parametrize("error", [
+        ValueError("constraint block is rank deficient"),
+        ArpackNoConvergence("ARPACK error -1: No convergence", [], [])],
+        ids=["value-error", "no-convergence"])
+    def test_diagnostics_records_failed_brezzi_row(self, tmp_path, capsys,
+                                                   monkeypatch, error):
+        estimate = cli.coercivity_estimate
+
+        def failing_at_8(p, *args, **kwargs):
+            if p.u.mesh.num_elements == 8:
+                raise error
+            return estimate(p, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "coercivity_estimate", failing_at_8)
+        code = console_main(["diagnostics", "circle", "-M", "4,8,16",
+                             "--output-dir", str(tmp_path)])
+        assert code == 1
+        rows = [line.split(",") for line in
+                (tmp_path / "diagnostics_circle_p2.csv").read_text()
+                .strip().splitlines()]
+        assert [r[0] for r in rows] == ["4", "8", "16"]
+        assert rows[1][2:5] == ["FAILED"] * 3 and int(rows[1][5]) >= 1
+        assert "FAILED" not in rows[0] + rows[2]
+        err = capsys.readouterr().err
+        assert "FAILED row: M=   8" in err and str(error) in err
+
+    def test_diagnostics_fine_meshes(self, tmp_path):
+        # the Brezzi constants stay put under refinement up to M=1280
+        sizes = [10, 20, 40, 80, 160, 320, 640, 1280]
+        assert console_main(["diagnostics", "circle", "-M",
+                             ",".join(map(str, sizes)),
+                             "--output-dir", str(tmp_path)]) == 0
+        rows = {int(r[0]): r for r in (
+            line.split(",") for line in
+            (tmp_path / "diagnostics_circle_p2.csv").read_text().splitlines())}
+        assert sorted(rows) == sizes
+        for col in (3, 4):      # alpha, beta
+            ref = float(rows[40][col])
+            for M in (320, 640, 1280):
+                assert f"{float(rows[M][col]):.2e}" == f"{ref:.2e}"
 
     def test_interp_study(self, capsys):
         cfg = parse_args(["interp-study", "-M", "8,16,32"])

@@ -160,3 +160,16 @@ def test_shape_validation():
         SaddleSystem(np.eye(3), np.ones((2, 4)), np.ones(3), np.ones(2))
     with pytest.raises(ValueError):
         SaddleSystem(np.eye(3), np.ones((2, 3)), np.ones(3), np.ones(1))
+
+
+def test_one_factor_serves_many_right_hand_sides(rng):
+    # apply after one factor gives the bits of a full solve per right-hand
+    # side, so a Lanczos run can factor its KKT matrix once
+    system = random_system(rng, 30, 8)
+    band = saddle_solver.BandedKKT(system.A, system.B)
+    band.factor(system.A, system.B)
+    for _ in range(3):
+        rhs = rng.normal(size=38)
+        sol = saddle_solver.BandedKKT(system.A, system.B).solve(
+            SaddleSystem(system.A, system.B, rhs[:30], rhs[30:]), rhs)
+        assert np.array_equal(band.apply(rhs), sol)

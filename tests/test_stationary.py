@@ -10,7 +10,7 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant,
 from elastica_fem import assembly, saddle_solver
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
 from elastica_fem.flow import FlowConfig, run
-from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
+from elastica_fem.stationary import (DiscreteNorms, SaddlePoint, _pattern,
                                      coercivity_estimate, infsup_estimate,
                                      jacobian, make_interpolant_pair,
                                      multiplier_dofs, multiplier_field,
@@ -348,6 +348,126 @@ class TestBrezziDiagnostics:
         mats = assemble_matrices(mesh, 2)
         with pytest.raises(ValueError, match="endpoint"):
             residual(pair, P2, BoundaryConditions(periodic=True), mats)
+
+
+# ---------------------------------------------------------------------------
+# the dense Brezzi diagnostics that the banded ones replaced, as their oracle
+
+def dense_multiplier_grams(mesh, variant):
+    """(mass, stiffness) of the multiplier space restricted to the interior
+    constraint nodes (zero boundary values), assembled element by element."""
+    h = mesh.element_lengths
+    if variant is P2:
+        mass_ref = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0],
+                             [-1.0, 2.0, 4.0]]) / 30.0
+        stiff_ref = np.array([[7.0, -8.0, 1.0], [-8.0, 16.0, -8.0],
+                              [1.0, -8.0, 7.0]]) / 3.0
+    else:
+        mass_ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+        stiff_ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    step = mass_ref.shape[0] - 1
+    nz = step * mesh.num_elements + 1
+    mass, stiff = np.zeros((nz, nz)), np.zeros((nz, nz))
+    for e in range(mesh.num_elements):
+        idx = np.ix_(step * e + np.arange(step + 1),
+                     step * e + np.arange(step + 1))
+        mass[idx] += h[e] * mass_ref
+        stiff[idx] += stiff_ref / h[e]
+    return mass[1:-1, 1:-1], stiff[1:-1, 1:-1]
+
+
+def dense_brezzi(pair, variant, bc, mats):
+    """(residual dual norm, alpha, beta) from dense matrices: alpha from an
+    orthonormal basis Z of ker B, the generalized eigenproblem of
+    (Z^T A Z, Z^T G Z); beta^2 the smallest eigenvalue of W y = mu N y with
+    W = B G^-1 B^T and N = mass H^-1 mass."""
+    G = _pattern(mats, variant, bc).restrict(
+        mats.mass + mats.gradient + mats.bending).toarray()
+    mass, stiff = dense_multiplier_grams(mats.mesh, variant)
+    h1 = mass + stiff
+    r_u, r_mu = residual(pair, variant, bc, mats)
+    t = sla.solve(mass, r_mu, assume_a="pos")
+    dual = np.hypot(np.sqrt(max(r_u @ sla.solve(G, r_u, assume_a="pos"), 0.0)),
+                    np.sqrt(max(t @ h1 @ t, 0.0)))
+    A, B, _ = jacobian(pair, variant, bc, mats)
+    Bd = B.toarray()
+    Z = sla.null_space(Bd)
+    assert Bd.shape[1] - Z.shape[1] == Bd.shape[0]
+    a_red = Z.T @ A.toarray() @ Z
+    alpha = sla.eigh(0.5 * (a_red + a_red.T), Z.T @ G @ Z,
+                     eigvals_only=True, subset_by_index=[0, 0])[0]
+    W = Bd @ sla.solve(G, Bd.T, assume_a="pos")
+    N = mass @ sla.solve(h1, mass, assume_a="pos")
+    mu = sla.eigh(0.5 * (W + W.T), 0.5 * (N + N.T), eigvals_only=True,
+                  subset_by_index=[0, 0])[0]
+    return dual, alpha, np.sqrt(max(mu, 0.0))
+
+
+def scaled_pair(name, M, variant, scale=1.0):
+    """Interpolant pair with the exact multiplier times ``scale``; from
+    about 10 on the second variation is indefinite on ker B."""
+    spec = named_experiment(name)
+    mesh = Mesh1D.uniform(*spec.interval, M)
+    mats = assemble_matrices(mesh, spec.dim)
+    pair = make_interpolant_pair(
+        spec.exact.oracle, lambda x: scale * spec.exact.multiplier(x),
+        mesh, spec.dim, variant)
+    return pair, variant, spec.bc, mats
+
+
+def banded_brezzi(pair, variant, bc, mats):
+    norms = DiscreteNorms.build(mats, bc, variant)
+    return tuple(f(pair, variant, bc, mats, norms) for f in
+                 (residual_dual_norm, coercivity_estimate, infsup_estimate))
+
+
+class TestBandedBrezziAgainstDense:
+    @pytest.mark.parametrize("M", [10, 20, 40, 80, 160])
+    @pytest.mark.parametrize("variant", [P1, P2], ids=["p1", "p2"])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_matches_dense(self, name, variant, M):
+        args = scaled_pair(name, M, variant)
+        assert_allclose(banded_brezzi(*args), dense_brezzi(*args), rtol=1e-6)
+
+    @pytest.mark.parametrize("M", [20, 80])
+    @pytest.mark.parametrize("scale", [10.0, 30.0])
+    @pytest.mark.parametrize("variant", [P1, P2], ids=["p1", "p2"])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_indefinite_alpha_matches_dense(self, name, variant, scale, M):
+        # the unshifted inverse iteration reports a positive alpha here
+        args = scaled_pair(name, M, variant, scale)
+        expect = dense_brezzi(*args)[1]
+        assert expect < 0.0
+        assert coercivity_estimate(*args) == pytest.approx(expect, rel=1e-6)
+
+    @pytest.mark.parametrize("scale,expect", [(10.0, -2.14621),
+                                              (30.0, -7.27517)])
+    def test_indefinite_circle_value(self, scale, expect):
+        alpha = coercivity_estimate(*scaled_pair("circle", 20, P2, scale))
+        assert round(alpha, 5) == expect
+
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_reruns_are_bit_identical(self, name):
+        pair, variant, bc, mats = scaled_pair(name, 40, P2)
+        norms = DiscreteNorms.build(mats, bc, variant)
+        for estimate in (residual_dual_norm, coercivity_estimate,
+                         infsup_estimate):
+            first = estimate(pair, variant, bc, mats, norms)
+            assert estimate(pair, variant, bc, mats, norms) == first
+
+    def test_each_estimate_factors_its_kkt_once(self, monkeypatch):
+        calls = []
+        factor = saddle_solver.BandedKKT.factor
+
+        def spy(band, *args):
+            calls.append(band)
+            return factor(band, *args)
+
+        monkeypatch.setattr(saddle_solver.BandedKKT, "factor", spy)
+        args = scaled_pair("helix", 40, P2)
+        coercivity_estimate(*args)
+        infsup_estimate(*args)
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_multiplier_field_embedding():

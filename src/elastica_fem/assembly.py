@@ -20,44 +20,31 @@ _QT = (0.5 * (_GAUSS4_T + 1.0)).astype(np.longdouble)
 _QW = (0.5 * _GAUSS4_W).astype(np.longdouble)
 
 
-def _reference_gram(order: int) -> np.ndarray:
-    """4x4 reference Gram of the t-derivatives of the Hermite basis,
-    exact for the polynomial integrands (degree <= 6 vs 4-point Gauss)."""
-    basis = _hermite_reference(_QT.astype(float), order).astype(np.longdouble)
-    return np.einsum("q,aq,bq->ab", _QW, basis, basis)
-
-
 def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
     """(M, 4, 4) longdouble element matrices of the order-th derivative
-    product, with the physical h-scaling of value/derivative DOFs applied."""
-    gram = _reference_gram(order)
+    product, with the physical h-scaling of value/derivative DOFs applied;
+    4-point Gauss is exact for these integrands (degree <= 6)."""
+    basis = _hermite_reference(_QT.astype(float), order).astype(np.longdouble)
+    gram = (basis * _QW) @ basis.T
     h = mesh.element_lengths.astype(np.longdouble)
-    scale = np.ones((h.size, 4), dtype=np.longdouble)
-    scale[:, 1] = h
-    scale[:, 3] = h
+    scale = np.where([False, True, False, True], h[:, None], 1.0)
     blocks = gram[None, :, :] * scale[:, :, None] * scale[:, None, :]
     return blocks * h[:, None, None] ** (1 - 2 * order)
 
 
 def _local_dofs(mesh: Mesh1D, dim: int, dofs: np.ndarray) -> np.ndarray:
-    """(M, 4, dim) per-element DOFs ordered (value_L, deriv_L, value_R, deriv_R)."""
-    arr = np.asarray(dofs).reshape(mesh.nodes.size, 2 * dim)
-    vals, ders = arr[:, :dim], arr[:, dim:]
-    out = np.empty((mesh.num_elements, 4, dim), dtype=arr.dtype)
-    out[:, 0] = vals[:-1]
-    out[:, 1] = ders[:-1]
-    out[:, 2] = vals[1:]
-    out[:, 3] = ders[1:]
-    return out
+    """(M, 4, dim) longdouble element DOFs (value_L, deriv_L, value_R, deriv_R)."""
+    arr = np.asarray(dofs, dtype=np.longdouble).reshape(mesh.nodes.size, 2, dim)
+    return np.concatenate([arr[:-1], arr[1:]], axis=1)
 
 
 @dataclass
 class SystemMatrices:
     """Mass, bending, and first-order matrices of the cubic C1 space.
 
-    Sparse float64 matrices feed the linear solvers; the stored longdouble
-    element blocks provide matrix-vector products and quadratic forms with
-    roundoff far below the stationarity tolerances of the flow tests.
+    Sparse float64 matrices feed the linear solvers.  The forms and S @ u
+    are evaluated in extended precision: mass and gradient from longdouble
+    element blocks, bending from u'' at the element ends.
     """
 
     mesh: Mesh1D
@@ -73,37 +60,67 @@ class SystemMatrices:
         return 2 * self.dim * self.mesh.nodes.size
 
     def _quad(self, key: str, u: np.ndarray, v: Optional[np.ndarray] = None) -> float:
-        blocks = self._blocks[key]
-        ul = _local_dofs(self.mesh, self.dim, np.asarray(u, dtype=np.longdouble))
-        vl = ul if v is None else _local_dofs(self.mesh, self.dim,
-                                              np.asarray(v, dtype=np.longdouble))
-        return float(np.einsum("ead,eab,ebd->", ul, blocks, vl))
+        ul = _local_dofs(self.mesh, self.dim, u)
+        vl = ul if v is None else _local_dofs(self.mesh, self.dim, v)
+        return float(np.sum(ul * (self._blocks[key] @ vl)))
 
-    def _apply(self, key: str, u: np.ndarray) -> np.ndarray:
-        blocks = self._blocks[key]
-        ul = _local_dofs(self.mesh, self.dim, np.asarray(u, dtype=np.longdouble))
-        contrib = np.einsum("eab,ebd->ead", blocks, ul)
-        n = self.mesh.nodes.size
-        out = np.zeros((n, 2 * self.dim), dtype=np.longdouble)
-        out[:-1, :self.dim] += contrib[:, 0]
-        out[:-1, self.dim:] += contrib[:, 1]
-        out[1:, :self.dim] += contrib[:, 2]
-        out[1:, self.dim:] += contrib[:, 3]
+    def _bending_scales(self):
+        """Per element: the rows of a and b over (delta, d_L, d_R), 1/h, h/3."""
+        def build():
+            h = self.mesh.element_lengths.astype(np.longdouble)[:, None]
+            rows = np.hstack([1.0 / h**2, 1.0 / h, 1.0 / h])[:, None, :]
+            return np.array([[6, -4, -2], [-6, 2, 4]]) * rows, 1.0 / h, h / 3.0
+        return self.cached("bending_scales", build)
+
+    def _curvature_ends(self, u: np.ndarray):
+        """(a, b): u'' at the left and right end of every element, (..., M,
+        dim) longdouble each for stacked DOF vectors: a = 6 delta/h^2 - (4 d_L
+        + 2 d_R)/h, b = -6 delta/h^2 + (2 d_L + 4 d_R)/h, delta = v_R - v_L.
+        Their O(1/h) terms cancel here, not as 12/h^3 terms of the blocks."""
+        u = np.asarray(u, dtype=np.longdouble)
+        w = u.reshape(u.shape[:-1] + (self.mesh.nodes.size, 2, self.dim))
+        x = np.concatenate([w[..., 1:, :1, :] - w[..., :-1, :1, :],   # delta
+                            w[..., :-1, 1:, :], w[..., 1:, 1:, :]], axis=-2)
+        ends = self._bending_scales()[0] @ x
+        return ends[..., 0, :], ends[..., 1, :]
+
+    def _bending_load(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """S @ u: -+(a - b)/h on the value rows, -a and +b on the derivative rows."""
+        shear = self._bending_scales()[1] * (a - b)
+        out = np.zeros((self.mesh.nodes.size, 2, self.dim), dtype=np.longdouble)
+        out[1:] = np.stack([shear, b], axis=1)
+        out[:-1] -= np.stack([shear, a], axis=1)
         return out.ravel().astype(float)
 
     def apply_bending(self, u: np.ndarray) -> np.ndarray:
-        """S @ u, accumulated elementwise in extended precision."""
-        return self._apply("bending", u)
+        """S @ u, from u'' at the element ends in extended precision."""
+        return self._bending_load(*self._curvature_ends(u))
 
     def quad_bending(self, u, v=None) -> float:
-        """u^T S v (v defaults to u)."""
-        return self._quad("bending", u, v)
+        """u^T S v (v defaults to u): the sum of h/3 (a c + (a e + b c)/2
+        + b e) over elements, (a, b) and (c, e) the end values of u'', v''."""
+        h3 = self._bending_scales()[2]
+        if v is None:
+            a, b = self._curvature_ends(u)
+            return float(np.sum(h3 * (a * a + a * b + b * b)))
+        (a, c), (b, e) = self._curvature_ends(np.stack([u, v]))
+        return float(np.sum(h3 * (a * c + 0.5 * (a * e + b * c) + b * e)))
 
     def quad_mass(self, u, v=None) -> float:
         return self._quad("mass", u, v)
 
     def quad_gradient(self, u, v=None) -> float:
         return self._quad("gradient", u, v)
+
+    def step_forms(self, v: np.ndarray, z: np.ndarray):
+        """(v^T M v, v^T S v, z^T S z / 2, S @ z) in one pass over the pair:
+        a flow step's velocity forms, new energy and next right-hand side."""
+        w = np.stack([v, z]).astype(np.longdouble)
+        a, b = self._curvature_ends(w)
+        sq = np.sum(self._bending_scales()[2] * (a * a + a * b + b * b),
+                    axis=(1, 2))
+        return (self._quad("mass", w[0]), float(sq[0]), 0.5 * float(sq[1]),
+                self._bending_load(a[1], b[1]))
 
     def cached(self, key, build):
         """``build()``, called on the first use of ``key`` and kept with
@@ -135,7 +152,8 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
     blocks = {}
     for key, order in (("mass", 0), ("gradient", 1), ("bending", 2)):
         blk = _element_blocks(mesh, order)
-        blocks[key] = blk
+        if key != "bending":    # the bending forms use u'' at the ends
+            blocks[key] = blk
         a = sp.coo_matrix((blk.astype(float).ravel(), (rows, cols)),
                           shape=(n_scalar, n_scalar)).tocsr()
         a = 0.5 * (a + a.T)

@@ -302,6 +302,8 @@ class DiscreteNorms:
     @classmethod
     def build(cls, matrices: SystemMatrices, bc: BoundaryConditions,
               variant: ConstraintVariant) -> "DiscreteNorms":
+        if matrices.mesh.constraint_nodes(variant).size <= 2:
+            raise ValueError("the multiplier space is empty")
         gram = _pattern(matrices, variant, bc).restrict(
             matrices.mass + matrices.gradient + matrices.bending)
         return cls(gram, sla.cholesky_banded(_upper_band(gram)),

@@ -75,6 +75,16 @@ class TestAnalyticSeminorms:
             assert ex.unit_speed_error(mesh) <= 1e-12
 
 
+def exact_second(name):
+    """u'' of the circle or helix exact solution."""
+    if name == "circle":
+        return lambda x: np.stack([-np.cos(x), -np.sin(x)], axis=-1)
+    lp = np.pi / np.sqrt(np.pi**2 + 1.0)
+    return lambda x: np.stack([-lp**2 * np.cos(lp * x),
+                               -lp**2 * np.sin(lp * x), np.zeros_like(x)],
+                              axis=-1)
+
+
 class TestH2Error:
     def test_exact_cubic_gives_zero(self, rng):
         # u a vector cubic polynomial: representable exactly on any mesh
@@ -101,15 +111,21 @@ class TestH2Error:
         mats = assemble_matrices(mesh, spec.dim)
         Z = interp_hermite(ex.oracle, mesh, spec.dim)
         formula = h2_error(Z, ex, mats)
-        if name == "circle":
-            second = lambda x: np.stack([-np.cos(x), -np.sin(x)], axis=-1)
-        else:
-            lp = np.pi / np.sqrt(np.pi**2 + 1.0)
-            second = lambda x: np.stack(
-                [-lp**2 * np.cos(lp * x), -lp**2 * np.sin(lp * x),
-                 np.zeros_like(x)], axis=-1)
-        direct = quadrature_error(Z, second, order=2, points=10)
+        direct = quadrature_error(Z, exact_second(name), order=2, points=10)
         assert formula == pytest.approx(direct, rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_j3_error_at_fine_mesh(self, name, recwarn):
+        # the squared error (~5e-12) is the difference of O(1) forms, so it
+        # needs forms accurate to far below 1e-12 relative
+        spec = named_experiment(name)
+        mesh = Mesh1D.uniform(*spec.interval, 1280)
+        start = spec.exact.oracle.value(np.array([mesh.a])).reshape(spec.dim)
+        Z = interp_j3(start, spec.exact.oracle.deriv, mesh, spec.dim)
+        formula = h2_error(Z, spec.exact, assemble_matrices(mesh, spec.dim))
+        assert not [w for w in recwarn if "clamped" in str(w.message)]
+        direct = quadrature_error(Z, exact_second(name), order=2)
+        assert formula == pytest.approx(direct, rel=1e-3)
 
     def test_cancellation_clamp_warns(self):
         # an understated analytic seminorm drives the identity negative

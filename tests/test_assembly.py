@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,8 +11,9 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           HermiteCurve, Mesh1D, assemble_constraint,
                           assemble_matrices, bending_energy, interp_j3, run)
 from elastica_fem.assembly import constraint_pattern, derivative_map
-from elastica_fem.experiments import circle_initial, helix_initial, HELIX_FREQ
-from elastica_fem.splines import QuadraticField
+from elastica_fem.experiments import (HELIX_FREQ, circle_initial,
+                                      helix_initial, named_experiment)
+from elastica_fem.splines import QuadraticField, interp_hermite
 from elastica_fem.stationary import multiplier_dofs
 
 from conftest import random_graded_mesh
@@ -111,6 +114,71 @@ class TestSystemMatrices:
         assert mats.quad_mass(u) == pytest.approx(u @ (mats.mass @ u), rel=1e-11)
         assert_allclose(mats.apply_bending(u), mats.bending @ u,
                         atol=1e-8 * max(1.0, np.abs(mats.bending @ u).max()))
+
+
+# the classical beam element matrix: entry (i, j) times h^(p_i + p_j - 3),
+# with p = 1 on the derivative DOFs (1, 3) and 0 on the value DOFs
+BEAM = [[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]]
+
+
+def exact_sum(terms) -> float:
+    """The sum of Fractions rounded once to float: pairwise over unreduced
+    (numerator, denominator) pairs, which skips the gcd of every step."""
+    items = [(t.numerator, t.denominator) for t in terms]
+    while len(items) > 1:
+        items = [(p * s + r * q, q * s) for (p, q), (r, s)
+                 in zip(items[::2], items[1::2])] + items[len(items) & ~1:]
+    p, q = items[0]
+    return p / q    # int / int rounds correctly
+
+
+def rational_bending(mesh, dim, u, v):
+    """(u^T S u, u^T S v, S u) in rational arithmetic on the float64 DOFs
+    and element lengths, each rounded once to float."""
+    U, V = (np.asarray(w).reshape(mesh.nodes.size, 2, dim) for w in (u, v))
+    Su = [[[Fraction(0)] * dim for _ in range(2)] for _ in mesh.nodes]
+    uu, uv = [], []
+    for e, h in enumerate(mesh.element_lengths):
+        h = Fraction(h)
+        K = [[BEAM[i][j] * h ** (i % 2 + j % 2) / h**3 for j in range(4)]
+             for i in range(4)]
+        for c in range(dim):
+            ul, vl = ([Fraction(W[e + i // 2, i % 2, c]) for i in range(4)]
+                      for W in (U, V))
+            Ku = [sum(K[i][j] * ul[j] for j in range(4)) for i in range(4)]
+            uu.append(sum(x * y for x, y in zip(ul, Ku)))
+            uv.append(sum(x * y for x, y in zip(vl, Ku)))
+            for i in range(4):
+                Su[e + i // 2][i % 2][c] += Ku[i]
+    return exact_sum(uu), exact_sum(uv), np.array(
+        [[[float(x) for x in row] for row in node] for node in Su]).ravel()
+
+
+class TestExactBendingForms:
+    """The bending forms against rational arithmetic on the same float64
+    inputs.  A j3 curve's u'' is O(1), while an element block holds terms
+    of size 12/h^3; forms summed from those miss these bounds by one to
+    four orders of magnitude."""
+
+    @pytest.mark.parametrize("name, M, graded", [
+        ("circle", 1280, False), ("circle", 320, True), ("helix", 320, True)])
+    def test_j3_curve(self, rng, name, M, graded):
+        spec = named_experiment(name)
+        a, b = spec.interval
+        if graded:
+            nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.4, M))])
+            mesh = Mesh1D(a + (b - a) * nodes / nodes[-1])
+        else:
+            mesh = Mesh1D.uniform(a, b, M)
+        mats = assemble_matrices(mesh, spec.dim)
+        u = interp_j3(spec.z0.value(np.array([a])).reshape(spec.dim),
+                      spec.z0.deriv, mesh, spec.dim).dofs
+        v = interp_hermite(spec.exact.oracle, mesh, spec.dim).dofs
+        uu, uv, Su = rational_bending(mesh, spec.dim, u, v)
+        assert abs(mats.quad_bending(u) - uu) <= 1e-15 * uu
+        assert abs(mats.quad_bending(u, v) - uv) <= 1e-15 * abs(uv)
+        assert np.abs(mats.apply_bending(u) - Su).max() \
+            <= 1e-12 * np.abs(Su).max()
 
 
 class TestBendingEnergy:

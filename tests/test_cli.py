@@ -221,6 +221,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "FAILED row: M=   8" in err and str(error) in err
 
+    def test_diagnostics_empty_multiplier_space(self, tmp_path, capsys):
+        # P1 at M=1 has no interior constraint node
+        code = console_main(["diagnostics", "circle", "--constraint", "p1",
+                             "-M", "1,2", "--output-dir", str(tmp_path)])
+        assert code == 1
+        rows = [line.split(",") for line in
+                (tmp_path / "diagnostics_circle_p1.csv").read_text()
+                .strip().splitlines()]
+        assert [r[0] for r in rows] == ["1", "2"]
+        assert rows[0][2:5] == ["FAILED"] * 3
+        assert "FAILED" not in rows[1] and float(rows[1][4]) > 0.0
+        err = capsys.readouterr().err
+        assert "FAILED row: M=   1" in err and "multiplier space is empty" in err
+
     def test_diagnostics_fine_meshes(self, tmp_path):
         # the Brezzi constants stay put under refinement up to M=1280
         sizes = [10, 20, 40, 80, 160, 320, 640, 1280]

@@ -1,5 +1,6 @@
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,22 @@ class TestStep:
             + 1e-12 * max(1.0, state.energy)
         assert new.max_identity_violation <= 1e-12
         assert new.max_constraint_residual <= 1e-10
+
+    def test_step_carries_the_next_right_hand_side(self):
+        mesh = Mesh1D.uniform(0.0, 4.0 * np.pi, 12)
+        mats = assemble_matrices(mesh, 2)
+        cfg = FlowConfig(tau=0.05, T=0.1, constraint=P2, bc=circle_bc())
+        state = init_state(oval_initial(), mesh, 2, P2, "j3", mats)
+        assert state.bending_load is None
+        new = step(state, cfg, mats)
+        assert np.array_equal(new.bending_load,
+                              mats.apply_bending(new.curve.dofs))
+        assert new.energy == pytest.approx(
+            0.5 * mats.quad_bending(new.curve.dofs), rel=1e-15)
+        # a state without the load computes it and takes the same step
+        again = step(replace(new, bending_load=None), cfg, mats)
+        assert np.array_equal(step(new, cfg, mats).curve.dofs,
+                              again.curve.dofs)
 
 
 class TestRun:
@@ -338,6 +355,20 @@ class TestStepStructure:
                        spec.dim, initializer=spec.initializer)
         assert state.n == steps
         assert state.max_constraint_residual <= 1e-12
+
+
+    @pytest.mark.parametrize("name, tau, steps", [
+        ("circle", 0.1, 2), ("helix", 0.1, 2), ("oval-h2", 1.0 / 200.0, 3)])
+    def test_fine_mesh_energy_identity(self, name, tau, steps):
+        # the identity compares O(1) energies, so its defect shows the
+        # roundoff of the bending forms, whose terms grow like 1/h^3
+        spec = named_experiment(name)
+        cfg = FlowConfig(tau=tau, T=steps * tau, variant="l2",
+                         constraint=spec.constraint, bc=spec.bc)
+        state, _ = run(cfg, Mesh1D.uniform(*spec.interval, 1280), spec.z0,
+                       spec.dim, initializer=spec.initializer)
+        assert state.n == steps
+        assert state.max_identity_violation <= 1e-12
 
 
 def test_snapshots_and_trajectory_dump(tmp_path):

@@ -8,9 +8,9 @@ from .splines import (FunctionOracle, HermiteCurve, QuadraticField,
                       interp_quadratic, lumped_product, lumped_weights,
                       unit_speed_violation)
 from .assembly import (BoundaryConditions, SystemMatrices,
-                       assemble_constraint, assemble_matrices, bending_energy)
+                       assemble_constraint, assemble_matrices)
 from .saddle_solver import (KKTSingularError, SaddleSystem, SchurSolver,
-                            kkt_residual, solve_kkt)
+                            solve_kkt)
 from .flow import (FlowConfig, FlowSolveError, FlowState, dump_trajectory,
                    init_state, run, step)
 from .analysis import (ExactSolution, eoc, fit_rate, h2_error, linf_error,
@@ -20,7 +20,6 @@ from .stationary import (DiscreteNorms, NewtonError, SaddlePoint,
                          make_interpolant_pair, multiplier_dofs,
                          multiplier_field, newton_solve, residual,
                          residual_dual_norm)
-from .stationary import jacobian as stationary_jacobian
 from .experiments import (ExperimentSpec, ExperimentTable, emit_csv,
                           named_experiment, run_experiment,
                           stationarity_check)
@@ -34,13 +33,13 @@ __all__ = [
     "HermiteCurve", "KKTSingularError", "Mesh1D", "NewtonError",
     "QuadraticField", "SaddlePoint", "SaddleSystem", "SchurSolver",
     "SystemMatrices", "assemble_constraint", "assemble_matrices",
-    "bending_energy", "coercivity_estimate", "dump_trajectory", "emit_csv",
+    "coercivity_estimate", "dump_trajectory", "emit_csv",
     "eoc", "fit_rate", "h2_error", "infsup_estimate", "init_state",
     "interp_hermite", "interp_j2", "interp_j3", "interp_linear",
-    "interp_quadratic", "kkt_residual", "linf_error", "lumped_product",
+    "interp_quadratic", "linf_error", "lumped_product",
     "lumped_weights", "make_interpolant_pair", "multiplier_dofs",
     "multiplier_field", "named_experiment", "newton_solve",
     "quadrature_error", "residual", "residual_dual_norm", "run",
     "run_experiment", "solve_kkt", "stationarity_check",
-    "stationary_jacobian", "step", "unit_speed_violation", "weak_errors",
+    "step", "unit_speed_violation", "weak_errors",
 ]

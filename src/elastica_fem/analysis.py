@@ -9,7 +9,6 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .assembly import SystemMatrices
-from .mesh import Mesh1D
 from .splines import FunctionOracle, HermiteCurve, interp_hermite
 
 _CLAMP_WARN = -1e-12  # squared errors below this trigger a cancellation warning
@@ -24,16 +23,6 @@ class ExactSolution:
     h2_seminorm_sq: float
     multiplier: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
-
-    def unit_speed_error(self, mesh: Mesh1D, samples_per_element: int = 7) -> float:
-        """max | |u'|^2 - 1 | over a sample grid; exact solutions must be
-        arc-length parameterized."""
-        t = np.linspace(0.0, 1.0, samples_per_element)
-        x = (mesh.nodes[:-1, None] + np.outer(mesh.element_lengths, t)).ravel()
-        d = np.atleast_2d(np.asarray(self.oracle.deriv(x), dtype=float))
-        if d.ndim == 1:
-            d = d[:, None]
-        return float(np.abs(np.einsum("nd,nd->n", d, d) - 1.0).max())
 
 
 def h2_error(Z: HermiteCurve, exact: ExactSolution,

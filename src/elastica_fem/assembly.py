@@ -12,10 +12,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import ConstraintVariant, Mesh1D
-from .splines import HermiteCurve, _hermite_reference
+from .splines import HermiteCurve, QuadraticField, _hermite_reference
 
 _GAUSS4_T, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
-# mapped to [0,1]; longdouble so elementwise quadratic forms keep ~19 digits
+# mapped to [0,1]; longdouble for the element matrices (see _element_blocks)
 _QT = (0.5 * (_GAUSS4_T + 1.0)).astype(np.longdouble)
 _QW = (0.5 * _GAUSS4_W).astype(np.longdouble)
 
@@ -23,7 +23,11 @@ _QW = (0.5 * _GAUSS4_W).astype(np.longdouble)
 def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
     """(M, 4, 4) longdouble element matrices of the order-th derivative
     product, with the physical h-scaling of value/derivative DOFs applied;
-    4-point Gauss is exact for these integrands (degree <= 6)."""
+    4-point Gauss is exact for these integrands (degree <= 6).
+
+    They only build the CSR matrices.  In longdouble, entries that are 0 in
+    exact arithmetic round to exact zeros, which keeps them out of the CSR
+    pattern (bending at M=5, d=1: 56 nonzeros, 64 if built in float64)."""
     basis = _hermite_reference(_QT.astype(float), order).astype(np.longdouble)
     gram = (basis * _QW) @ basis.T
     h = mesh.element_lengths.astype(np.longdouble)
@@ -32,19 +36,14 @@ def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
     return blocks * h[:, None, None] ** (1 - 2 * order)
 
 
-def _local_dofs(mesh: Mesh1D, dim: int, dofs: np.ndarray) -> np.ndarray:
-    """(M, 4, dim) longdouble element DOFs (value_L, deriv_L, value_R, deriv_R)."""
-    arr = np.asarray(dofs, dtype=np.longdouble).reshape(mesh.nodes.size, 2, dim)
-    return np.concatenate([arr[:-1], arr[1:]], axis=1)
-
-
 @dataclass
 class SystemMatrices:
     """Mass, bending, and first-order matrices of the cubic C1 space.
 
-    Sparse float64 matrices feed the linear solvers.  The forms and S @ u
-    are evaluated in extended precision: mass and gradient from longdouble
-    element blocks, bending from u'' at the element ends.
+    Sparse float64 matrices feed the linear solvers and the mass form, whose
+    entries do not cancel.  The other forms come from derivatives of u, not
+    from the cancelling O(1/h^k) entries: H1 from u' at the P2 constraint
+    nodes, bending and S @ u from u'' at the element ends in longdouble.
     """
 
     mesh: Mesh1D
@@ -52,17 +51,11 @@ class SystemMatrices:
     mass: sp.csr_matrix
     bending: sp.csr_matrix
     gradient: sp.csr_matrix
-    _blocks: dict = field(repr=False, default_factory=dict)
     _cache: dict = field(repr=False, default_factory=dict)
 
     @property
     def num_dofs(self) -> int:
         return 2 * self.dim * self.mesh.nodes.size
-
-    def _quad(self, key: str, u: np.ndarray, v: Optional[np.ndarray] = None) -> float:
-        ul = _local_dofs(self.mesh, self.dim, u)
-        vl = ul if v is None else _local_dofs(self.mesh, self.dim, v)
-        return float(np.sum(ul * (self._blocks[key] @ vl)))
 
     def _bending_scales(self):
         """Per element: the rows of a and b over (delta, d_L, d_R), 1/h, h/3."""
@@ -106,20 +99,23 @@ class SystemMatrices:
         (a, c), (b, e) = self._curvature_ends(np.stack([u, v]))
         return float(np.sum(h3 * (a * c + 0.5 * (a * e + b * c) + b * e)))
 
-    def quad_mass(self, u, v=None) -> float:
-        return self._quad("mass", u, v)
+    def quad_mass(self, u) -> float:
+        return float(u @ (self.mass @ u))
 
-    def quad_gradient(self, u, v=None) -> float:
-        return self._quad("gradient", u, v)
+    def quad_gradient(self, u) -> float:
+        """The integral of |u'|^2, exact from the quadratic u' at the P2
+        constraint nodes; u^T G u would sum G's cancelling O(1/h) entries."""
+        d = HermiteCurve.from_dofs(self.mesh, self.dim, u) \
+            .derivative_at_constraint_nodes(ConstraintVariant.P2)
+        return QuadraticField(self.mesh, self.dim, d).l2_norm_sq()
 
     def step_forms(self, v: np.ndarray, z: np.ndarray):
         """(v^T M v, v^T S v, z^T S z / 2, S @ z) in one pass over the pair:
         a flow step's velocity forms, new energy and next right-hand side."""
-        w = np.stack([v, z]).astype(np.longdouble)
-        a, b = self._curvature_ends(w)
+        a, b = self._curvature_ends(np.stack([v, z]))
         sq = np.sum(self._bending_scales()[2] * (a * a + a * b + b * b),
                     axis=(1, 2))
-        return (self._quad("mass", w[0]), float(sq[0]), 0.5 * float(sq[1]),
+        return (float(v @ (self.mass @ v)), float(sq[0]), 0.5 * float(sq[1]),
                 self._bending_load(a[1], b[1]))
 
     def cached(self, key, build):
@@ -149,11 +145,8 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
     cols = np.tile(local, (1, 4)).ravel()
 
     mats = {}
-    blocks = {}
     for key, order in (("mass", 0), ("gradient", 1), ("bending", 2)):
         blk = _element_blocks(mesh, order)
-        if key != "bending":    # the bending forms use u'' at the ends
-            blocks[key] = blk
         a = sp.coo_matrix((blk.astype(float).ravel(), (rows, cols)),
                           shape=(n_scalar, n_scalar)).tocsr()
         a = 0.5 * (a + a.T)
@@ -161,12 +154,7 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
             a = sp.kron(a, sp.eye(dim), format="csr")
         mats[key] = a.tocsr()
     return SystemMatrices(mesh, dim, mats["mass"], mats["bending"],
-                          mats["gradient"], blocks)
-
-
-def bending_energy(curve: HermiteCurve, matrices: SystemMatrices) -> float:
-    """One half of the integral of |u''|^2; zero exactly for affine curves."""
-    return 0.5 * matrices.quad_bending(curve.dofs)
+                          mats["gradient"])
 
 
 def derivative_map(mesh: Mesh1D, dim: int,
@@ -270,10 +258,6 @@ class BoundaryConditions:
             (np.ones(kept.sum()), np.searchsorted(reduced, source[kept]),
              np.concatenate([[0], np.cumsum(kept)])),
             shape=(n, reduced.size))
-
-    def fixed_dof_indices(self, mesh: Mesh1D, dim: int) -> np.ndarray:
-        """Indices of DOFs pinned by endpoint conditions (empty if periodic)."""
-        return np.flatnonzero(np.diff(self.restriction(mesh, dim).indptr) == 0)
 
     def validate_initial(self, curve: HermiteCurve) -> None:
         """Check the initial curve against the targets.

@@ -45,7 +45,6 @@ class FlowConfig:
     variant: str = "l2"                      # "l2" or "h2"
     constraint: ConstraintVariant = ConstraintVariant.P2
     bc: BoundaryConditions = None
-    stationarity_tol: float = 0.0            # 0 disables early stopping
 
     def __post_init__(self):
         if self.tau <= 0.0:
@@ -207,8 +206,7 @@ def run(config: FlowConfig, mesh: Mesh1D, z0: FunctionOracle, dim: int,
         initializer: str = "j3", matrices: Optional[SystemMatrices] = None,
         snapshot_stride: int = 0
         ) -> Tuple[FlowState, List[Tuple[int, HermiteCurve]]]:
-    """Run the flow for round(T/tau) steps (or until the velocity norm drops
-    below ``stationarity_tol`` when that is positive).
+    """Run the flow for round(T/tau) steps.
 
     Returns the final state and, for a positive ``snapshot_stride``, the list
     of (step index, curve) snapshots including the initial curve.
@@ -227,10 +225,7 @@ def run(config: FlowConfig, mesh: Mesh1D, z0: FunctionOracle, dim: int,
         state = step(state, config, matrices, structure=structure)
         if snapshot_stride > 0 and state.n % snapshot_stride == 0:
             snapshots.append((state.n, state.curve))
-        if config.stationarity_tol > 0.0 and \
-                state.last_velocity_norm <= config.stationarity_tol:
-            break
-    if snapshot_stride > 0 and (not snapshots or snapshots[-1][0] != state.n):
+    if snapshot_stride > 0 and snapshots[-1][0] != state.n:
         snapshots.append((state.n, state.curve))
     return state, snapshots
 

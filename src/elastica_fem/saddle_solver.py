@@ -72,14 +72,8 @@ _PIVOT_TOL = 1e-12   # relative pivot threshold flagging rank deficiency
 _BACKWARD_TOL = 1e-14   # largest normwise backward error of a solve
 
 
-def kkt_residual(system: SaddleSystem, x: np.ndarray, lam: np.ndarray
-                 ) -> Tuple[float, float]:
-    """Norms of A x + B^T lam - rhs_top and B x - rhs_bottom."""
-    return _residual(system.A, system.B, x, lam, system.rhs_top,
-                     system.rhs_bottom)
-
-
 def _residual(A, B, x, lam, rhs_top, rhs_bottom) -> Tuple[float, float]:
+    """Norms of A x + B^T lam - rhs_top and B x - rhs_bottom."""
     # B^T lam accumulated entry by entry in B's order, as a CSC product
     # would, without the cost of forming the transpose
     bt_lam = np.bincount(B.indices, B.data * np.repeat(lam, np.diff(B.indptr)),

@@ -192,10 +192,6 @@ class QuadraticField:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def midpoint_values(self) -> np.ndarray:
-        return self.values[1::2]
-
     def eval(self, x, order: int = 0) -> np.ndarray:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         side = "right" if order == 0 else "left"

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           HermiteCurve, Mesh1D, assemble_constraint,
-                          assemble_matrices, bending_energy, interp_j3, run)
+                          assemble_matrices, interp_j3, run)
 from elastica_fem.assembly import constraint_pattern, derivative_map
 from elastica_fem.experiments import (HELIX_FREQ, circle_initial,
                                       helix_initial, named_experiment)
@@ -112,13 +112,22 @@ class TestSystemMatrices:
         assert mats.quad_bending(u, v) == pytest.approx(u @ (mats.bending @ v),
                                                         rel=1e-9, abs=1e-9)
         assert mats.quad_mass(u) == pytest.approx(u @ (mats.mass @ u), rel=1e-11)
+        assert mats.quad_gradient(u) == pytest.approx(
+            u @ (mats.gradient @ u), rel=1e-11)
         assert_allclose(mats.apply_bending(u), mats.bending @ u,
                         atol=1e-8 * max(1.0, np.abs(mats.bending @ u).max()))
 
 
-# the classical beam element matrix: entry (i, j) times h^(p_i + p_j - 3),
-# with p = 1 on the derivative DOFs (1, 3) and 0 on the value DOFs
-BEAM = [[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]]
+# the Hermite element matrices as (table, k): entry (i, j) is table[i][j]
+# times h^(p_i + p_j + k), with p = 1 on the derivative DOFs (1, 3) and 0 on
+# the value DOFs; mass, H1 and the classical beam element
+MASS = ([[Fraction(x, 420) for x in row] for row in
+         [[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22],
+          [-13, -3, -22, 4]]], 1)
+GRAD = ([[Fraction(x, 30) for x in row] for row in
+         [[36, 3, -36, 3], [3, 4, -3, -1], [-36, -3, 36, -3], [3, -1, -3, 4]]],
+        -1)
+BEAM = ([[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]], -3)
 
 
 def exact_sum(terms) -> float:
@@ -132,15 +141,17 @@ def exact_sum(terms) -> float:
     return p / q    # int / int rounds correctly
 
 
-def rational_bending(mesh, dim, u, v):
-    """(u^T S u, u^T S v, S u) in rational arithmetic on the float64 DOFs
-    and element lengths, each rounded once to float."""
+def rational_forms(mesh, dim, element, u, v):
+    """(u^T K u, u^T K v, K u) in rational arithmetic on the float64 DOFs
+    and element lengths, each rounded once to float, for K assembled from
+    ``element``, one of MASS, GRAD and BEAM."""
+    table, k = element
     U, V = (np.asarray(w).reshape(mesh.nodes.size, 2, dim) for w in (u, v))
     Su = [[[Fraction(0)] * dim for _ in range(2)] for _ in mesh.nodes]
     uu, uv = [], []
     for e, h in enumerate(mesh.element_lengths):
-        h = Fraction(h)
-        K = [[BEAM[i][j] * h ** (i % 2 + j % 2) / h**3 for j in range(4)]
+        hk = [Fraction(h) ** (k + p) for p in range(3)]
+        K = [[table[i][j] * hk[i % 2 + j % 2] for j in range(4)]
              for i in range(4)]
         for c in range(dim):
             ul, vl = ([Fraction(W[e + i // 2, i % 2, c]) for i in range(4)]
@@ -155,10 +166,11 @@ def rational_bending(mesh, dim, u, v):
 
 
 class TestExactBendingForms:
-    """The bending forms against rational arithmetic on the same float64
-    inputs.  A j3 curve's u'' is O(1), while an element block holds terms
-    of size 12/h^3; forms summed from those miss these bounds by one to
-    four orders of magnitude."""
+    """The forms against rational arithmetic on the same float64 inputs.
+    A j3 curve's u'' is O(1), while an element block holds terms of size
+    12/h^3; forms summed from those miss these bounds by one to four orders
+    of magnitude.  The H1 form summed from the O(1/h) entries of
+    ``gradient`` misses them by a factor of up to 600 at M=1280."""
 
     @pytest.mark.parametrize("name, M, graded", [
         ("circle", 1280, False), ("circle", 320, True), ("helix", 320, True)])
@@ -174,11 +186,17 @@ class TestExactBendingForms:
         u = interp_j3(spec.z0.value(np.array([a])).reshape(spec.dim),
                       spec.z0.deriv, mesh, spec.dim).dofs
         v = interp_hermite(spec.exact.oracle, mesh, spec.dim).dofs
-        uu, uv, Su = rational_bending(mesh, spec.dim, u, v)
+        uu, uv, Su = rational_forms(mesh, spec.dim, BEAM, u, v)
         assert abs(mats.quad_bending(u) - uu) <= 1e-15 * uu
         assert abs(mats.quad_bending(u, v) - uv) <= 1e-15 * abs(uv)
         assert np.abs(mats.apply_bending(u) - Su).max() \
             <= 1e-12 * np.abs(Su).max()
+        # the interpolation error e = I_h u_exact - u as well as u itself
+        for w in (u, v - u):
+            for quad, element in ((mats.quad_mass, MASS),
+                                  (mats.quad_gradient, GRAD)):
+                exact = rational_forms(mesh, spec.dim, element, w, w)[0]
+                assert abs(quad(w) - exact) <= 1e-15 * exact
 
 
 class TestBendingEnergy:
@@ -188,7 +206,8 @@ class TestBendingEnergy:
         vals = np.stack([mesh.nodes, np.zeros(4)], axis=1)
         derivs = np.tile([1.0, 0.0], (4, 1))
         curve = HermiteCurve(mesh, 2, vals, derivs)
-        assert bending_energy(curve, mats) == pytest.approx(0.0, abs=1e-14)
+        assert 0.5 * mats.quad_bending(curve.dofs) == pytest.approx(
+            0.0, abs=1e-14)
 
     def test_circle_energy_second_order(self):
         z0 = circle_initial()
@@ -197,7 +216,7 @@ class TestBendingEnergy:
             mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
             mats = assemble_matrices(mesh, 2)
             curve = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
-            errs.append(abs(bending_energy(curve, mats) - np.pi))
+            errs.append(abs(0.5 * mats.quad_bending(curve.dofs) - np.pi))
         assert errs[0] < 0.06
         assert errs[1] / errs[0] < 0.35 and errs[2] / errs[1] < 0.35
 
@@ -208,7 +227,7 @@ class TestBendingEnergy:
         mesh = Mesh1D.uniform(0.0, length, 40)
         mats = assemble_matrices(mesh, 3)
         curve = interp_j3(z0.value(np.array([0.0]))[0], z0.deriv, mesh, 3)
-        assert bending_energy(curve, mats) == pytest.approx(target, rel=2e-4)
+        assert 0.5 * mats.quad_bending(curve.dofs) == pytest.approx(target, rel=2e-4)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -378,7 +397,7 @@ class TestConstraintMatrix:
                  (BoundaryConditions.free(), 0)]
         for bc, num_fixed in cases:
             P = bc.restriction(mesh, dim)
-            fixed = bc.fixed_dof_indices(mesh, dim)
+            fixed = np.flatnonzero(np.diff(P.indptr) == 0)
             assert fixed.size == num_fixed
             free = np.setdiff1d(np.arange(P.shape[0]), fixed)
             for _ in range(3):

@@ -117,6 +117,20 @@ class TestRunExperiment:
         col = table.column("newton:h2")
         assert all(1.7 <= r <= 2.3 for r in col.eocs[1:])
 
+    @pytest.mark.parametrize("constraint, rate", [(P1, 1.0), (P2, 2.0)])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_newton_rate_at_eight_levels(self, name, constraint, rate):
+        # quasi-optimality from M=10 to M=1280.  Circle P2 at M=1280 accepts
+        # its start after 0 iterations (start residual below the roundoff
+        # floor of the tol), so that level measures the interpolant.
+        spec = named_experiment(name, constraint=constraint,
+                                flow_variant="newton",
+                                mesh_sizes=[10 * 2**k for k in range(8)])
+        table = run_experiment(spec)
+        assert table.ok, table.failures
+        eocs = table.column("newton:h2").eocs[1:]
+        assert all(abs(r - rate) <= 0.01 for r in eocs), eocs
+
     def test_failed_cell_marked(self):
         # H2 flow with periodic conditions has a singular system: every cell
         # fails but the table is still produced

@@ -145,7 +145,7 @@ class TestRun:
         cfg = FlowConfig(tau=0.05, T=1.0, variant="l2", constraint=P2, bc=bc)
         init = init_state(oval_initial(), mesh, 2, P2, "j3", mats)
         state, _ = run(cfg, mesh, oval_initial(), 2, matrices=mats)
-        fixed = bc.fixed_dof_indices(mesh, 2)
+        fixed = np.flatnonzero(np.diff(bc.restriction(mesh, 2).indptr) == 0)
         # bitwise equality, not approximate
         assert np.array_equal(state.curve.dofs[fixed], init.curve.dofs[fixed])
         assert state.energy < init.energy
@@ -162,13 +162,6 @@ class TestRun:
             violations.append(state.constraint_violation)
         assert violations[1] < violations[0]
         assert violations[2] < violations[1]
-
-    def test_early_stop(self):
-        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 12)
-        cfg = FlowConfig(tau=0.1, T=50.0, constraint=P2, bc=circle_bc(),
-                         stationarity_tol=1e-8)
-        state, _ = run(cfg, mesh, circle_initial(), 2)
-        assert state.n == 1  # stationary initializer stops immediately
 
     def test_h2_flow_periodic_is_singular(self):
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 8)
@@ -276,7 +269,8 @@ class TestStepStructure:
 
     def test_eliminated_dofs_keep_uncoupled_rows(self):
         system, structure, _, mats = _flow_kkt("circle", P2, "clamped", 5)
-        fixed = named_experiment("circle").bc.fixed_dof_indices(mats.mesh, 2)
+        P = named_experiment("circle").bc.restriction(mats.mesh, 2)
+        fixed = np.flatnonzero(np.diff(P.indptr) == 0)
         A = structure.A.toarray()
         assert A.shape == (mats.num_dofs, mats.num_dofs)
         diag = mats.mass.diagonal() + 0.1 * mats.bending.diagonal()

@@ -4,7 +4,13 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from elastica_fem import (KKTSingularError, SaddleSystem, SchurSolver,
-                          kkt_residual, saddle_solver, solve_kkt)
+                          saddle_solver, solve_kkt)
+
+
+def kkt_residual(system, x, lam):
+    """Norms of A x + B^T lam - rhs_top and B x - rhs_bottom."""
+    return saddle_solver._residual(system.A, system.B, x, lam,
+                                   system.rhs_top, system.rhs_bottom)
 
 
 def dense_schur_oracle(A, B, b, c):

@@ -81,8 +81,9 @@ class SystemMatrices:
         """S @ u: -+(a - b)/h on the value rows, -a and +b on the derivative rows."""
         shear = self._bending_scales()[1] * (a - b)
         out = np.zeros((self.mesh.nodes.size, 2, self.dim), dtype=np.longdouble)
-        out[1:] = np.stack([shear, b], axis=1)
-        out[:-1] -= np.stack([shear, a], axis=1)
+        out[1:, 0], out[1:, 1] = shear, b
+        out[:-1, 0] -= shear
+        out[:-1, 1] -= a
         return out.ravel().astype(float)
 
     def apply_bending(self, u: np.ndarray) -> np.ndarray:
@@ -233,14 +234,15 @@ class BoundaryConditions:
             if v is not None and v.size != dim:
                 raise ValueError(f"{name} needs {dim} components, got {v.size}")
 
-    def restriction(self, mesh: Mesh1D, dim: int) -> sp.csr_matrix:
+    def restriction(self, mesh: Mesh1D, dim: int, full: bool = False) -> sp.csr_matrix:
         """The map P from reduced DOFs to full DOFs (full x reduced).
 
         This is where the conditions become linear algebra.  A fixed DOF
         has an empty row, so it is exactly 0 in every P v_r.  With periodic
         ends the last node's DOFs repeat node 0's columns, so the two ends
         are tied exactly.  Every other DOF is a reduced DOF of its own, in
-        the full order.
+        the full order.  With ``full``, each reduced DOF keeps the number
+        of its own full DOF: P is square, its other columns empty.
         """
         self.check_dim(dim)
         n = 2 * dim * mesh.nodes.size
@@ -254,10 +256,10 @@ class BoundaryConditions:
             source[last:] = np.arange(2 * dim)
         reduced = np.flatnonzero(source == np.arange(n))
         kept = source >= 0
+        cols = source[kept] if full else np.searchsorted(reduced, source[kept])
         return sp.csr_matrix(
-            (np.ones(kept.sum()), np.searchsorted(reduced, source[kept]),
-             np.concatenate([[0], np.cumsum(kept)])),
-            shape=(n, reduced.size))
+            (np.ones(kept.sum()), cols, np.concatenate([[0], np.cumsum(kept)])),
+            shape=(n, n if full else reduced.size))
 
     def validate_initial(self, curve: HermiteCurve) -> None:
         """Check the initial curve against the targets.
@@ -284,15 +286,6 @@ class BoundaryConditions:
                     f"initial curve violates boundary target {name}: |error| = {err:.3e}")
 
 
-def owners(P: sp.csr_matrix) -> np.ndarray:
-    """The full DOF that owns each non-empty column of a restriction P: the
-    first row of that column."""
-    first = np.full(P.shape[1], P.shape[0])
-    np.minimum.at(first, P.indices,
-                  np.repeat(np.arange(P.shape[0]), np.diff(P.indptr)))
-    return first[first < P.shape[0]]
-
-
 @dataclass(frozen=True, eq=False)
 class ConstraintPattern:
     """Fixed CSR structure of the tangential rows T(Z) D P on the reduced
@@ -303,8 +296,8 @@ class ConstraintPattern:
     nodes, dim) tangents of the current curve, so ``tangent[k]`` is also
     the row of D the entry comes from.  ``template`` holds the structure
     with ascending, unique column indices in every row.  ``restriction``
-    is the P of its columns and ``restriction_t`` its transpose, which maps
-    full right-hand sides to reduced ones.
+    is the P of its columns, and ``columns[i]`` the column of P's entry in
+    row i, or P's number of columns where that row is empty.
     """
 
     template: sp.csr_matrix
@@ -312,7 +305,7 @@ class ConstraintPattern:
     tangent: np.ndarray
     rows: np.ndarray
     restriction: sp.csr_matrix
-    restriction_t: sp.csr_matrix
+    columns: np.ndarray
 
     def fill(self, tangents: np.ndarray,
              weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
@@ -326,10 +319,20 @@ class ConstraintPattern:
         matrix.data = self.coef * t.ravel()[self.tangent]
         return matrix
 
-    def restrict(self, A: sp.spmatrix) -> sp.csr_matrix:
-        """P^T A P in canonical CSR form (sorted, unique column indices)."""
-        reduced = self.restriction_t @ A @ self.restriction
-        reduced.sum_duplicates()
+    def restrict(self, A: sp.csr_matrix) -> sp.csr_matrix:
+        """P^T A P in canonical CSR form (sorted, unique column indices),
+        and A's diagonal entry in each empty column of a square P."""
+        k, c = self.restriction.shape[1], self.columns
+        gone = np.flatnonzero(np.bincount(c, minlength=k + 1)[:k] == 0)
+        rows = np.append(np.repeat(c, np.diff(A.indptr)), gone)
+        cols = np.append(c[A.indices], gone)
+        kept = np.flatnonzero((rows < k) & (cols < k))
+        kept = kept[np.argsort(rows[kept] * k + cols[kept], kind="stable")]
+        reduced = sp.csr_matrix(
+            (np.append(A.data, A.diagonal()[gone])[kept], cols[kept],
+             np.searchsorted(rows[kept], np.arange(k + 1))), shape=(k, k))
+        reduced.sum_duplicates()     # where periodic ties meet
+        reduced.eliminate_zeros()    # as a product does where they cancel
         return reduced
 
 
@@ -343,9 +346,12 @@ def constraint_pattern(D: sp.csr_matrix, P: sp.csr_matrix, dim: int,
     derivative DOFs are not their own reduced DOFs (fixed, or tied to node
     0's): its row would vanish or repeat another.
     """
+    columns = np.full(P.shape[0], P.shape[1])
+    columns[np.diff(P.indptr) > 0] = P.indices
     if rows is None:
-        own = np.zeros(P.shape[0], dtype=bool)
-        own[owners(P)] = True
+        # the DOF that owns a column is its first row
+        cols, first = np.unique(columns, return_index=True)
+        own = np.isin(np.arange(P.shape[0]), first[cols < P.shape[1]])
         # over the P2 sequence, whose even entries are the mesh nodes
         keep = np.ones(P.shape[0] // dim - 1, dtype=bool)
         keep[::2] = own.reshape(-1, 2, dim)[:, 1].all(axis=1)
@@ -363,7 +369,7 @@ def constraint_pattern(D: sp.csr_matrix, P: sp.csr_matrix, dim: int,
          np.concatenate([[0], np.cumsum(counts.reshape(-1, dim).sum(axis=1))])),
         shape=(rows.size, P.shape[1]))
     return ConstraintPattern(template, DP.data[order], tangent[order], rows,
-                             P, P.T.tocsr())
+                             P, columns)
 
 
 def assemble_constraint(Zn: HermiteCurve, variant: ConstraintVariant,
@@ -371,13 +377,10 @@ def assemble_constraint(Zn: HermiteCurve, variant: ConstraintVariant,
                         pattern: Optional[ConstraintPattern] = None
                         ) -> sp.csr_matrix:
     """Constraint rows of one flow step on the reduced DOFs: the tangential
-    rows T(Zn) D P of ``constraint_pattern``.  Their right-hand side is
-    always zero.
-
+    rows T(Zn) D P of ``constraint_pattern``, with a zero right-hand side.
     ``pattern``, when given, must be a ``constraint_pattern`` of the same
-    mesh, dim and variant over these conditions' restriction, whose
-    columns it sets (``flow.StepStructure`` builds one per run).
-    """
+    mesh, dim and variant over a restriction of these conditions (full or
+    not), whose columns it sets; ``flow.StepStructure`` holds one."""
     if pattern is None:
         pattern = constraint_pattern(
             derivative_map(Zn.mesh, Zn.dim, variant),

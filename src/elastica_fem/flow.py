@@ -8,22 +8,24 @@ restriction P (``BoundaryConditions.restriction``)
 
 with A = M + tau*S for the L2 flow or A = (1 + tau)*S for the H2 flow, then
 updates Z^{n+1} = Z^n + tau * P v_r.  The system is solved in the full DOF
-numbering, each eliminated DOF on an uncoupled row (``StepStructure``).  No
-projection or renormalization is applied between steps; the constraint
-violation is monitored only.
+numbering, each eliminated DOF on an uncoupled row.  A step makes no sparse
+matrix (``StepStructure``), and carries S Z^{n+1} and the tangents of
+Z^{n+1}, which also give the constraint drift, to the next.  No projection
+or renormalization is applied between steps; the drift is monitored only.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+# assemble_constraint stays a name here for perfbench's tracer
 from .assembly import (BoundaryConditions, ConstraintPattern, SystemMatrices,
-                       assemble_constraint, assemble_matrices,
-                       constraint_pattern, owners)
+                       assemble_constraint, assemble_matrices, constraint_pattern)
 from .mesh import ConstraintVariant, Mesh1D
 from .saddle_solver import BandedKKT, SaddleSystem, solve_kkt
 from .splines import (FunctionOracle, HermiteCurve, interp_j2, interp_j3,
@@ -71,8 +73,9 @@ class FlowState:
     constraint_violation: float
     max_identity_violation: float = 0.0
     max_constraint_residual: float = 0.0
-    # S @ curve.dofs, the next step's right-hand side; computed when None
+    # S @ curve.dofs and u' at its constraint nodes, for the next step; None: compute
     bending_load: Optional[np.ndarray] = field(default=None, repr=False)
+    tangents: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def init_state(z0: FunctionOracle, mesh: Mesh1D, dim: int,
@@ -105,46 +108,47 @@ def init_state(z0: FunctionOracle, mesh: Mesh1D, dim: int,
 
     if matrices is None:
         matrices = assemble_matrices(mesh, dim)
+    tangents = curve.derivative_at_constraint_nodes(constraint)
     return FlowState(
         n=0,
         curve=curve,
         energy=0.5 * matrices.quad_bending(curve.dofs),
         last_velocity_norm=float("nan"),
-        constraint_violation=unit_speed_violation(curve, constraint),
+        constraint_violation=unit_speed_violation(curve, constraint, tangents),
+        tangents=tangents,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class StepStructure:
     """What stays fixed over a run: the reduced system matrix, the pattern
-    of the constraint rows and the banded KKT storage built from both; each
-    step only refills the values that depend on the curve.
-
-    Each reduced DOF keeps the number of the full DOF that owns it (the
-    pattern's restriction Q is P with its columns moved there), and a DOF
-    that P eliminates keeps an uncoupled row with A's diagonal entry and a
-    zero right-hand side, so the KKT keeps order N + m and Q v' = P v_r.
-    """
+    of the constraint rows, their matrix ``B`` on the pattern's index arrays
+    (a step sets its values), the banded KKT storage, and the row of each
+    entry of B.  The pattern's restriction Q is P in the full numbering; a
+    DOF that owns no reduced DOF keeps an uncoupled row with A's diagonal
+    entry and a zero right-hand side, so the KKT keeps order N + m and
+    Q v' = P v_r.  Q v', Q^T f and B v' are gathers and bincounts over the
+    pattern's ``columns`` and ``b_rows``."""
 
     A: sp.csr_matrix
     pattern: ConstraintPattern
+    B: sp.csr_matrix
     band: BandedKKT
+    b_rows: np.ndarray
 
     @classmethod
     def build(cls, config: FlowConfig, matrices: SystemMatrices
               ) -> "StepStructure":
-        P = config.bc.restriction(matrices.mesh, matrices.dim)
-        n, owner = P.shape[0], owners(P)
-        Q = sp.csr_matrix((P.data, owner[P.indices], P.indptr), shape=(n, n))
         pattern = constraint_pattern(
-            matrices.derivative_map(config.constraint), Q, matrices.dim,
-            config.constraint)
-        A = matrices.mass + config.tau * matrices.bending \
-            if config.variant == "l2" else (1.0 + config.tau) * matrices.bending
-        gone = np.flatnonzero(np.bincount(Q.indices, minlength=n) == 0)
-        A = pattern.restrict(A) + sp.csr_matrix(
-            (A.diagonal()[gone], (gone, gone)), shape=(n, n))
-        return cls(A, pattern, BandedKKT(A, pattern.template))
+            matrices.derivative_map(config.constraint),
+            config.bc.restriction(matrices.mesh, matrices.dim, full=True),
+            matrices.dim, config.constraint)
+        A = pattern.restrict(
+            matrices.mass + config.tau * matrices.bending
+            if config.variant == "l2" else (1.0 + config.tau) * matrices.bending)
+        B = copy.copy(pattern.template)
+        return cls(A, pattern, B, BandedKKT(A, B),
+                   np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)))
 
 
 def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
@@ -158,25 +162,27 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
     E(Z^{n+1}) = E(Z^n) - tau*|v|_L2^2 - (tau^2/2)*|v''|_L2^2 with v the
     discrete velocity, and analogously with the H2 product for the H2 flow.
     """
-    Z = state.curve
-    tau = config.tau
+    Z, tau, variant = state.curve, config.tau, config.constraint
     if structure is None:
         structure = StepStructure.build(config, matrices)
-    pattern = structure.pattern
     load = matrices.apply_bending(Z.dofs) if state.bending_load is None \
         else state.bending_load
-    B = assemble_constraint(Z, config.constraint, config.bc, pattern=pattern)
-    system = SaddleSystem(structure.A, B, pattern.restriction_t @ -load,
+    tangents = Z.derivative_at_constraint_nodes(variant) \
+        if state.tangents is None else state.tangents
+    B, pattern, n = structure.B, structure.pattern, structure.A.shape[0]
+    B.data = pattern.coef * tangents.ravel()[pattern.tangent]
+    system = SaddleSystem(structure.A, B, np.bincount(pattern.columns, -load, n + 1)[:n],
                           np.zeros(B.shape[0]))
     try:
         v_r, _ = solve_kkt(system, band=structure.band)
     except Exception as exc:
         raise FlowSolveError(state.n, exc) from exc
     # fixed DOFs of v are exactly 0 and periodic ends exactly equal
-    v = pattern.restriction @ v_r
+    v = np.append(v_r, 0.0)[pattern.columns]
 
     new_dofs = Z.dofs + tau * v
     new_curve = HermiteCurve.from_dofs(Z.mesh, Z.dim, new_dofs)
+    new_tangents = new_curve.derivative_at_constraint_nodes(variant)
 
     # the new energy comes from Z^{n+1} itself, so the identity checks it
     v_mass, v_bend, new_energy, new_load = matrices.step_forms(v, new_dofs)
@@ -187,18 +193,19 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
         identity_err = abs(new_energy - state.energy + (tau + 0.5 * tau**2) * v_bend)
     identity_err /= max(1.0, abs(state.energy))
 
-    tang = B @ v_r
-    constraint_res = float(np.abs(tang).max()) if tang.size else 0.0
+    tang = np.bincount(structure.b_rows, B.data * v_r[B.indices], B.shape[0])
+    constraint_res = float(np.abs(tang).max(initial=0.0))
 
     return FlowState(
         n=state.n + 1,
         curve=new_curve,
         energy=new_energy,
         last_velocity_norm=float(np.sqrt(max(v_mass, 0.0))),
-        constraint_violation=unit_speed_violation(new_curve, config.constraint),
+        constraint_violation=unit_speed_violation(new_curve, variant, new_tangents),
         max_identity_violation=max(state.max_identity_violation, identity_err),
         max_constraint_residual=max(state.max_constraint_residual, constraint_res),
         bending_load=new_load,
+        tangents=new_tangents,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -27,13 +28,6 @@ class KKTSingularError(RuntimeError):
         self.deficiency = deficiency
 
 
-def _as_csr(matrix) -> sp.csr_matrix:
-    # the csr constructor's format checks cost more than a small flow solve
-    if sp.issparse(matrix) and matrix.format == "csr":
-        return matrix
-    return sp.csr_matrix(matrix)
-
-
 @dataclass
 class SaddleSystem:
     """Equality-constrained quadratic system.
@@ -49,8 +43,9 @@ class SaddleSystem:
     rhs_bottom: np.ndarray
 
     def __post_init__(self):
-        self.A = _as_csr(self.A)
-        self.B = _as_csr(self.B)
+        # the csr constructor's format checks cost more than a small solve
+        self.A, self.B = (m if sp.issparse(m) and m.format == "csr"
+                          else sp.csr_matrix(m) for m in (self.A, self.B))
         self.rhs_top = np.asarray(self.rhs_top, dtype=float).ravel()
         self.rhs_bottom = np.asarray(self.rhs_bottom, dtype=float).ravel()
         n, m = self.A.shape[0], self.B.shape[0]
@@ -70,17 +65,6 @@ class SaddleSystem:
 
 _PIVOT_TOL = 1e-12   # relative pivot threshold flagging rank deficiency
 _BACKWARD_TOL = 1e-14   # largest normwise backward error of a solve
-
-
-def _residual(A, B, x, lam, rhs_top, rhs_bottom) -> Tuple[float, float]:
-    """Norms of A x + B^T lam - rhs_top and B x - rhs_bottom."""
-    # B^T lam accumulated entry by entry in B's order, as a CSC product
-    # would, without the cost of forming the transpose
-    bt_lam = np.bincount(B.indices, B.data * np.repeat(lam, np.diff(B.indptr)),
-                         minlength=x.size)
-    top = A @ x + bt_lam - rhs_top
-    bottom = B @ x - rhs_bottom
-    return float(np.linalg.norm(top)), float(np.linalg.norm(bottom))
 
 
 def _ordered(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -113,8 +97,7 @@ class BandedKKT:
     below _PIVOT_TOL from M ~ 300 on; those of D K D measure rank.
     """
 
-    def __init__(self, A: sp.spmatrix, B: sp.spmatrix):
-        A, B = _as_csr(A), _as_csr(B)
+    def __init__(self, A: sp.csr_matrix, B: sp.csr_matrix):
         # values are scattered entry by entry, so an entry must not repeat
         if not (A.has_canonical_format and B.has_canonical_format):
             raise ValueError("A and B need sorted, unique column indices "
@@ -162,20 +145,22 @@ class BandedKKT:
         pos = cols * (3 * bw + 1) + 2 * bw + rows - cols
         self._pos_a = pos[:A.nnz]
         self._pos_b = pos[A.nnz:].reshape(2, -1)
-        # [A; B^T; B] as one longdouble CSR on (x, lam), for the refinement
-        # residual: K sol is (its A rows + its B^T rows, its B rows), A's
-        # entries lead its data and B's entry k is at data[_slot_b[:, k]]
+        # [A; B; B^T] as one CSR on (x, lam) and its longdouble twin, for
+        # the residuals: K sol is (its A rows + its B^T rows, its B rows),
+        # B^T's rows summed in B's order.  A's entries lead its data and B's
+        # entry k is at data[_slot_b[:, k]].
         bt_src = np.argsort(B.indices, kind="stable")
         self._stack = sp.csr_matrix(
-            (np.zeros(A.nnz + 2 * B.nnz, dtype=np.longdouble),
-             np.concatenate([A.indices, n + b_rows[bt_src], B.indices]),
-             np.concatenate([A.indptr,
-                             A.nnz + np.cumsum(np.bincount(B.indices,
-                                                           minlength=n)),
-                             A.nnz + B.nnz + B.indptr[1:]])),
+            (np.zeros(A.nnz + 2 * B.nnz),
+             np.concatenate([A.indices, B.indices, n + b_rows[bt_src]]),
+             np.concatenate([A.indptr, A.nnz + B.indptr[1:],
+                             A.nnz + B.nnz + np.cumsum(
+                                 np.bincount(B.indices, minlength=n))])),
             shape=(2 * n + m, size))
-        self._slot_b = A.nnz + np.stack([B.nnz + np.arange(B.nnz),
-                                         np.argsort(bt_src)])
+        self._stack_ld = copy.copy(self._stack)    # on the same index arrays
+        self._stack_ld.data = self._stack.data.astype(np.longdouble)
+        self._slot_b = A.nnz + np.stack([np.arange(B.nnz),
+                                         B.nnz + np.argsort(bt_src)])
         diag = np.abs(A.diagonal())
         d = np.append(np.where(diag > 0, diag, 1.0) ** -0.5, np.ones(m))
         self._scale_a = d[a_rows] * d[A.indices]
@@ -201,8 +186,10 @@ class BandedKKT:
                                             B.indices), self._patterns)):
             raise ValueError("KKT blocks do not match the band pattern")
         bw, self._factors = self.bandwidth, None   # the band is overwritten
-        self._stack.data[:A.nnz] = A.data
-        self._stack.data[self._slot_b] = B.data
+        stack = self._stack.data
+        stack[:A.nnz] = A.data
+        stack[self._slot_b] = B.data
+        self._stack_ld.data[:] = stack
         # gbtrf sets the fill-in rows itself; zero the rows that hold D K D
         self._ab_t[:, bw:] = 0.0
         self._flat[self._pos_a] = A.data * self._scale_a
@@ -212,8 +199,7 @@ class BandedKKT:
         small = int(np.count_nonzero(pivots <= _PIVOT_TOL * pivots.max()))
         if small:
             raise KKTSingularError("KKT matrix numerically singular", small)
-        self._factors = (A, B, lu, piv, np.sqrt(np.dot(A.data, A.data)
-                                                + 2.0 * np.dot(B.data, B.data)))
+        self._factors = (lu, piv, np.linalg.norm(stack))   # |K|_F
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Solution (x, lam) for ``rhs`` with the last ``factor``, after one
@@ -225,22 +211,27 @@ class BandedKKT:
         The refinement residual is summed in np.longdouble in K's units;
         where that is wider than float64 (80-bit x87 on x86-64 Linux), the
         solution does not carry cond(K) times a float64 residual's roundoff.
+        The backward error takes one float64 product with the same stack.
         """
-        A, B, lu, piv, norm_k = self._factors
-        bw, n, d = self.bandwidth, self._n, self._d_perm
+        lu, piv, norm_k = self._factors
+        bw, d = self.bandwidth, self._d_perm
         sol = np.empty_like(rhs)
         sol[self.perm] = d * lapack.dgbtrs(lu, bw, bw, d * rhs[self.perm],
                                            piv)[0]
-        y = self._stack @ sol.astype(np.longdouble)
-        correction = rhs - np.concatenate([y[:n] + y[n:2 * n], y[2 * n:]])
+        correction = rhs - self._product(self._stack_ld, sol.astype(np.longdouble))
         sol[self.perm] += d * lapack.dgbtrs(
             lu, bw, bw, d * correction[self.perm].astype(float), piv)[0]
-        res = np.hypot(*_residual(A, B, sol[:n], sol[n:], rhs[:n], rhs[n:]))
+        res = np.linalg.norm(rhs - self._product(self._stack, sol))
         if not res <= _BACKWARD_TOL * (norm_k * np.linalg.norm(sol)
                                        + np.linalg.norm(rhs)):
             raise KKTSingularError(f"KKT solve residual {res:.3e} exceeds "
                                    "the backward-error bound", 0)
         return sol
+
+    def _product(self, stack, sol: np.ndarray) -> np.ndarray:   # K sol from a stack
+        y, n = stack @ sol, self._n
+        y[:n] += y[sol.size:]
+        return y[:sol.size]
 
 
 def solve_kkt(system: SaddleSystem, band: Optional[BandedKKT] = None

@@ -159,18 +159,14 @@ class HermiteCurve:
             return out[0]
         return out
 
-    def derivative_at_midpoints(self) -> np.ndarray:
-        """u'(m_i) for all elements, evaluated at exactly t = 1/2."""
-        h = self.mesh.element_lengths[:, None]
-        return (1.5 / h) * (self.values[1:] - self.values[:-1]) \
-            - 0.25 * (self.derivs[:-1] + self.derivs[1:])
-
     def derivative_at_constraint_nodes(self, variant: ConstraintVariant) -> np.ndarray:
         """u' at the constraint nodes of the variant, ordered like
-        ``Mesh1D.constraint_nodes``."""
+        ``Mesh1D.constraint_nodes``; at the midpoints, exactly t = 1/2."""
+        h = self.mesh.element_lengths[:, None]
         out = np.empty((2 * self.mesh.num_elements + 1, self.dim))
         out[0::2] = self.derivs
-        out[1::2] = self.derivative_at_midpoints()
+        out[1::2] = (1.5 / h) * (self.values[1:] - self.values[:-1]) \
+            - 0.25 * (self.derivs[:-1] + self.derivs[1:])
         return out[::variant.stride]
 
 
@@ -334,7 +330,9 @@ def lumped_product(f: QuadraticField, g: QuadraticField,
     return float(np.dot(lumped_weights(f.mesh, variant), prod[::variant.stride]))
 
 
-def unit_speed_violation(curve: HermiteCurve, variant: ConstraintVariant) -> float:
-    """max over the constraint nodes of | |u'(z)|^2 - 1 |."""
-    d = curve.derivative_at_constraint_nodes(variant)
+def unit_speed_violation(curve: HermiteCurve, variant: ConstraintVariant,
+                         tangents: Optional[np.ndarray] = None) -> float:
+    """max over the constraint nodes of | |u'(z)|^2 - 1 |; ``tangents``, when
+    given, is the curve's ``derivative_at_constraint_nodes(variant)``."""
+    d = curve.derivative_at_constraint_nodes(variant) if tangents is None else tangents
     return float(np.abs(np.einsum("nd,nd->n", d, d) - 1.0).max())

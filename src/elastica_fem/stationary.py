@@ -101,7 +101,8 @@ def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
 
     speed = np.einsum("nd,nd->n", du, du)
     r_mu = 0.5 * beta[1:-1] * (speed[1:-1] - 1.0)
-    return _pattern(matrices, variant, bc).restriction_t @ r_u, r_mu
+    pattern = _pattern(matrices, variant, bc)     # P^T r_u as a bincount
+    return np.bincount(pattern.columns, r_u, pattern.restriction.shape[1] + 1)[:-1], r_mu
 
 
 def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,

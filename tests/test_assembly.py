@@ -141,26 +141,41 @@ def exact_sum(terms) -> float:
     return p / q    # int / int rounds correctly
 
 
-def rational_forms(mesh, dim, element, u, v):
-    """(u^T K u, u^T K v, K u) in rational arithmetic on the float64 DOFs
-    and element lengths, each rounded once to float, for K assembled from
-    ``element``, one of MASS, GRAD and BEAM."""
+def rational_forms(mesh, dim, element, u, v=None):
+    """u^T K u in rational arithmetic on the float64 DOFs and element
+    lengths, rounded once to float, for K assembled from ``element``, one
+    of MASS, GRAD and BEAM; with ``v``, the triple (u^T K u, u^T K v, K u),
+    each rounded once.  K u and u^T K v are formed only then."""
     table, k = element
-    U, V = (np.asarray(w).reshape(mesh.nodes.size, 2, dim) for w in (u, v))
+    # K is symmetric: its diagonal once and each entry above it twice
+    upper = [(i, j, table[i][j] * (2 - (i == j)))
+             for i in range(4) for j in range(i, 4)]
+    U, V = (None if w is None else np.asarray(w).reshape(mesh.nodes.size, 2, dim)
+            for w in (u, v))
     Su = [[[Fraction(0)] * dim for _ in range(2)] for _ in mesh.nodes]
     uu, uv = [], []
     for e, h in enumerate(mesh.element_lengths):
-        hk = [Fraction(h) ** (k + p) for p in range(3)]
-        K = [[table[i][j] * hk[i % 2 + j % 2] for j in range(4)]
-             for i in range(4)]
+        # ul and vl hold h^p times the DOFs (p = 1 on the derivative DOFs),
+        # so that K_ij u_j = h^(k + p_i) table_ij ul_j
+        h = Fraction(h)
+        hk = h ** k
         for c in range(dim):
-            ul, vl = ([Fraction(W[e + i // 2, i % 2, c]) for i in range(4)]
-                      for W in (U, V))
-            Ku = [sum(K[i][j] * ul[j] for j in range(4)) for i in range(4)]
-            uu.append(sum(x * y for x, y in zip(ul, Ku)))
-            uv.append(sum(x * y for x, y in zip(vl, Ku)))
+            ul = [Fraction(U[e + i // 2, i % 2, c]) for i in range(4)]
+            ul[1] *= h
+            ul[3] *= h
+            if V is None:
+                uu.append(hk * sum(t * ul[i] * ul[j] for i, j, t in upper))
+                continue
+            vl = [Fraction(V[e + i // 2, i % 2, c]) for i in range(4)]
+            vl[1] *= h
+            vl[3] *= h
+            Kw = [sum(table[i][j] * ul[j] for j in range(4)) for i in range(4)]
+            uu.append(hk * sum(x * y for x, y in zip(ul, Kw)))
+            uv.append(hk * sum(x * y for x, y in zip(vl, Kw)))
             for i in range(4):
-                Su[e + i // 2][i % 2][c] += Ku[i]
+                Su[e + i // 2][i % 2][c] += hk * Kw[i] * (h if i % 2 else 1)
+    if V is None:
+        return exact_sum(uu)
     return exact_sum(uu), exact_sum(uv), np.array(
         [[[float(x) for x in row] for row in node] for node in Su]).ravel()
 
@@ -195,7 +210,7 @@ class TestExactBendingForms:
         for w in (u, v - u):
             for quad, element in ((mats.quad_mass, MASS),
                                   (mats.quad_gradient, GRAD)):
-                exact = rational_forms(mesh, spec.dim, element, w, w)[0]
+                exact = rational_forms(mesh, spec.dim, element, w)
                 assert abs(quad(w) - exact) <= 1e-15 * exact
 
 

@@ -8,10 +8,11 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
-                          FlowSolveError, FunctionOracle, KKTSingularError,
-                          Mesh1D, SaddleSystem, assemble_constraint,
-                          assemble_matrices, dump_trajectory, init_state,
-                          run, solve_kkt, step, unit_speed_violation)
+                          FlowSolveError, FunctionOracle, HermiteCurve,
+                          KKTSingularError, Mesh1D, SaddleSystem,
+                          assemble_constraint, assemble_matrices,
+                          dump_trajectory, flow, init_state, run, solve_kkt,
+                          step, unit_speed_violation)
 from elastica_fem.experiments import (circle_initial, named_experiment,
                                       oval_initial)
 from elastica_fem.flow import StepStructure
@@ -363,6 +364,93 @@ class TestStepStructure:
                        spec.dim, initializer=spec.initializer)
         assert state.n == steps
         assert state.max_identity_violation <= 1e-12
+
+
+def _reference_run(cfg, mesh, spec, mats):
+    """The flow from sparse pieces: constraint rows from
+    ``assemble_constraint``, P^T, P and B as sparse products, a band built
+    per solve and the drift from the curve; returns the final (dofs,
+    energy, identity, constraint residual, drift)."""
+    structure = StepStructure.build(cfg, mats)
+    P, tau = structure.pattern.restriction, cfg.tau
+    state = init_state(spec.z0, mesh, spec.dim, cfg.constraint,
+                       spec.initializer, mats)
+    Z, energy, identity, residual = state.curve, state.energy, 0.0, 0.0
+    for _ in range(cfg.num_steps):
+        B = assemble_constraint(Z, cfg.constraint, cfg.bc,
+                                pattern=structure.pattern)
+        system = SaddleSystem(structure.A, B,
+                              P.T @ -mats.apply_bending(Z.dofs),
+                              np.zeros(B.shape[0]))
+        v_r, _ = solve_kkt(system)
+        v = P @ v_r
+        dofs = Z.dofs + tau * v
+        v_mass, v_bend, new_energy, _ = mats.step_forms(v, dofs)
+        if cfg.variant == "l2":
+            err = abs(new_energy - energy + tau * v_mass + 0.5 * tau**2 * v_bend)
+        else:
+            err = abs(new_energy - energy + (tau + 0.5 * tau**2) * v_bend)
+        identity = max(identity, err / max(1.0, abs(energy)))
+        residual = max(residual, float(np.abs(B @ v_r).max()))
+        Z, energy = HermiteCurve.from_dofs(mesh, spec.dim, dofs), new_energy
+    return (Z.dofs, energy, identity, residual,
+            unit_speed_violation(Z, cfg.constraint))
+
+
+class TestStepPath:
+    @pytest.mark.parametrize("name, variant, bc_kind, flow_variant, tau", [
+        ("oval-h2", P2, "spec", "h2", 1.0 / 200.0),
+        ("oval-h2", P2, "spec", "l2", 1.0 / 200.0),
+        ("circle", P1, "free", "l2", 0.05),
+        ("helix", P2, "periodic", "l2", 0.05),
+        ("circle", P2, "spec", "l2", 0.05),
+    ])
+    def test_run_matches_sparse_reference_bitwise(self, name, variant,
+                                                  bc_kind, flow_variant, tau):
+        spec = named_experiment(name, constraint=variant)
+        bc = {"spec": spec.bc, "free": BoundaryConditions.free(),
+              "periodic": BoundaryConditions(periodic=True)}[bc_kind]
+        mesh = Mesh1D.uniform(*spec.interval, 10)
+        mats = assemble_matrices(mesh, spec.dim)
+        cfg = FlowConfig(tau=tau, T=20 * tau, variant=flow_variant,
+                         constraint=variant, bc=bc)
+        state, _ = run(cfg, mesh, spec.z0, spec.dim,
+                       initializer=spec.initializer, matrices=mats)
+        dofs, energy, identity, residual, drift = _reference_run(
+            cfg, mesh, spec, mats)
+        assert state.n == 20
+        assert np.array_equal(state.curve.dofs, dofs)
+        assert state.energy == energy
+        assert state.max_identity_violation == identity
+        assert state.max_constraint_residual == residual
+        assert state.constraint_violation == drift
+
+    def test_tangents_computed_once_per_curve(self, monkeypatch):
+        curves = []
+        derivative = HermiteCurve.derivative_at_constraint_nodes
+        start = flow.init_state
+
+        def spy(curve, variant):
+            curves.append(curve)
+            return derivative(curve, variant)
+
+        def init_spy(*args, **kwargs):
+            state = start(*args, **kwargs)
+            curves.clear()
+            return state
+
+        monkeypatch.setattr(HermiteCurve, "derivative_at_constraint_nodes",
+                            spy)
+        monkeypatch.setattr(flow, "init_state", init_spy)
+        spec = named_experiment("oval-h2")
+        cfg = FlowConfig(tau=1.0 / 200.0, T=0.05, variant="h2",
+                         constraint=spec.constraint, bc=spec.bc)
+        state, _ = run(cfg, Mesh1D.uniform(*spec.interval, 10), spec.z0,
+                       spec.dim)
+        # one call per step, each on the new curve Z^{n+1}
+        assert state.n == cfg.num_steps == len(curves) == 10
+        assert curves[-1] is state.curve
+        assert len({id(c) for c in curves}) == len(curves)
 
 
 def test_snapshots_and_trajectory_dump(tmp_path):

@@ -9,8 +9,9 @@ from elastica_fem import (KKTSingularError, SaddleSystem, SchurSolver,
 
 def kkt_residual(system, x, lam):
     """Norms of A x + B^T lam - rhs_top and B x - rhs_bottom."""
-    return saddle_solver._residual(system.A, system.B, x, lam,
-                                   system.rhs_top, system.rhs_bottom)
+    top = system.A @ x + system.B.T @ lam - system.rhs_top
+    bottom = system.B @ x - system.rhs_bottom
+    return float(np.linalg.norm(top)), float(np.linalg.norm(bottom))
 
 
 def dense_schur_oracle(A, B, b, c):
@@ -88,20 +89,32 @@ def test_kkt_residual_perturbation(rng):
     assert top == pytest.approx(np.linalg.norm(sys.A @ delta), rel=1e-6)
 
 
-def test_kkt_residual_equals_transpose_product(rng):
-    # B^T lam is summed from B's entries; the transpose product is the
-    # reference, bit for bit, also for a B with a repeated entry
+def test_band_residual_is_the_transpose_product(rng):
+    # the band's residual product sums B^T lam from B's entries in B's
+    # order: the transpose product, bit for bit; its accepted solutions
+    # meet the normwise backward-error bound
     sys = random_system(rng, 12, 5)
     B = sp.random(5, 12, density=0.4, format="csr", random_state=4)
+    for system in (sys, SaddleSystem(sys.A, B, sys.rhs_top, sys.rhs_bottom)):
+        band = saddle_solver.BandedKKT(system.A, system.B)
+        band.factor(system.A, system.B)
+        x, lam = rng.normal(size=12), rng.normal(size=5) * 1e3
+        k_sol = band._product(band._stack, np.concatenate([x, lam]))
+        assert np.array_equal(k_sol, np.concatenate(
+            [system.A @ x + system.B.T @ lam, system.B @ x]))
+        x, lam = solve_kkt(system)
+        norm_k = np.sqrt(np.linalg.norm(system.A.data) ** 2
+                         + 2.0 * np.linalg.norm(system.B.data) ** 2)
+        rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
+        assert np.hypot(*kkt_residual(system, x, lam)) <= 1e-14 * (
+            norm_k * np.linalg.norm(np.concatenate([x, lam]))
+            + np.linalg.norm(rhs))
+    # a repeated entry would be scattered twice; the band refuses it
     B = sp.csr_matrix((np.append(B.data, 0.5),
                        np.append(B.indices, B.indices[0]),
                        np.append(B.indptr[:-1], B.nnz + 1)), shape=B.shape)
-    for system in (sys, SaddleSystem(sys.A, B, sys.rhs_top, sys.rhs_bottom)):
-        x, lam = rng.normal(size=12), rng.normal(size=5) * 1e3
-        top, bottom = kkt_residual(system, x, lam)
-        assert top == np.linalg.norm(system.A @ x + system.B.T @ lam
-                                     - system.rhs_top)
-        assert bottom == np.linalg.norm(system.B @ x - system.rhs_bottom)
+    with pytest.raises(ValueError, match="unique column indices"):
+        saddle_solver.BandedKKT(sys.A, B)
 
 
 def test_singular_detection():

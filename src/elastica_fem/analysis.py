@@ -79,21 +79,18 @@ def fit_rate(errors: Sequence[float], hs: Sequence[float]) -> float:
 _GAUSS10_T, _GAUSS10_W = np.polynomial.legendre.leggauss(10)
 
 
-def quadrature_error(curve: HermiteCurve, f_deriv: Callable, order: int,
-                     points: int = 10) -> float:
-    """L2 norm of (order-th derivative of curve) - f_deriv by composite Gauss
-    quadrature; independent of the Gram-matrix error formulas."""
-    if points == 10:
-        tq, wq = _GAUSS10_T, _GAUSS10_W
-    else:
-        tq, wq = np.polynomial.legendre.leggauss(points)
+def quadrature_error(curve: HermiteCurve, f_deriv: Callable, order: int
+                     ) -> float:
+    """L2 norm of (order-th derivative of curve) - f_deriv by 10-point
+    composite Gauss quadrature; independent of the Gram-matrix error
+    formulas."""
     mesh = curve.mesh
-    t = 0.5 * (tq + 1.0)
+    t = 0.5 * (_GAUSS10_T + 1.0)
     x = (mesh.nodes[:-1, None] + np.outer(mesh.element_lengths, t)).ravel()
     diff = curve.eval(x, order) - np.atleast_2d(
         np.asarray(f_deriv(x), dtype=float)).reshape(x.size, curve.dim)
     sq = np.einsum("nd,nd->n", diff, diff).reshape(mesh.num_elements, t.size)
-    per_elem = sq @ (0.5 * wq)
+    per_elem = sq @ (0.5 * _GAUSS10_W)
     return float(np.sqrt(np.dot(mesh.element_lengths, per_elem)))
 
 

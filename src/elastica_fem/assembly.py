@@ -53,10 +53,6 @@ class SystemMatrices:
     gradient: sp.csr_matrix
     _cache: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def num_dofs(self) -> int:
-        return 2 * self.dim * self.mesh.nodes.size
-
     def _bending_scales(self):
         """Per element: the rows of a and b over (delta, d_L, d_R), 1/h, h/3."""
         def build():

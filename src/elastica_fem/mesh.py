@@ -79,11 +79,6 @@ class Mesh1D:
         """Largest element length."""
         return float(self.element_lengths.max())
 
-    @property
-    def quasi_uniformity_ratio(self) -> float:
-        """Ratio h / min_i h_i; 1 for uniform meshes."""
-        return float(self.element_lengths.max() / self.element_lengths.min())
-
     def constraint_nodes(self, variant: ConstraintVariant) -> np.ndarray:
         """Points where the constraint is enforced, in ascending order.
 

@@ -58,10 +58,6 @@ class SaddleSystem:
     def n(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.B.shape[0]
-
 
 _PIVOT_TOL = 1e-12   # relative pivot threshold flagging rank deficiency
 _BACKWARD_TOL = 1e-14   # largest normwise backward error of a solve
@@ -77,19 +73,22 @@ def _ordered(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
 
 class BandedKKT:
-    """Banded LU storage of [[A, B^T], [B, 0]] for fixed CSR patterns of A
-    and B, reused by every solve whose A and B have those patterns.
+    """Banded LU storage of K = [[A, B^T], [B, 0]] for fixed CSR patterns of
+    A and B, reused by every solve whose A and B have those patterns.
 
     In 1D every constraint row touches the DOFs of one element.  Ordering
     the unknowns along the curve, with each multiplier at the middle of its
     row's column range, keeps the half-bandwidth small and independent of
     M (flow and Newton systems: 8-9 for d=2, 11-12 for d=3).  Periodic
     ends, and systems with no such structure, take the reverse
-    Cuthill-McKee order of K's pattern when it is narrower.  ``factor``
-    scatters the values of A and B into one preallocated band array and
-    factors it in place with LAPACK gbtrf (partial pivoting, safe for the
-    indefinite K); ``apply`` solves with gbtrs, as often as a caller with
-    one K (a Lanczos iteration) needs.
+    Cuthill-McKee order of K's pattern when it is narrower.
+
+    K is held once: a CSR matrix in the band's order, with a longdouble
+    twin on the same index arrays.  ``factor`` writes K's values, which
+    fill the twin, give |K|_F and are scattered into one preallocated band
+    array, factored in place with LAPACK gbtrf (partial pivoting, safe for
+    the indefinite K); ``apply`` solves with gbtrs, as often as a caller
+    with one K (a Lanczos iteration) needs.
 
     The band holds D K D, d_i = |A_ii|^(-1/2) on x (1 on the multipliers
     and where A_ii = 0) from the A given at construction.  Value and
@@ -103,7 +102,6 @@ class BandedKKT:
             raise ValueError("A and B need sorted, unique column indices "
                              "in every row")
         n, m = A.shape[0], B.shape[0]
-        self._n = n
         self._patterns = (A.indptr, A.indices, B.indptr, B.indices)
         # each multiplier at the middle of its row's columns; fixed DOFs may
         # cut the ranges of the first and last rows, which go before and
@@ -122,6 +120,7 @@ class BandedKKT:
         # K's entries in the order (A, B below the diagonal, B^T above)
         rows = np.concatenate([a_rows, n + b_rows, B.indices])
         cols = np.concatenate([A.indices, B.indices, n + b_rows])
+        del a_rows, b_rows    # what is alive at the end sets a build's peak
         size = n + m
         order = _ordered(np.argsort(np.concatenate([np.arange(n), middle]),
                                     kind="stable"), rows, cols)
@@ -136,42 +135,30 @@ class BandedKKT:
                 rows, cols), key=lambda o: o[0])
         self.bandwidth, self.perm, rows, cols = order
         bw = self.bandwidth
+        # K's entries sorted by (row, col) in the band's order, in place so
+        # that one copy of the entry list is alive; entry i of the list,
+        # valued (A.data, B.data, B.data)[i], is K.data[_slot[i]]
+        src = np.argsort(rows * size + cols, kind="stable")
+        rows[:], cols[:] = rows[src], cols[src]
+        self._slot = np.empty(src.size, dtype=np.int32)
+        self._slot[src] = np.arange(src.size)
+        del src
+        self._k = sp.csr_matrix(
+            (np.zeros(rows.size), cols, np.searchsorted(rows, np.arange(
+                size + 1))), shape=(size, size))
+        self._k_ld = copy.copy(self._k)    # on the same index arrays
+        self._k_ld.data = self._k.data.astype(np.longdouble)
         # gbtrf's layout: K[i, j] at ab[2*bw + i - j, j], with bw extra rows
         # on top for the fill-in of row pivoting.  ab is the transpose of a
         # C-ordered (size, 3*bw+1) array, so it is Fortran-contiguous and
         # factored in place, and its flat index is j*(3*bw+1) + 2*bw + i - j.
-        self._ab_t = np.zeros((size, 3 * bw + 1))
-        self._flat = self._ab_t.reshape(-1)
-        pos = cols * (3 * bw + 1) + 2 * bw + rows - cols
-        self._pos_a = pos[:A.nnz]
-        self._pos_b = pos[A.nnz:].reshape(2, -1)
-        # [A; B; B^T] as one CSR on (x, lam) and its longdouble twin, for
-        # the residuals: K sol is (its A rows + its B^T rows, its B rows),
-        # B^T's rows summed in B's order.  A's entries lead its data and B's
-        # entry k is at data[_slot_b[:, k]].
-        bt_src = np.argsort(B.indices, kind="stable")
-        self._stack = sp.csr_matrix(
-            (np.zeros(A.nnz + 2 * B.nnz),
-             np.concatenate([A.indices, B.indices, n + b_rows[bt_src]]),
-             np.concatenate([A.indptr, A.nnz + B.indptr[1:],
-                             A.nnz + B.nnz + np.cumsum(
-                                 np.bincount(B.indices, minlength=n))])),
-            shape=(2 * n + m, size))
-        self._stack_ld = copy.copy(self._stack)    # on the same index arrays
-        self._stack_ld.data = self._stack.data.astype(np.longdouble)
-        self._slot_b = A.nnz + np.stack([np.arange(B.nnz),
-                                         B.nnz + np.argsort(bt_src)])
+        self._pos = cols * (3 * bw + 1) + 2 * bw + rows - cols
         diag = np.abs(A.diagonal())
         d = np.append(np.where(diag > 0, diag, 1.0) ** -0.5, np.ones(m))
-        self._scale_a = d[a_rows] * d[A.indices]
-        self._scale_b = d[B.indices]
         self._d_perm = d[self.perm]
-
-    def solve(self, system: SaddleSystem, rhs: np.ndarray) -> np.ndarray:
-        """Solution (x, lam) of the system after one refinement step:
-        ``factor`` with its A and B, then ``apply`` to ``rhs``."""
-        self.factor(system.A, system.B)
-        return self.apply(rhs)
+        self._scale = self._d_perm[rows]
+        self._scale *= self._d_perm[cols]
+        self._ab_t = np.zeros((size, 3 * bw + 1))
 
     def factor(self, A: sp.csr_matrix, B: sp.csr_matrix) -> None:
         """Factor the band of A and B, which have the patterns given at
@@ -186,20 +173,19 @@ class BandedKKT:
                                             B.indices), self._patterns)):
             raise ValueError("KKT blocks do not match the band pattern")
         bw, self._factors = self.bandwidth, None   # the band is overwritten
-        stack = self._stack.data
-        stack[:A.nnz] = A.data
-        stack[self._slot_b] = B.data
-        self._stack_ld.data[:] = stack
+        k, slot = self._k.data, self._slot
+        k[slot[:A.nnz]] = A.data
+        k[slot[A.nnz:].reshape(2, -1)] = B.data     # B and B^T
+        self._k_ld.data[:] = k
         # gbtrf sets the fill-in rows itself; zero the rows that hold D K D
         self._ab_t[:, bw:] = 0.0
-        self._flat[self._pos_a] = A.data * self._scale_a
-        self._flat[self._pos_b] = B.data * self._scale_b
+        self._ab_t.reshape(-1)[self._pos] = k * self._scale
         lu, piv, _ = lapack.dgbtrf(self._ab_t.T, bw, bw, overwrite_ab=1)
         pivots = np.abs(lu[2 * bw])
         small = int(np.count_nonzero(pivots <= _PIVOT_TOL * pivots.max()))
         if small:
             raise KKTSingularError("KKT matrix numerically singular", small)
-        self._factors = (lu, piv, np.linalg.norm(stack))   # |K|_F
+        self._factors = (lu, piv, np.linalg.norm(k))   # |K|_F
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Solution (x, lam) for ``rhs`` with the last ``factor``, after one
@@ -208,43 +194,41 @@ class BandedKKT:
         a relative residual does not grow with cond(K) (Higham, Accuracy and
         Stability of Numerical Algorithms, ch. 7), exceeds _BACKWARD_TOL.
 
-        The refinement residual is summed in np.longdouble in K's units;
-        where that is wider than float64 (80-bit x87 on x86-64 Linux), the
-        solution does not carry cond(K) times a float64 residual's roundoff.
-        The backward error takes one float64 product with the same stack.
+        ``rhs`` goes into the band's order once and the solution out of it
+        once; both solves and both residuals run in that order.  The
+        refinement residual is summed with K's longdouble twin; where that
+        is wider than float64 (80-bit x87 on x86-64 Linux), the solution
+        does not carry cond(K) times a float64 residual's roundoff.  The
+        backward error takes one float64 product with K.
         """
         lu, piv, norm_k = self._factors
         bw, d = self.bandwidth, self._d_perm
-        sol = np.empty_like(rhs)
-        sol[self.perm] = d * lapack.dgbtrs(lu, bw, bw, d * rhs[self.perm],
-                                           piv)[0]
-        correction = rhs - self._product(self._stack_ld, sol.astype(np.longdouble))
-        sol[self.perm] += d * lapack.dgbtrs(
-            lu, bw, bw, d * correction[self.perm].astype(float), piv)[0]
-        res = np.linalg.norm(rhs - self._product(self._stack, sol))
+        b = rhs[self.perm]
+        sol = d * lapack.dgbtrs(lu, bw, bw, d * b, piv)[0]
+        correction = b - self._k_ld @ sol.astype(np.longdouble)
+        sol += d * lapack.dgbtrs(lu, bw, bw, d * correction.astype(float),
+                                 piv)[0]
+        res = np.linalg.norm(b - self._k @ sol)
         if not res <= _BACKWARD_TOL * (norm_k * np.linalg.norm(sol)
                                        + np.linalg.norm(rhs)):
             raise KKTSingularError(f"KKT solve residual {res:.3e} exceeds "
                                    "the backward-error bound", 0)
-        return sol
-
-    def _product(self, stack, sol: np.ndarray) -> np.ndarray:   # K sol from a stack
-        y, n = stack @ sol, self._n
-        y[:n] += y[sol.size:]
-        return y[:sol.size]
+        out = np.empty_like(rhs)
+        out[self.perm] = sol
+        return out
 
 
 def solve_kkt(system: SaddleSystem, band: Optional[BandedKKT] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the block system with ``band`` (built for the patterns of
-    this A and B) or a band built here; returns (x, lam).  Raises
-    ``KKTSingularError`` from ``BandedKKT.solve``.  A and B need sorted,
-    unique column indices in every row.
+    this A and B) or a band built here: ``factor`` with its A and B, then
+    ``apply``; returns (x, lam).  Raises ``KKTSingularError`` from either.
+    A and B need sorted, unique column indices in every row.
     """
     if band is None:
         band = BandedKKT(system.A, system.B)
-    sol = band.solve(system, np.concatenate([system.rhs_top,
-                                             system.rhs_bottom]))
+    band.factor(system.A, system.B)
+    sol = band.apply(np.concatenate([system.rhs_top, system.rhs_bottom]))
     return sol[:system.n], sol[system.n:]
 
 

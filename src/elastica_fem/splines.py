@@ -125,10 +125,6 @@ class HermiteCurve:
         object.__setattr__(self, "derivs", derivs)
 
     @property
-    def num_dofs(self) -> int:
-        return 2 * self.dim * self.mesh.nodes.size
-
-    @property
     def dofs(self) -> np.ndarray:
         """Flat DOF vector in the canonical node-major layout."""
         return np.concatenate([self.values, self.derivs], axis=1).ravel()

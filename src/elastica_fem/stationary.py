@@ -105,15 +105,24 @@ def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     return np.bincount(pattern.columns, r_u, pattern.restriction.shape[1] + 1)[:-1], r_mu
 
 
+def _constraint_block(p: SaddlePoint, variant: ConstraintVariant,
+                      bc: BoundaryConditions, matrices: SystemMatrices
+                      ) -> sp.csr_matrix:
+    """B = beta T(u) D P: the beta-weighted tangential rows at the interior
+    constraint nodes (the same kernel as the flow's unweighted rows)."""
+    return _pattern(matrices, variant, bc).fill(
+        p.u.derivative_at_constraint_nodes(variant),
+        lumped_weights(p.u.mesh, variant))
+
+
 def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
              matrices: SystemMatrices
              ) -> Tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
     """Jacobian blocks (P^T A P, B) of the optimality system on the reduced
     DOFs, and the full index ``free`` of each reduced DOF (P = I[:, free]).
 
-    A is the bending form plus the lumped multiplier term; B = beta T(u) D P
-    holds the beta-weighted tangential rows at the interior constraint
-    nodes (the same kernel as the flow's unweighted rows).
+    A is the bending form plus the lumped multiplier term; B is
+    ``_constraint_block``.
     """
     dim = p.u.dim
     beta = lumped_weights(p.u.mesh, variant)
@@ -125,8 +134,7 @@ def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     A = 0.5 * (A + A.T)
 
     pattern = _pattern(matrices, variant, bc)
-    B = pattern.fill(p.u.derivative_at_constraint_nodes(variant), beta)
-    return (pattern.restrict(A), B,
+    return (pattern.restrict(A), _constraint_block(p, variant, bc, matrices),
             np.flatnonzero(np.diff(pattern.restriction.indptr)))
 
 
@@ -382,7 +390,7 @@ def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
     """
     if norms is None:
         norms = DiscreteNorms.build(matrices, bc, variant)
-    _, B, _ = jacobian(p, variant, bc, matrices)
+    B = _constraint_block(p, variant, bc, matrices)
     H, F, head = norms.h1_factor, norms.mass_factor, np.zeros(B.shape[1])
     band = BandedKKT(norms.gram, B)
 

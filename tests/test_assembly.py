@@ -89,7 +89,7 @@ class TestSystemMatrices:
         mesh = Mesh1D.uniform(0.0, 1.0, 4)
         for d in (1, 2):
             mats = assemble_matrices(mesh, d)
-            n = mats.num_dofs
+            n = mats.mass.shape[0]
             assert np.linalg.matrix_rank(mats.bending.toarray(),
                                          tol=1e-9) == n - 2 * d
             assert np.linalg.matrix_rank(mats.gradient.toarray(),
@@ -107,8 +107,8 @@ class TestSystemMatrices:
     def test_quad_forms_match_sparse(self, rng):
         mesh = random_graded_mesh(rng, max_elements=9)
         mats = assemble_matrices(mesh, 2)
-        u = rng.normal(size=mats.num_dofs)
-        v = rng.normal(size=mats.num_dofs)
+        u = rng.normal(size=mats.mass.shape[0])
+        v = rng.normal(size=mats.mass.shape[0])
         assert mats.quad_bending(u, v) == pytest.approx(u @ (mats.bending @ v),
                                                         rel=1e-9, abs=1e-9)
         assert mats.quad_mass(u) == pytest.approx(u @ (mats.mass @ u), rel=1e-11)
@@ -277,7 +277,7 @@ class TestConstraintMatrix:
                          [[1.0, 0.0], [1.0, 0.0]])
         B = assemble_constraint(Z, P2, BoundaryConditions.free())
         # free ends: P is the identity and every constraint node has a row
-        assert B.shape == (3, Z.num_dofs)
+        assert B.shape == (3, Z.dofs.size)
         # tangent is e1 everywhere: rows pick the first-component derivative
         Y = HermiteCurve(mesh, 2, [[0.0, 0.0], [1.0, 0.0]],
                          [[0.0, 0.0], [0.0, 0.0]])
@@ -297,7 +297,7 @@ class TestConstraintMatrix:
             B = assemble_constraint(Z, P1, bc)
             # endpoint rows go with the fixed derivatives, and the 8 fixed
             # DOFs are not among the columns
-            assert B.shape == (M - 1, Z.num_dofs - 8)
+            assert B.shape == (M - 1, Z.dofs.size - 8)
 
     def test_midpoint_row_support(self):
         z0 = circle_initial()
@@ -381,7 +381,7 @@ class TestConstraintMatrix:
             B = assemble_constraint(Z, P2, BoundaryConditions(periodic=True))
             # the row at b repeats the row at a; the last node has no
             # columns of its own
-            assert B.shape == (2 * M, Z.num_dofs - 4)
+            assert B.shape == (2 * M, Z.dofs.size - 4)
 
     def test_periodic_ends_tied_exactly(self, rng):
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 from numpy.testing import assert_allclose
 
 from elastica_fem import (KKTSingularError, SaddleSystem, SchurSolver,
@@ -89,19 +90,45 @@ def test_kkt_residual_perturbation(rng):
     assert top == pytest.approx(np.linalg.norm(sys.A @ delta), rel=1e-6)
 
 
-def test_band_residual_is_the_transpose_product(rng):
-    # the band's residual product sums B^T lam from B's entries in B's
-    # order: the transpose product, bit for bit; its accepted solutions
-    # meet the normwise backward-error bound
+def test_band_holds_the_block_matrix(rng, monkeypatch):
+    # K in the band's order is [[A, B^T], [B, 0]] permuted, bit for bit;
+    # the factored band holds d_i K_ij d_j at each entry's position; the
+    # accepted solutions meet the normwise backward-error bound
+    factored, gbtrf = [], saddle_solver.lapack.dgbtrf
+
+    def spy(ab, *args, **kwargs):
+        factored.append(np.array(ab))
+        return gbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(saddle_solver.lapack, "dgbtrf", spy)
     sys = random_system(rng, 12, 5)
     B = sp.random(5, 12, density=0.4, format="csr", random_state=4)
-    for system in (sys, SaddleSystem(sys.A, B, sys.rhs_top, sys.rhs_bottom)):
+    # a path graph numbered at random: the along-curve order is wider than
+    # half of K, and the reverse Cuthill-McKee order is taken
+    scramble = rng.permutation(12)
+    path = sp.diags([np.ones(11), np.full(12, 4.0), np.ones(11)], [-1, 0, 1])
+    path_b = sp.csr_matrix(([1.0, -1.0, 2.0, 1.0], ([0, 0, 1, 1],
+                                                    [3, 4, 8, 9])),
+                           shape=(2, 12))
+    scrambled = SaddleSystem(
+        path.tocsr()[scramble][:, scramble].sorted_indices(),
+        path_b[:, scramble].sorted_indices(), rng.normal(size=12),
+        rng.normal(size=2))
+    for system in (sys, SaddleSystem(sys.A, B, sys.rhs_top, sys.rhs_bottom),
+                   scrambled):
         band = saddle_solver.BandedKKT(system.A, system.B)
         band.factor(system.A, system.B)
-        x, lam = rng.normal(size=12), rng.normal(size=5) * 1e3
-        k_sol = band._product(band._stack, np.concatenate([x, lam]))
-        assert np.array_equal(k_sol, np.concatenate(
-            [system.A @ x + system.B.T @ lam, system.B @ x]))
+        ab, bw = factored[-1], band.bandwidth
+        m = system.B.shape[0]
+        block = np.block([[system.A.toarray(), system.B.T.toarray()],
+                          [system.B.toarray(), np.zeros((m, m))]])
+        inv = np.argsort(band.perm)
+        assert np.array_equal(band._k[inv][:, inv].toarray(), block)
+        K, d = band._k.tocoo(), band._d_perm
+        expected = np.zeros_like(ab)
+        expected[2 * bw + K.row - K.col, K.col] = K.data * (d[K.row]
+                                                            * d[K.col])
+        assert np.array_equal(ab[bw:], expected[bw:])
         x, lam = solve_kkt(system)
         norm_k = np.sqrt(np.linalg.norm(system.A.data) ** 2
                          + 2.0 * np.linalg.norm(system.B.data) ** 2)
@@ -109,6 +136,9 @@ def test_band_residual_is_the_transpose_product(rng):
         assert np.hypot(*kkt_residual(system, x, lam)) <= 1e-14 * (
             norm_k * np.linalg.norm(np.concatenate([x, lam]))
             + np.linalg.norm(rhs))
+    assert np.array_equal(band.perm, csgraph.reverse_cuthill_mckee(
+        sp.csr_matrix(block), symmetric_mode=True))
+    assert band.bandwidth <= 2
     # a repeated entry would be scattered twice; the band refuses it
     B = sp.csr_matrix((np.append(B.data, 0.5),
                        np.append(B.indices, B.indices[0]),
@@ -189,6 +219,6 @@ def test_one_factor_serves_many_right_hand_sides(rng):
     band.factor(system.A, system.B)
     for _ in range(3):
         rhs = rng.normal(size=38)
-        sol = saddle_solver.BandedKKT(system.A, system.B).solve(
-            SaddleSystem(system.A, system.B, rhs[:30], rhs[30:]), rhs)
-        assert np.array_equal(band.apply(rhs), sol)
+        sol = solve_kkt(SaddleSystem(system.A, system.B, rhs[:30],
+                                     rhs[30:]))
+        assert np.array_equal(band.apply(rhs), np.concatenate(sol))

@@ -217,13 +217,13 @@ class TestNewton:
     @pytest.mark.parametrize("name", ["circle", "helix"])
     def test_iterations_solve_on_the_band(self, monkeypatch, name, variant):
         calls = []
-        band_solve = saddle_solver.BandedKKT.solve
+        band_factor = saddle_solver.BandedKKT.factor
 
         def band_spy(band, *args):
             calls.append(band)
-            return band_solve(band, *args)
+            return band_factor(band, *args)
 
-        monkeypatch.setattr(saddle_solver.BandedKKT, "solve", band_spy)
+        monkeypatch.setattr(saddle_solver.BandedKKT, "factor", band_spy)
         spec = named_experiment(name)
         mesh = Mesh1D.uniform(*spec.interval, 40)
         mats = assemble_matrices(mesh, spec.dim)

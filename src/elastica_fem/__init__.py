@@ -4,9 +4,8 @@ enforcement, gradient flows, Newton solvers, and convergence studies."""
 
 from .mesh import ConstraintVariant, Mesh1D
 from .splines import (FunctionOracle, HermiteCurve, QuadraticField,
-                      interp_hermite, interp_j2, interp_j3, interp_linear,
-                      interp_quadratic, lumped_product, lumped_weights,
-                      unit_speed_violation)
+                      interp_hermite, interp_j2, interp_j3, lumped_product,
+                      lumped_weights, unit_speed_violation)
 from .assembly import (BoundaryConditions, SystemMatrices,
                        assemble_constraint, assemble_matrices)
 from .saddle_solver import (KKTSingularError, SaddleSystem, SchurSolver,
@@ -35,10 +34,9 @@ __all__ = [
     "SystemMatrices", "assemble_constraint", "assemble_matrices",
     "coercivity_estimate", "dump_trajectory", "emit_csv",
     "eoc", "fit_rate", "h2_error", "infsup_estimate", "init_state",
-    "interp_hermite", "interp_j2", "interp_j3", "interp_linear",
-    "interp_quadratic", "linf_error", "lumped_product",
-    "lumped_weights", "make_interpolant_pair", "multiplier_dofs",
-    "multiplier_field", "named_experiment", "newton_solve",
+    "interp_hermite", "interp_j2", "interp_j3", "linf_error",
+    "lumped_product", "lumped_weights", "make_interpolant_pair",
+    "multiplier_dofs", "multiplier_field", "named_experiment", "newton_solve",
     "quadrature_error", "residual", "residual_dual_norm", "run",
     "run_experiment", "solve_kkt", "stationarity_check",
     "step", "unit_speed_violation", "weak_errors",

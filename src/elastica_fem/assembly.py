@@ -317,7 +317,8 @@ class ConstraintPattern:
 
     def restrict(self, A: sp.csr_matrix) -> sp.csr_matrix:
         """P^T A P in canonical CSR form (sorted, unique column indices),
-        and A's diagonal entry in each empty column of a square P."""
+        and A's diagonal entry in each empty column of a square P; entries
+        that cancel stay as explicit zeros, so A's pattern sets the result's."""
         k, c = self.restriction.shape[1], self.columns
         gone = np.flatnonzero(np.bincount(c, minlength=k + 1)[:k] == 0)
         rows = np.append(np.repeat(c, np.diff(A.indptr)), gone)
@@ -328,7 +329,6 @@ class ConstraintPattern:
             (np.append(A.data, A.diagonal()[gone])[kept], cols[kept],
              np.searchsorted(rows[kept], np.arange(k + 1))), shape=(k, k))
         reduced.sum_duplicates()     # where periodic ties meet
-        reduced.eliminate_zeros()    # as a product does where they cancel
         return reduced
 
 

@@ -10,7 +10,7 @@ Derivative DOFs store physical derivatives (no h-scaling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,10 +97,7 @@ def _quadratic_reference(t: np.ndarray, order: int) -> np.ndarray:
         ])
     if order == 1:
         return np.stack([4.0 * t - 3.0, 4.0 - 8.0 * t, 4.0 * t - 1.0])
-    if order == 2:
-        one = np.ones_like(t)
-        return np.stack([4.0 * one, -8.0 * one, 4.0 * one])
-    raise ValueError("derivative order must be in 0..2")
+    raise ValueError("derivative order must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -184,20 +181,6 @@ class QuadraticField:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def eval(self, x, order: int = 0) -> np.ndarray:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        side = "right" if order == 0 else "left"
-        e = self.mesh.element_of(x_arr, side=side)
-        h = self.mesh.element_lengths[e]
-        t = (x_arr - self.mesh.nodes[e]) / h
-        basis = _quadratic_reference(t, order) * h ** (-order)
-        local = np.stack([self.values[2 * e], self.values[2 * e + 1],
-                          self.values[2 * e + 2]])  # (3, n, d)
-        out = np.einsum("bn,bnd->nd", basis, local)
-        if np.ndim(x) == 0:
-            return out[0]
-        return out
-
     def l2_norm_sq(self) -> float:
         """Exact integral of |v|^2 (3-point Gauss per element)."""
         tq = 0.5 + np.array([-0.5, 0.0, 0.5]) * np.sqrt(3.0 / 5.0)
@@ -216,24 +199,6 @@ def interp_hermite(f: FunctionOracle, mesh: Mesh1D, dim: int) -> HermiteCurve:
     values = _samples(f.value, mesh.nodes, dim)
     derivs = _samples(f.deriv, mesh.nodes, dim)
     return HermiteCurve(mesh, dim, values, derivs)
-
-
-def interp_quadratic(f, mesh: Mesh1D, dim: int) -> QuadraticField:
-    """Quadratic interpolant: matches f at nodes and midpoints."""
-    func = f.value if isinstance(f, FunctionOracle) else f
-    pts = mesh.constraint_nodes(ConstraintVariant.P2)
-    return QuadraticField(mesh, dim, _samples(func, pts, dim))
-
-
-def interp_linear(f, mesh: Mesh1D, dim: int) -> QuadraticField:
-    """Piecewise-linear interpolant at the nodes, stored in the quadratic
-    space (midpoint values are the element-endpoint means)."""
-    func = f.value if isinstance(f, FunctionOracle) else f
-    nodal = _samples(func, mesh.nodes, dim)
-    vals = np.empty((2 * mesh.num_elements + 1, dim))
-    vals[0::2] = nodal
-    vals[1::2] = 0.5 * (nodal[:-1] + nodal[1:])
-    return QuadraticField(mesh, dim, vals)
 
 
 def _cumulative(start_value, increments: np.ndarray, dim: int) -> np.ndarray:
@@ -260,10 +225,8 @@ def interp_j3(start_value, fprime, mesh: Mesh1D, dim: int) -> HermiteCurve:
     left-to-right with compensated summation; consequently the curve's
     derivative equals f' at every node and midpoint.
     """
-    func = fprime.deriv if isinstance(fprime, FunctionOracle) and fprime.deriv is not None \
-        else (fprime.value if isinstance(fprime, FunctionOracle) else fprime)
-    d_nodes = _samples(func, mesh.nodes, dim)
-    d_mids = _samples(func, mesh.midpoints, dim)
+    d_nodes = _samples(fprime, mesh.nodes, dim)
+    d_mids = _samples(fprime, mesh.midpoints, dim)
     h = mesh.element_lengths[:, None]
     increments = (h / 6.0) * (d_nodes[:-1] + 4.0 * d_mids + d_nodes[1:])
 
@@ -278,9 +241,7 @@ def interp_j2(start_value, fprime, mesh: Mesh1D, dim: int) -> HermiteCurve:
     The result is returned in Hermite form (quadratics are cubics); its
     derivative matches f' at the nodes only.
     """
-    func = fprime.deriv if isinstance(fprime, FunctionOracle) and fprime.deriv is not None \
-        else (fprime.value if isinstance(fprime, FunctionOracle) else fprime)
-    d_nodes = _samples(func, mesh.nodes, dim)
+    d_nodes = _samples(fprime, mesh.nodes, dim)
     h = mesh.element_lengths[:, None]
     increments = (h / 2.0) * (d_nodes[:-1] + d_nodes[1:])
 

@@ -11,6 +11,7 @@ conditions P selects the free DOFs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -83,6 +84,38 @@ def _pattern(matrices: SystemMatrices, variant: ConstraintVariant,
                                    rows=np.arange(1, nz - 1)))
 
 
+def _jacobian_pattern(matrices: SystemMatrices, variant: ConstraintVariant,
+                      bc: BoundaryConditions):
+    """(template, slot, row, coef) of A = P^T (S + D^T diag(w) D) P, cached
+    under the constraint pattern: A's data is the bincount over ``slot`` of
+    W[row] * coef, W = (w, 1).  Its terms are w_r (D_ri D_rj) for each pair
+    (i, j) of entries in a row r of D, row by row, and last S's entries, of
+    weight 1.  Each term has its place whatever w is, and (i, j) and (j, i)
+    sum equal terms in the same order, so A is exactly symmetric."""
+    pattern = _pattern(matrices, variant, bc)
+
+    def build():
+        D, S, c = matrices.derivative_map(variant), matrices.bending, pattern.columns
+        k = pattern.restriction.shape[1]
+        lo, hi = D.indptr[:-1, None], D.indptr[1:, None]
+        entry = lo + np.arange((hi - lo).max())
+        both = (entry < hi)[:, :, None] & (entry < hi)[:, None, :]
+        e, f, r = (np.broadcast_to(x, both.shape)[both] for x in (
+            entry[:, :, None], entry[:, None, :],
+            np.arange(D.shape[0])[:, None, None]))
+        rows = c[np.append(D.indices[e],
+                           np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)))]
+        cols = c[np.append(D.indices[f], S.indices)]
+        kept = (rows < k) & (cols < k)
+        keys, slot = np.unique(rows[kept] * k + cols[kept], return_inverse=True)
+        template = sp.csr_matrix(
+            (np.zeros(keys.size), keys % k,
+             np.searchsorted(keys, k * np.arange(k + 1))), shape=(k, k))
+        return (template, slot, np.append(r, np.full(S.nnz, D.shape[0]))[kept],
+                np.append(D.data[e] * D.data[f], S.data)[kept])
+    return matrices.cached(pattern, build)
+
+
 def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
              matrices: SystemMatrices) -> Tuple[np.ndarray, np.ndarray]:
     """Residual blocks of the optimality system.
@@ -116,61 +149,28 @@ def _constraint_block(p: SaddlePoint, variant: ConstraintVariant,
 
 
 def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
-             matrices: SystemMatrices
-             ) -> Tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
+             matrices: SystemMatrices) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
     """Jacobian blocks (P^T A P, B) of the optimality system on the reduced
-    DOFs, and the full index ``free`` of each reduced DOF (P = I[:, free]).
-
-    A is the bending form plus the lumped multiplier term; B is
-    ``_constraint_block``.
-    """
-    dim = p.u.dim
-    beta = lumped_weights(p.u.mesh, variant)
-    lam_z = p.lam.values[::variant.stride, 0]
-
-    D = matrices.derivative_map(variant)
-    weights = np.repeat(beta * lam_z, dim)
-    A = (matrices.bending + D.T @ sp.diags(weights) @ D).tocsr()
-    A = 0.5 * (A + A.T)
-
-    pattern = _pattern(matrices, variant, bc)
-    return (pattern.restrict(A), _constraint_block(p, variant, bc, matrices),
-            np.flatnonzero(np.diff(pattern.restriction.indptr)))
+    DOFs, on the same index arrays at every p: A is the bending form plus
+    the lumped multiplier term (``_jacobian_pattern``), B is
+    ``_constraint_block``."""
+    template, slot, row, coef = _jacobian_pattern(matrices, variant, bc)
+    w = np.repeat(lumped_weights(p.u.mesh, variant)
+                  * p.lam.values[::variant.stride, 0], p.u.dim)
+    A = copy.copy(template)     # shares the index arrays, as ``fill`` does
+    A.data = np.bincount(slot, np.append(w, 1.0)[row] * coef, template.nnz)
+    return A, _constraint_block(p, variant, bc, matrices)
 
 
-def make_interpolant_pair(u_oracle: FunctionOracle,
-                          multiplier: Optional[Callable],
+def make_interpolant_pair(u_oracle: FunctionOracle, multiplier: Callable,
                           mesh: Mesh1D, dim: int,
                           variant: ConstraintVariant) -> SaddlePoint:
     """Starting guess for Newton: the cubic interpolant of the exact curve
-    and the zero-boundary constraint-node interpolant of its multiplier.
-
-    Without an analytic multiplier, -|u_h''|^2 of the interpolant is sampled
-    at the constraint nodes (sides averaged at the nodes, where the discrete
-    second derivative jumps)."""
-    u = interp_hermite(u_oracle, mesh, dim)
-    if multiplier is not None:
-        pts = mesh.constraint_nodes(variant)[1:-1]
-        vals = np.asarray(multiplier(pts), dtype=float).ravel()
-    else:
-        vals = default_multiplier_values(u, variant)
-    return SaddlePoint(u, multiplier_field(mesh, vals, variant))
-
-
-def default_multiplier_values(u: HermiteCurve, variant: ConstraintVariant
-                              ) -> np.ndarray:
-    """-|u''|^2 at the interior constraint nodes of the variant."""
-    mesh = u.mesh
-    mids = u.eval(mesh.midpoints, order=2)
-    # average the one-sided second derivatives at interior nodes
-    left = u.eval(mesh.nodes[1:-1], order=2)
-    basis_right = u.eval(np.nextafter(mesh.nodes[1:-1], mesh.b), order=2)
-    nodes_sq = 0.5 * (np.einsum("nd,nd->n", left, left)
-                      + np.einsum("nd,nd->n", basis_right, basis_right))
-    vals = np.zeros(2 * mesh.num_elements + 1)
-    vals[2:-1:2] = -nodes_sq
-    vals[1::2] = -np.einsum("nd,nd->n", mids, mids)
-    return vals[::variant.stride][1:-1]
+    and the zero-boundary constraint-node interpolant of its multiplier."""
+    pts = mesh.constraint_nodes(variant)[1:-1]
+    vals = np.asarray(multiplier(pts), dtype=float).ravel()
+    return SaddlePoint(interp_hermite(u_oracle, mesh, dim),
+                       multiplier_field(mesh, vals, variant))
 
 
 def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
@@ -202,12 +202,15 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
                                * np.abs(p0.u.dofs).max()
                                * np.sqrt(r_u.size + r_mu.size)))
 
+    band = None
     for _ in range(max_iter):
         if norms[-1] <= tol:
             break
-        A, B, _ = jacobian(p, variant, bc, matrices)
+        A, B = jacobian(p, variant, bc, matrices)
+        if band is None:    # the patterns are the discretization's
+            band = BandedKKT(A, B)
         try:
-            du, dlam = solve_kkt(SaddleSystem(A, B, -r_u, -r_mu))
+            du, dlam = solve_kkt(SaddleSystem(A, B, -r_u, -r_mu), band)
         except KKTSingularError as exc:
             raise NewtonError(f"KKT solve failed: {exc}", norms) from exc
 
@@ -357,7 +360,7 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
     """
     if norms is None:
         norms = DiscreteNorms.build(matrices, bc, variant)
-    A, B, _ = jacobian(p, variant, bc, matrices)
+    A, B = jacobian(p, variant, bc, matrices)
     U, n = norms.gram_factor, A.shape[0]
     lowest = _extreme_eigenvalue(lambda y: _tri(U, A @ _tri(U, y, 0, True),
                                                 1, True), n, "SA", 1e-2)

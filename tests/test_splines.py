@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 
 from elastica_fem import (ConstraintVariant, FunctionOracle, HermiteCurve,
                           Mesh1D, QuadraticField, interp_hermite, interp_j2,
-                          interp_j3, interp_linear, interp_quadratic,
-                          lumped_product, lumped_weights,
+                          interp_j3, lumped_product, lumped_weights,
                           unit_speed_violation)
 from elastica_fem.analysis import eoc, linf_error, quadrature_error
 
@@ -99,36 +98,6 @@ class TestInterpolants:
         rates = eoc(errs, hs)
         assert all(abs(r - 4.0) < 0.2 for r in rates)
 
-    def test_quadratic_reproduces_quadratics(self, rng):
-        p = Polynomial(rng.normal(size=3))
-        mesh = random_graded_mesh(rng, length=3.0)
-        field = interp_quadratic(poly_oracle(p), mesh, 1)
-        x = np.linspace(mesh.a, mesh.b, 57)
-        assert_allclose(field.eval(x)[:, 0], p(x), atol=1e-11)
-
-    def test_quadratic_cube_pointwise(self):
-        mesh = Mesh1D.uniform(0.0, 1.0, 1)
-        field = interp_quadratic(lambda x: x**3, mesh, 1)
-        assert_allclose(field.values[:, 0], [0.0, 0.125, 1.0], atol=0)
-
-    def test_quadratic_third_order(self):
-        f = lambda x: np.sin(x)
-        errs, hs = [], []
-        for M in (16, 32, 64):
-            mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, M)
-            field = interp_quadratic(f, mesh, 1)
-            x = np.linspace(0.0, 2.0 * np.pi, 2000)
-            errs.append(np.abs(field.eval(x)[:, 0] - f(x)).max())
-            hs.append(mesh.h)
-        rates = eoc(errs, hs)
-        assert all(abs(r - 3.0) < 0.2 for r in rates)
-
-    def test_linear_reproduces_linears(self):
-        mesh = Mesh1D(np.array([0.0, 0.7, 1.0, 2.0]))
-        field = interp_linear(lambda x: 3.0 * x + 1.0, mesh, 1)
-        x = np.linspace(0.0, 2.0, 41)
-        assert_allclose(field.eval(x)[:, 0], 3.0 * x + 1.0, atol=1e-13)
-
 
 class TestJ3:
     def test_linear_exact(self):
@@ -198,7 +167,7 @@ class TestLumped:
     def test_simpson_exact_for_x_squared(self):
         # (x, x)_{h,2} on [0,1]: Simpson integrates x^2 exactly to 1/3
         mesh = Mesh1D.uniform(0.0, 1.0, 1)
-        f = interp_quadratic(lambda x: x, mesh, 1)
+        f = QuadraticField(mesh, 1, mesh.constraint_nodes(P2))
         assert lumped_product(f, f, P2) == pytest.approx(1.0 / 3.0, abs=1e-16)
 
     def test_mismatch_errors(self):

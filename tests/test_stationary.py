@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant,
@@ -10,6 +11,7 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant,
 from elastica_fem import assembly, saddle_solver
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
 from elastica_fem.flow import FlowConfig, run
+from elastica_fem.splines import lumped_weights
 from elastica_fem.stationary import (DiscreteNorms, SaddlePoint, _pattern,
                                      coercivity_estimate, infsup_estimate,
                                      jacobian, make_interpolant_pair,
@@ -69,7 +71,6 @@ class TestResidual:
         pair = make_interpolant_pair(circle_spec.exact.oracle,
                                      circle_spec.exact.multiplier, mesh, 2, P2)
         _, r_mu = residual(pair, P2, circle_spec.bc, mats)
-        from elastica_fem.splines import lumped_weights
         beta = lumped_weights(mesh, P2)
         du = pair.u.derivative_at_constraint_nodes(P2)
         expect = 0.5 * beta[1:-1] * (np.einsum("nd,nd->n", du, du)[1:-1] - 1.0)
@@ -82,7 +83,8 @@ class TestJacobian:
         mats = assemble_matrices(mesh, 2)
         pair = make_interpolant_pair(circle_spec.exact.oracle,
                                      lambda x: np.zeros_like(x), mesh, 2, P2)
-        A, _, free = jacobian(pair, P2, circle_spec.bc, mats)
+        A, _ = jacobian(pair, P2, circle_spec.bc, mats)
+        free = np.flatnonzero(np.diff(circle_spec.bc.restriction(mesh, 2).indptr))
         expect = mats.bending.toarray()[np.ix_(free, free)]
         assert_allclose(A.toarray(), expect, atol=1e-14)
 
@@ -91,9 +93,42 @@ class TestJacobian:
         mats = assemble_matrices(mesh, 2)
         pair = make_interpolant_pair(circle_spec.exact.oracle,
                                      circle_spec.exact.multiplier, mesh, 2, P2)
-        A, _, _ = jacobian(pair, P2, circle_spec.bc, mats)
+        A, _ = jacobian(pair, P2, circle_spec.bc, mats)
         Ad = A.toarray()
         assert np.array_equal(Ad, Ad.T)
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_pattern_fixed_over_newton(self, name, variant):
+        # entries that vanish or cancel at one iterate keep their place
+        spec = named_experiment(name)
+        mesh = Mesh1D.uniform(*spec.interval, 20)
+        mats = assemble_matrices(mesh, spec.dim)
+        pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
+                                     mesh, spec.dim, variant)
+        sol, log = newton_solve(pair, variant, spec.bc, mats)
+        assert log["iterations"] >= 1
+        A0, _ = jacobian(pair, variant, spec.bc, mats)
+        A1, _ = jacobian(sol, variant, spec.bc, mats)
+        assert np.array_equal(A0.indptr, A1.indptr)
+        assert np.array_equal(A0.indices, A1.indices)
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    def test_matches_sparse_products(self, circle_spec, variant):
+        # the reference: P^T (S + D^T diag(w) D) P from scipy's products,
+        # which sum in another order, so equal up to roundoff
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 9)
+        mats = assemble_matrices(mesh, 2)
+        pair = make_interpolant_pair(circle_spec.exact.oracle,
+                                     circle_spec.exact.multiplier, mesh, 2,
+                                     variant)
+        A, _ = jacobian(pair, variant, circle_spec.bc, mats)
+        D, P = mats.derivative_map(variant), circle_spec.bc.restriction(mesh, 2)
+        w = np.repeat(lumped_weights(mesh, variant)
+                      * pair.lam.values[::variant.stride, 0], 2)
+        expect = (P.T @ (mats.bending + D.T @ sp.diags(w) @ D) @ P).toarray()
+        assert_allclose(A.toarray(), expect, rtol=0,
+                        atol=1e-14 * np.abs(expect).max())
 
     @pytest.mark.parametrize("variant", [P2, P1])
     def test_finite_difference_consistency(self, rng, circle_spec, variant):
@@ -102,7 +137,8 @@ class TestJacobian:
         pair = make_interpolant_pair(circle_spec.exact.oracle,
                                      circle_spec.exact.multiplier,
                                      mesh, 2, variant)
-        A, B, free = jacobian(pair, variant, circle_spec.bc, mats)
+        A, B = jacobian(pair, variant, circle_spec.bc, mats)
+        free = np.flatnonzero(np.diff(circle_spec.bc.restriction(mesh, 2).indptr))
         r_u0, r_mu0 = residual(pair, variant, circle_spec.bc, mats)
         qu = rng.normal(size=free.size)
         ql = rng.normal(size=B.shape[0])
@@ -184,16 +220,6 @@ class TestNewton:
         lam_mid = multiplier_dofs(sol.lam, P2)[5:-5]
         assert np.abs(lam_mid + 1.0).max() <= 0.01
 
-    def test_default_multiplier_start(self, circle_spec):
-        # without an analytic multiplier the start is -|u_h''|^2 sampled at
-        # the constraint nodes; Newton still converges
-        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 12)
-        mats = assemble_matrices(mesh, 2)
-        pair = make_interpolant_pair(circle_spec.exact.oracle, None,
-                                     mesh, 2, P2)
-        sol, log = newton_solve(pair, P2, circle_spec.bc, mats)
-        assert log["iterations"] <= 8
-
     def test_max_iter_exceeded_raises(self, circle_spec):
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 10)
         mats = assemble_matrices(mesh, 2)
@@ -232,6 +258,28 @@ class TestNewton:
         _, log = newton_solve(pair, variant, spec.bc, mats)
         assert log["iterations"] >= 1
         assert len(calls) == log["iterations"]
+
+    @pytest.mark.parametrize("name,variant", [("circle", P2), ("helix", P1),
+                                              ("helix", P2)])
+    def test_one_band_per_solve(self, monkeypatch, name, variant):
+        # the Jacobian's patterns are the discretization's, so one band
+        # serves every iteration of a solve
+        built = []
+        band_init = saddle_solver.BandedKKT.__init__
+
+        def init_spy(band, *args):
+            built.append(band)
+            band_init(band, *args)
+
+        monkeypatch.setattr(saddle_solver.BandedKKT, "__init__", init_spy)
+        spec = named_experiment(name)
+        mesh = Mesh1D.uniform(*spec.interval, 20)
+        mats = assemble_matrices(mesh, spec.dim)
+        pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
+                                     mesh, spec.dim, variant)
+        _, log = newton_solve(pair, variant, spec.bc, mats)
+        assert log["iterations"] >= 2
+        assert len(built) == 1
 
     @pytest.mark.parametrize("variant", [P1, P2])
     def test_singular_jacobian_raises_newton_error(self, circle_spec,
@@ -388,7 +436,7 @@ def dense_brezzi(pair, variant, bc, mats):
     t = sla.solve(mass, r_mu, assume_a="pos")
     dual = np.hypot(np.sqrt(max(r_u @ sla.solve(G, r_u, assume_a="pos"), 0.0)),
                     np.sqrt(max(t @ h1 @ t, 0.0)))
-    A, B, _ = jacobian(pair, variant, bc, mats)
+    A, B = jacobian(pair, variant, bc, mats)
     Bd = B.toarray()
     Z = sla.null_space(Bd)
     assert Bd.shape[1] - Z.shape[1] == Bd.shape[0]

@@ -3,9 +3,9 @@ diagnostics, and interpolation studies.
 
 `run` takes an experiment name or --config FILE, not both; a flag given
 with --config overrides the file's key.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error (a mesh size below 1, tau <= 0 and T < 0 among them).
-The output directory defaults to the current directory and can be
-overridden with --output-dir or the ELASTICA_FEM_OUTPUT_DIR variable.
+failure, 2 usage error (a mesh size below 1, tau <= 0, T < 0 and a negative
+--snapshot-stride among them).  The output directory is --output-dir, else
+the ELASTICA_FEM_OUTPUT_DIR variable, else the current directory.
 """
 
 from __future__ import annotations
@@ -199,6 +199,8 @@ def _output_dir(ns: argparse.Namespace) -> str:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
+    if ns.snapshot_stride < 0:
+        raise UsageError(f"snapshot stride must be >= 0, got {ns.snapshot_stride}")
     spec = _run_spec(ns)
     if spec.long_running and not ns.long:
         raise UsageError(

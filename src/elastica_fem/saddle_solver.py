@@ -7,10 +7,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 
@@ -18,9 +16,8 @@ class KKTSingularError(RuntimeError):
     """Raised when the KKT matrix is singular or numerically rank deficient.
 
     ``deficiency`` carries the estimated rank deficiency: the number of
-    pivots of the equilibrated band (for ``SchurSolver``, singular values
-    of the Schur complement) at most _PIVOT_TOL times the largest.  It is
-    0 when every pivot passed and only the backward-error test failed.
+    pivots of the equilibrated band at most _PIVOT_TOL times the largest,
+    or 0 when every pivot passed and only the backward-error test failed.
     """
 
     def __init__(self, message: str, deficiency: int):
@@ -231,38 +228,3 @@ def solve_kkt(system: SaddleSystem, band: Optional[BandedKKT] = None
     sol = band.apply(np.concatenate([system.rhs_top, system.rhs_bottom]))
     return sol[:system.n], sol[system.n:]
 
-
-class SchurSolver:
-    """Schur-complement path that factorizes A once and reuses it while the
-    constraint block changes every step.
-
-    Intended for long flows where A = M + tau*S is constant; requires A to be
-    nonsingular (it is symmetric positive definite in the L2 flow).
-    """
-
-    def __init__(self, A: sp.spmatrix):
-        self.A = sp.csc_matrix(A)
-        self._lu = spla.splu(self.A)
-
-    def solve(self, B: sp.spmatrix, rhs_top: np.ndarray,
-              rhs_bottom: Optional[np.ndarray] = None
-              ) -> Tuple[np.ndarray, np.ndarray]:
-        B = sp.csr_matrix(B)
-        m = B.shape[0]
-        if rhs_bottom is None:
-            rhs_bottom = np.zeros(m)
-        y0 = self._lu.solve(rhs_top)
-        if m == 0:
-            return y0, np.zeros(0)
-        Y = self._lu.solve(B.T.toarray())
-        schur = B @ Y
-        try:
-            c, low = sla.cho_factor(schur)
-            lam = sla.cho_solve((c, low), B @ y0 - rhs_bottom)
-        except np.linalg.LinAlgError as exc:
-            svals = sla.svdvals(schur)
-            raise KKTSingularError(
-                "Schur complement not positive definite",
-                int(np.sum(svals <= _PIVOT_TOL * svals[0]))) from exc
-        x = y0 - Y @ lam
-        return x, lam

@@ -2,11 +2,11 @@
 saddle-point optimality system, its exact Jacobian, a Newton iteration, and
 numerical checks of the two Brezzi conditions (kernel coercivity, inf-sup).
 
-The optimality system couples the curve with a scalar multiplier living in
-the constraint-node space with zero boundary values.  Boundary conditions on
-the curve are imposed, for trial and test functions alike, by the same
-restriction P to reduced DOFs as in the flow module; for endpoint
-conditions P selects the free DOFs.
+The optimality system couples the curve with a scalar multiplier in the
+zero-boundary constraint-node space, held as its values at the interior
+constraint nodes.  Boundary conditions on the curve are imposed, for trial
+and test functions alike, by the same restriction P to reduced DOFs as in
+the flow module; for endpoint conditions P selects the free DOFs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .assembly import (_GAUSS4_T, _GAUSS4_W, TARGETS, BoundaryConditions,
                        ConstraintPattern, SystemMatrices, constraint_pattern)
 from .mesh import ConstraintVariant, Mesh1D
 from .saddle_solver import BandedKKT, KKTSingularError, SaddleSystem
-from .splines import (FunctionOracle, HermiteCurve, QuadraticField,
-                      _quadratic_reference, interp_hermite, lumped_weights)
+from .splines import (FunctionOracle, HermiteCurve, _quadratic_reference,
+                      interp_hermite, lumped_weights)
 
 
 class NewtonError(RuntimeError):
@@ -37,34 +37,27 @@ class NewtonError(RuntimeError):
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """Curve plus scalar multiplier; the multiplier's endpoint values are
-    exactly zero (zero-boundary constraint-node space)."""
+    """Curve plus scalar multiplier, held as its DOFs: the 1-D array of its
+    values at the interior constraint nodes (M-1 for P1, 2M-1 for P2); the
+    endpoint values are zero (zero-boundary constraint-node space)."""
 
     u: HermiteCurve
-    lam: QuadraticField
+    lam: np.ndarray
 
     def __post_init__(self):
-        if self.lam.dim != 1:
-            raise ValueError("multiplier must be scalar")
-        if self.lam.values[0, 0] != 0.0 or self.lam.values[-1, 0] != 0.0:
-            raise ValueError("multiplier must vanish at the endpoints")
+        lam = np.asarray(self.lam, dtype=float)
+        M = self.u.mesh.num_elements
+        if lam.ndim != 1 or lam.size not in (M - 1, 2 * M - 1):
+            raise ValueError(f"multiplier needs M-1 or 2M-1 values, M={M}")
+        object.__setattr__(self, "lam", lam)
 
 
-def multiplier_field(mesh: Mesh1D, interior_values: np.ndarray,
-                     variant: ConstraintVariant) -> QuadraticField:
-    """Scalar multiplier from its active DOFs (values at interior constraint
-    nodes), embedded in the quadratic storage; endpoints are zero.  For the
-    node-only variant the field is piecewise linear (midpoints are means)."""
-    vals = np.zeros(2 * mesh.num_elements + 1)
-    vals[::variant.stride][1:-1] = np.asarray(interior_values, dtype=float).ravel()
-    if variant is ConstraintVariant.P1:
-        vals[1::2] = 0.5 * (vals[:-1:2] + vals[2::2])
-    return QuadraticField(mesh, 1, vals)
-
-
-def multiplier_dofs(lam: QuadraticField, variant: ConstraintVariant) -> np.ndarray:
-    """Active DOFs (interior constraint-node values) of a multiplier field."""
-    return lam.values[::variant.stride, 0][1:-1].copy()
+def _multiplier_nodes(p: SaddlePoint, variant: ConstraintVariant) -> np.ndarray:
+    """p's multiplier at the constraint nodes of ``variant``, ends included."""
+    if p.lam.size != 2 * p.u.mesh.num_elements // variant.stride - 1:
+        raise ValueError(f"{p.lam.size} multiplier values do not fit the "
+                         f"{variant.name} constraint nodes")
+    return np.concatenate(([0.0], p.lam, [0.0]))
 
 
 def _pattern(matrices: SystemMatrices, variant: ConstraintVariant,
@@ -126,10 +119,8 @@ def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     """
     beta = lumped_weights(p.u.mesh, variant)
     du = p.u.derivative_at_constraint_nodes(variant)
-    lam_z = p.lam.values[::variant.stride, 0]
-
     D = matrices.derivative_map(variant)
-    w = (beta * lam_z)[:, None] * du
+    w = (beta * _multiplier_nodes(p, variant))[:, None] * du
     r_u = matrices.apply_bending(p.u.dofs) + D.T @ w.ravel()
 
     speed = np.einsum("nd,nd->n", du, du)
@@ -156,7 +147,7 @@ def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     ``_constraint_block``."""
     template, slot, row, coef = _jacobian_pattern(matrices, variant, bc)
     w = np.repeat(lumped_weights(p.u.mesh, variant)
-                  * p.lam.values[::variant.stride, 0], p.u.dim)
+                  * _multiplier_nodes(p, variant), p.u.dim)
     A = copy.copy(template)     # shares the index arrays, as ``fill`` does
     A.data = np.bincount(slot, np.append(w, 1.0)[row] * coef, template.nnz)
     return A, _constraint_block(p, variant, bc, matrices)
@@ -168,9 +159,8 @@ def make_interpolant_pair(u_oracle: FunctionOracle, multiplier: Callable,
     """Starting guess for Newton: the cubic interpolant of the exact curve
     and the zero-boundary constraint-node interpolant of its multiplier."""
     pts = mesh.constraint_nodes(variant)[1:-1]
-    vals = np.asarray(multiplier(pts), dtype=float).ravel()
     return SaddlePoint(interp_hermite(u_oracle, mesh, dim),
-                       multiplier_field(mesh, vals, variant))
+                       np.ravel(multiplier(pts)))
 
 
 def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
@@ -191,8 +181,7 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     from .saddle_solver import solve_kkt
 
     mesh, dim = p0.u.mesh, p0.u.dim
-    P = _pattern(matrices, variant, bc).restriction
-    p = p0
+    p, columns = p0, _pattern(matrices, variant, bc).columns
     r_u, r_mu = residual(p, variant, bc, matrices)
     norms = [float(np.sqrt(np.dot(r_u, r_u) + np.dot(r_mu, r_mu)))]
     halvings = 0
@@ -215,13 +204,11 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
             raise NewtonError(f"KKT solve failed: {exc}", norms) from exc
 
         step_scale = 1.0
-        u_dofs = p.u.dofs
-        lam_dofs = multiplier_dofs(p.lam, variant)
-        while True:
+        while True:     # P du as the gather of flow.step
             cand = SaddlePoint(
-                HermiteCurve.from_dofs(mesh, dim,
-                                       u_dofs + P @ (step_scale * du)),
-                multiplier_field(mesh, lam_dofs + step_scale * dlam, variant))
+                HermiteCurve.from_dofs(mesh, dim, p.u.dofs + np.append(
+                    step_scale * du, 0.0)[columns]),
+                p.lam + step_scale * dlam)
             r_u_new, r_mu_new = residual(cand, variant, bc, matrices)
             norm_new = float(np.sqrt(np.dot(r_u_new, r_u_new)
                                      + np.dot(r_mu_new, r_mu_new)))

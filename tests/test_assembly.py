@@ -8,13 +8,14 @@ from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
-                          HermiteCurve, Mesh1D, assemble_constraint,
-                          assemble_matrices, interp_j3, run)
+                          FunctionOracle, HermiteCurve, Mesh1D,
+                          assemble_constraint, assemble_matrices, interp_j3,
+                          run)
 from elastica_fem.assembly import constraint_pattern, derivative_map
 from elastica_fem.experiments import (HELIX_FREQ, circle_initial,
                                       helix_initial, named_experiment)
-from elastica_fem.splines import QuadraticField, interp_hermite
-from elastica_fem.stationary import multiplier_dofs
+from elastica_fem.splines import interp_hermite
+from elastica_fem.stationary import make_interpolant_pair
 
 from conftest import random_graded_mesh
 
@@ -262,9 +263,13 @@ def test_p1_is_p2_at_the_mesh_nodes(rng, dim):
         assert np.array_equal(
             derivative_map(mesh, dim, P1).toarray(),
             d2.reshape(-1, dim, d2.shape[1])[::2].reshape(-1, d2.shape[1]))
-        lam = QuadraticField(mesh, 1, rng.normal(size=2 * n - 1))
-        assert np.array_equal(multiplier_dofs(lam, P1),
-                              multiplier_dofs(lam, P2)[1::2])
+        # the multiplier's DOFs: P1's interior node values are P2's [1::2]
+        oracle = FunctionOracle(lambda x: np.ones((x.size, dim)),
+                                lambda x: np.zeros((x.size, dim)))
+        multiplier = Polynomial(rng.normal(size=4))
+        lam1, lam2 = (make_interpolant_pair(oracle, multiplier, mesh, dim,
+                                            v).lam for v in (P1, P2))
+        assert np.array_equal(lam1, lam2[1::2])
 
 
 class TestConstraintMatrix:

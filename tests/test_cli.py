@@ -283,7 +283,9 @@ class TestFlagsAndConfig:
         ["run", "circle", "-M", "4", "--T", "-1"],
         ["run", "circle", "-M", "0"],
         ["run", "circle", "-M", "4,-8"],
-    ], ids=["tau-zero", "tau-negative", "T-negative", "M-zero", "M-negative"])
+        ["run", "circle", "-M", "4", "--T", "0.1", "--snapshot-stride", "-3"],
+    ], ids=["tau-zero", "tau-negative", "T-negative", "M-zero", "M-negative",
+            "stride-negative"])
     def test_out_of_range_run_is_usage_error(self, argv, tmp_path, capsys):
         assert console_main(argv + ["--output-dir", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err

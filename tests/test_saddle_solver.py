@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 from numpy.testing import assert_allclose
 
-from elastica_fem import (KKTSingularError, SaddleSystem, SchurSolver,
-                          saddle_solver, solve_kkt)
+from elastica_fem import KKTSingularError, SaddleSystem, saddle_solver, solve_kkt
 
 
 def kkt_residual(system, x, lam):
@@ -157,16 +157,15 @@ def test_singular_detection():
 
 
 def test_large_singular_kkt_skips_svd(monkeypatch):
-    # the band's own pivots give the deficiency at every size; the SVD is
-    # left to SchurSolver
+    # the band's own pivots give the deficiency at every size, with no SVD
     calls = []
-    real = saddle_solver.sla.svdvals
+    real = scipy.linalg.svdvals
 
     def spy(K):
         calls.append(K.shape[0])
         return real(K)
 
-    monkeypatch.setattr(saddle_solver.sla, "svdvals", spy)
+    monkeypatch.setattr(scipy.linalg, "svdvals", spy)
     rng = np.random.default_rng(5)
     for n in (400, 4):
         B = np.zeros((2, n))
@@ -176,32 +175,6 @@ def test_large_singular_kkt_skips_svd(monkeypatch):
                                    rng.normal(size=2)))
         assert info.value.deficiency >= 1
     assert calls == []
-
-
-def test_schur_solver_matches_direct(rng):
-    A = None
-    for _ in range(100):
-        n = int(rng.integers(6, 40))
-        m = int(rng.integers(1, max(2, n // 3)))
-        sys = random_system(rng, n, m)
-        solver = SchurSolver(sys.A)
-        x_s, lam_s = solver.solve(sys.B, sys.rhs_top, sys.rhs_bottom)
-        x_d, lam_d = solve_kkt(sys)
-        assert np.linalg.norm(x_s - x_d) <= 1e-8 * (1.0 + np.linalg.norm(x_d))
-        assert np.linalg.norm(lam_s - lam_d) <= 1e-8 * (1.0 + np.linalg.norm(lam_d))
-
-
-def test_schur_solver_reuses_factorization(rng):
-    n, m = 30, 7
-    Q = rng.normal(size=(n, n))
-    A = Q @ Q.T + n * np.eye(n)
-    solver = SchurSolver(sp.csr_matrix(A))
-    for _ in range(4):
-        B = rng.normal(size=(m, n))
-        b = rng.normal(size=n)
-        x_s, lam_s = solver.solve(sp.csr_matrix(B), b)
-        x_o, lam_o = dense_schur_oracle(A, B, b, np.zeros(m))
-        assert_allclose(x_s, x_o, atol=1e-9 * (1 + np.abs(x_o).max()))
 
 
 def test_shape_validation():

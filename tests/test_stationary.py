@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant,
                           FunctionOracle, HermiteCurve, KKTSingularError,
-                          Mesh1D, NewtonError, QuadraticField, assemble_matrices, fit_rate,
+                          Mesh1D, NewtonError, assemble_matrices, fit_rate,
                           unit_speed_violation)
 from elastica_fem import assembly, saddle_solver
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
@@ -15,20 +15,19 @@ from elastica_fem.splines import lumped_weights
 from elastica_fem.stationary import (DiscreteNorms, SaddlePoint, _pattern,
                                      coercivity_estimate, infsup_estimate,
                                      jacobian, make_interpolant_pair,
-                                     multiplier_dofs, multiplier_field,
                                      newton_solve, residual,
                                      residual_dual_norm)
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
 
-def straight_pair(M=6, length=1.0):
+def straight_pair(M=6, length=1.0, variant=P2):
     mesh = Mesh1D.uniform(0.0, length, M)
     vals = np.stack([mesh.nodes, np.zeros(M + 1)], axis=1)
     ders = np.tile([1.0, 0.0], (M + 1, 1))
     u = HermiteCurve(mesh, 2, vals, ders)
-    lam = multiplier_field(mesh, np.zeros(2 * M - 1), P2)
-    return SaddlePoint(u, lam), mesh
+    # zero multiplier at the interior constraint nodes of ``variant``
+    return SaddlePoint(u, np.zeros(2 * M // variant.stride - 1)), mesh
 
 
 def clamped_segment_bc(length=1.0):
@@ -125,7 +124,7 @@ class TestJacobian:
         A, _ = jacobian(pair, variant, circle_spec.bc, mats)
         D, P = mats.derivative_map(variant), circle_spec.bc.restriction(mesh, 2)
         w = np.repeat(lumped_weights(mesh, variant)
-                      * pair.lam.values[::variant.stride, 0], 2)
+                      * np.concatenate(([0.0], pair.lam, [0.0])), 2)
         expect = (P.T @ (mats.bending + D.T @ sp.diags(w) @ D) @ P).toarray()
         assert_allclose(A.toarray(), expect, rtol=0,
                         atol=1e-14 * np.abs(expect).max())
@@ -142,14 +141,13 @@ class TestJacobian:
         r_u0, r_mu0 = residual(pair, variant, circle_spec.bc, mats)
         qu = rng.normal(size=free.size)
         ql = rng.normal(size=B.shape[0])
-        lam0 = multiplier_dofs(pair.lam, variant)
         remainders, eps_list = [], [1e-2, 1e-3, 1e-4, 1e-5]
         for eps in eps_list:
             dofs = pair.u.dofs.copy()
             dofs[free] += eps * qu
             cand = SaddlePoint(
                 HermiteCurve.from_dofs(mesh, 2, dofs),
-                multiplier_field(mesh, lam0 + eps * ql, variant))
+                pair.lam + eps * ql)
             r_u1, r_mu1 = residual(cand, variant, circle_spec.bc, mats)
             rem = np.sqrt(
                 np.linalg.norm(r_u1 - r_u0 - eps * (A @ qu + B.T @ ql))**2
@@ -208,7 +206,7 @@ class TestNewton:
         pair = make_interpolant_pair(helix_spec.exact.oracle,
                                      helix_spec.exact.multiplier, mesh, 3, P2)
         sol, _ = newton_solve(pair, P2, helix_spec.bc, mats)
-        lam_mid = multiplier_dofs(sol.lam, P2)[10:-10]
+        lam_mid = sol.lam[10:-10]
         assert np.abs(lam_mid - (-HELIX_FREQ**2)).max() <= 0.01
 
     def test_circle_multiplier_value(self, circle_spec):
@@ -217,7 +215,7 @@ class TestNewton:
         pair = make_interpolant_pair(circle_spec.exact.oracle,
                                      circle_spec.exact.multiplier, mesh, 2, P2)
         sol, _ = newton_solve(pair, P2, circle_spec.bc, mats)
-        lam_mid = multiplier_dofs(sol.lam, P2)[5:-5]
+        lam_mid = sol.lam[5:-5]
         assert np.abs(lam_mid + 1.0).max() <= 0.01
 
     def test_max_iter_exceeded_raises(self, circle_spec):
@@ -333,7 +331,7 @@ class TestBrezziDiagnostics:
     def test_straight_segment_coercive(self):
         # node-only constraint: B has full rank and the pure bending form is
         # coercive on its kernel under clamped conditions
-        pair, mesh = straight_pair()
+        pair, mesh = straight_pair(variant=P1)
         mats = assemble_matrices(mesh, 2)
         alpha = coercivity_estimate(pair, P1, clamped_segment_bc(), mats)
         assert alpha > 0.0
@@ -517,16 +515,28 @@ class TestBandedBrezziAgainstDense:
         assert len(calls) == 2 and calls[0] is not calls[1]
 
 
-def test_multiplier_field_embedding():
-    mesh = Mesh1D.uniform(0.0, 1.0, 4)
-    vals = np.arange(1.0, 4.0)  # interior node values for the node-only space
-    lam = multiplier_field(mesh, vals, P1)
-    # endpoints zero, midpoints are means of adjacent nodes
-    assert lam.values[0, 0] == 0.0 and lam.values[-1, 0] == 0.0
-    assert_allclose(lam.values[1::2, 0], [0.5, 1.5, 2.5, 1.5])
-    assert_allclose(multiplier_dofs(lam, P1), vals)
-    lam2 = multiplier_field(mesh, np.arange(1.0, 8.0), P2)
-    assert_allclose(multiplier_dofs(lam2, P2), np.arange(1.0, 8.0))
-    with pytest.raises(ValueError, match="endpoint"):
-        SaddlePoint(HermiteCurve(mesh, 1, np.zeros((5, 1)), np.ones((5, 1))),
-                    QuadraticField(mesh, 1, np.ones((9, 1))))
+@pytest.mark.parametrize("variant, size", [(P1, 3), (P2, 7)])
+def test_multiplier_held_as_interior_values(circle_spec, variant, size):
+    # M=4: M-1 interior constraint nodes for P1, 2M-1 for P2
+    mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 4)
+    pair = make_interpolant_pair(circle_spec.exact.oracle, np.sin, mesh, 2,
+                                 variant)
+    assert pair.lam.shape == (size,)
+    assert np.array_equal(pair.lam,
+                          np.sin(mesh.constraint_nodes(variant)[1:-1]))
+
+
+def test_malformed_multiplier_raises(circle_spec):
+    mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 4)
+    mats = assemble_matrices(mesh, 2)
+    u = make_interpolant_pair(circle_spec.exact.oracle, np.sin, mesh, 2,
+                              P2).u
+    # fits neither M-1 nor 2M-1, or is not a vector
+    for lam in (np.zeros(5), np.zeros(9), np.zeros((7, 1))):
+        with pytest.raises(ValueError, match="multiplier"):
+            SaddlePoint(u, lam)
+    # fits one variant and is used with the other
+    for lam, variant in ((np.zeros(7), P1), (np.zeros(3), P2)):
+        for f in (residual, jacobian, newton_solve):
+            with pytest.raises(ValueError, match="multiplier"):
+                f(SaddlePoint(u, lam), variant, circle_spec.bc, mats)

@@ -25,9 +25,11 @@ def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
     product, with the physical h-scaling of value/derivative DOFs applied;
     4-point Gauss is exact for these integrands (degree <= 6).
 
-    They only build the CSR matrices.  In longdouble, entries that are 0 in
-    exact arithmetic round to exact zeros, which keeps them out of the CSR
-    pattern (bending at M=5, d=1: 56 nonzeros, 64 if built in float64)."""
+    They only build the CSR matrices, unsymmetrized; ``assemble_matrices``
+    casts them to float64, symmetrizes their sum and drops its exact zeros.
+    In longdouble, entries that are 0 in exact arithmetic round to exact
+    zeros, which keeps them out of the CSR pattern (bending at M=5, d=1:
+    56 nonzeros, 64 if built in float64)."""
     basis = _hermite_reference(_QT.astype(float), order).astype(np.longdouble)
     gram = (basis * _QW) @ basis.T
     h = mesh.element_lengths.astype(np.longdouble)
@@ -134,24 +136,34 @@ class SystemMatrices:
 
 def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
     """Assemble the three system matrices with elementwise Gauss quadrature
-    that is exact for the polynomial integrands; results are symmetrized."""
-    n_scalar = 2 * mesh.nodes.size
-    e = np.arange(mesh.num_elements)
-    local = np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3], axis=1)  # (M, 4)
-    rows = np.repeat(local, 4, axis=1).ravel()
-    cols = np.tile(local, (1, 4)).ravel()
+    that is exact for the polynomial integrands, one CSR construction each.
 
-    mats = {}
-    for key, order in (("mass", 0), ("gradient", 1), ("bending", 2)):
-        blk = _element_blocks(mesh, order)
-        a = sp.coo_matrix((blk.astype(float).ravel(), (rows, cols)),
-                          shape=(n_scalar, n_scalar)).tocsr()
-        a = 0.5 * (a + a.T)
-        if dim > 1:
-            a = sp.kron(a, sp.eye(dim), format="csr")
-        mats[key] = a.tocsr()
-    return SystemMatrices(mesh, dim, mats["mass"], mats["bending"],
-                          mats["gradient"])
+    The float64 element blocks are summed into the 7-diagonal scalar band A
+    (band[i, k] = A[i, i + k - 3]), symmetrized as 0.5 (A + A^T), stripped
+    of the exact zeros of A + A^T and expanded to ``dim`` components by
+    index, (i, j) -> (dim*i + c, dim*j + c): bit for bit the CSR of COO
+    assembly, 0.5 (A + A^T) and the Kronecker product with I."""
+    n, m = 2 * mesh.nodes.size, mesh.num_elements
+    cols = dim * (np.arange(n)[:, None, None] + np.arange(7) - 3) \
+        + np.arange(dim)[:, None]                      # (n, dim, 7)
+    mats = []
+    for order in (0, 1, 2):
+        blk = _element_blocks(mesh, order).astype(float)
+        band = np.zeros((n + 6, 7))                    # 3 zero rows each side
+        # row a of element e's block: scalar row 2e + a, columns 2e..2e+3;
+        # an entry gets at most two terms, whose sum does not depend on order
+        for a in range(4):
+            band[3 + a:3 + a + 2 * m:2, 3 - a:7 - a] += blk[:, a]
+        # (A^T)[i, k] = A[i + k - 3, 6 - k]
+        sym = band[3:-3] + np.stack([band[k:k + n, 6 - k] for k in range(7)],
+                                    axis=1)
+        keep = np.repeat((sym != 0)[:, None, :], dim, axis=1)
+        data = np.repeat(0.5 * sym[:, None, :], dim, axis=1)[keep]
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
+        mats.append(sp.csr_matrix((data, cols[keep], indptr),
+                                  shape=(dim * n, dim * n)))
+    mass, gradient, bending = mats
+    return SystemMatrices(mesh, dim, mass, bending, gradient)
 
 
 def derivative_map(mesh: Mesh1D, dim: int,

@@ -3,9 +3,10 @@ diagnostics, and interpolation studies.
 
 `run` takes an experiment name or --config FILE, not both; a flag given
 with --config overrides the file's key.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error (a mesh size below 1, tau <= 0, T < 0 and a negative
---snapshot-stride among them).  The output directory is --output-dir, else
-the ELASTICA_FEM_OUTPUT_DIR variable, else the current directory.
+failure, 2 usage error (a mesh size below 1, tau <= 0, T < 0, a negative
+--snapshot-stride and a positive one with --flow newton among them).  The
+output directory is --output-dir, else the ELASTICA_FEM_OUTPUT_DIR
+variable, else the current directory.
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     if ns.snapshot_stride < 0:
         raise UsageError(f"snapshot stride must be >= 0, got {ns.snapshot_stride}")
     spec = _run_spec(ns)
+    if ns.snapshot_stride > 0 and spec.flow_variant == "newton":
+        raise UsageError("--snapshot-stride needs a gradient flow (l2 or h2); "
+                         "newton has no trajectory")
     if spec.long_running and not ns.long:
         raise UsageError(
             f"experiment {spec.name!r} is long-running; pass --long to confirm "
@@ -212,7 +216,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     path = os.path.join(out, f"{spec.name}_{spec.constraint.value}_{spec.flow_variant}.csv")
     emit_csv(table, path)
     print(f"wrote {path}")
-    if ns.snapshot_stride > 0 and spec.flow_variant != "newton":
+    if ns.snapshot_stride > 0:
         mesh = Mesh1D.uniform(*spec.interval, spec.mesh_sizes[0])
         fc = flow.FlowConfig(tau=spec.taus[0], T=spec.T,
                              variant=spec.flow_variant,

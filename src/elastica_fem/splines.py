@@ -203,17 +203,21 @@ def interp_hermite(f: FunctionOracle, mesh: Mesh1D, dim: int) -> HermiteCurve:
 
 def _cumulative(start_value, increments: np.ndarray, dim: int) -> np.ndarray:
     """Node values start, start + inc_0, ... summed left to right with
-    compensated (Kahan) summation."""
+    compensated (Kahan) summation, one component at a time on Python
+    floats: the same IEEE arithmetic as on numpy scalars, at a fraction
+    of the cost per step."""
     values = np.empty((increments.shape[0] + 1, dim))
     values[0] = np.asarray(start_value, dtype=float).reshape(dim)
-    acc = values[0].copy()
-    comp = np.zeros(dim)
-    for i, inc in enumerate(increments):
-        y = inc - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-        values[i + 1] = acc
+    for c in range(dim):
+        acc, comp = float(values[0, c]), 0.0
+        column = [acc]
+        for inc in increments[:, c].tolist():
+            y = inc - comp
+            s = acc + y
+            comp = (s - acc) - y
+            acc = s
+            column.append(acc)
+        values[:, c] = column
     return values
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from numpy.testing import assert_allclose
 
@@ -11,7 +13,8 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           FunctionOracle, HermiteCurve, Mesh1D,
                           assemble_constraint, assemble_matrices, interp_j3,
                           run)
-from elastica_fem.assembly import constraint_pattern, derivative_map
+from elastica_fem.assembly import (_element_blocks, constraint_pattern,
+                                   derivative_map)
 from elastica_fem.experiments import (HELIX_FREQ, circle_initial,
                                       helix_initial, named_experiment)
 from elastica_fem.splines import interp_hermite
@@ -117,6 +120,64 @@ class TestSystemMatrices:
             u @ (mats.gradient @ u), rel=1e-11)
         assert_allclose(mats.apply_bending(u), mats.bending @ u,
                         atol=1e-8 * max(1.0, np.abs(mats.bending @ u).max()))
+
+
+def scipy_assembly(mesh, dim):
+    """The matrices built through scipy's general constructors: COO
+    triplets of the element blocks summed to CSR, 0.5 (A + A^T), and the
+    Kronecker product with the identity of size dim."""
+    n = 2 * mesh.nodes.size
+    e = np.arange(mesh.num_elements)
+    local = np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3], axis=1)
+    rows = np.repeat(local, 4, axis=1).ravel()
+    cols = np.tile(local, (1, 4)).ravel()
+    out = []
+    for order in (0, 1, 2):
+        blk = _element_blocks(mesh, order).astype(float)
+        a = sp.coo_matrix((blk.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        a = 0.5 * (a + a.T)
+        if dim > 1:
+            a = sp.kron(a, sp.eye(dim), format="csr")
+        out.append(a.tocsr())
+    return out
+
+
+def assert_same_as_scipy_assembly(mesh, dim):
+    mats = assemble_matrices(mesh, dim)
+    for got, want in zip((mats.mass, mats.gradient, mats.bending),
+                         scipy_assembly(mesh, dim)):
+        assert got.shape == want.shape
+        assert got.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        # bit for bit, signed zeros included
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 5, 20, 1280])
+@pytest.mark.parametrize("name", ["circle", "helix", "oval-h2"])
+def test_matrices_bitwise_equal_scipy_assembly(name, M, dim):
+    assert_same_as_scipy_assembly(
+        Mesh1D.uniform(*named_experiment(name).interval, M), dim)
+
+
+@given(st.lists(st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+                min_size=1, max_size=60),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_graded_matrices_bitwise_equal_scipy_assembly(widths, dim):
+    assert_same_as_scipy_assembly(
+        Mesh1D(np.concatenate([[0.0], np.cumsum(widths)])), dim)
+
+
+def test_assembly_uses_no_general_sparse_constructors(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assemble_matrices builds CSR arrays directly")
+    for name in ("coo_matrix", "kron", "eye"):
+        monkeypatch.setattr(sp, name, forbidden)
+    mats = assemble_matrices(Mesh1D.uniform(0.0, 1.0, 6), 2)
+    assert mats.bending.shape == (28, 28)
 
 
 # the Hermite element matrices as (table, k): entry (i, j) is table[i][j]

@@ -284,8 +284,10 @@ class TestFlagsAndConfig:
         ["run", "circle", "-M", "0"],
         ["run", "circle", "-M", "4,-8"],
         ["run", "circle", "-M", "4", "--T", "0.1", "--snapshot-stride", "-3"],
+        ["run", "circle", "-M", "4", "--flow", "newton",
+         "--snapshot-stride", "2"],
     ], ids=["tau-zero", "tau-negative", "T-negative", "M-zero", "M-negative",
-            "stride-negative"])
+            "stride-negative", "stride-newton"])
     def test_out_of_range_run_is_usage_error(self, argv, tmp_path, capsys):
         assert console_main(argv + ["--output-dir", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from elastica_fem import (ConstraintVariant, FunctionOracle, HermiteCurve,
                           interp_j3, lumped_product, lumped_weights,
                           unit_speed_violation)
 from elastica_fem.analysis import eoc, linf_error, quadrature_error
+from elastica_fem.splines import _cumulative
 
 from conftest import random_graded_mesh, smooth_unit_speed_curve
 
@@ -155,6 +156,25 @@ class TestJ3:
         # piecewise quadratic: third derivative vanishes
         x = np.linspace(0.1, 2.0 * np.pi - 0.1, 40)
         assert_allclose(curve.eval(x, order=3), 0.0, atol=1e-10)
+
+    def test_cumulative_bitwise_equal_vector_recurrence(self, rng):
+        """The per-component Kahan sums equal the same recurrence run on
+        (dim,) numpy arrays, bit for bit."""
+        M, dim = 1280, 3
+        inc = rng.normal(size=(M, dim)) * 10.0 ** rng.integers(-6, 7, (M, dim))
+        inc[1::2] = -inc[::2] * (1.0 + 1e-13)     # pairs that nearly cancel
+        start = rng.normal(size=dim)
+        want = np.empty((M + 1, dim))
+        want[0] = start
+        acc, comp = start.copy(), np.zeros(dim)
+        for i, x in enumerate(inc):
+            y = x - comp
+            s = acc + y
+            comp = (s - acc) - y
+            acc = s
+            want[i + 1] = acc
+        got = _cumulative(start, inc, dim)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestLumped:

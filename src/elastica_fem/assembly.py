@@ -38,6 +38,12 @@ def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
     return blocks * h[:, None, None] ** (1 - 2 * order)
 
 
+def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
+    """One CSR construction, its index arrays int32 as scipy picks them."""
+    return sp.csr_matrix((data, np.asarray(indices, dtype=np.int32),
+                          np.asarray(indptr, dtype=np.int32)), shape=shape)
+
+
 @dataclass
 class SystemMatrices:
     """Mass, bending, and first-order matrices of the cubic C1 space.
@@ -53,6 +59,7 @@ class SystemMatrices:
     mass: sp.csr_matrix
     bending: sp.csr_matrix
     gradient: sp.csr_matrix
+    bands: np.ndarray = field(repr=False)   # their scalar bands, stacked
     _cache: dict = field(repr=False, default_factory=dict)
 
     def _bending_scales(self):
@@ -129,6 +136,12 @@ class SystemMatrices:
         return self.cached(variant, lambda: derivative_map(self.mesh, self.dim,
                                                           variant))
 
+    def combine(self, **coefs: float) -> sp.csr_matrix:
+        """c1 * m1 + ... of the named matrices on their bands, as scipy sums."""
+        total = sum(c * self.bands[("mass", "gradient", "bending").index(name)]
+                    for name, c in coefs.items())
+        return _band_csr(total[None], self.dim)[0]
+
     def h2_norm(self, u: np.ndarray) -> float:
         s = self.quad_mass(u) + self.quad_gradient(u) + self.quad_bending(u)
         return float(np.sqrt(max(s, 0.0)))
@@ -138,64 +151,85 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
     """Assemble the three system matrices with elementwise Gauss quadrature
     that is exact for the polynomial integrands, one CSR construction each.
 
-    The float64 element blocks are summed into the 7-diagonal scalar band A
-    (band[i, k] = A[i, i + k - 3]), symmetrized as 0.5 (A + A^T), stripped
-    of the exact zeros of A + A^T and expanded to ``dim`` components by
-    index, (i, j) -> (dim*i + c, dim*j + c): bit for bit the CSR of COO
-    assembly, 0.5 (A + A^T) and the Kronecker product with I."""
+    The float64 element blocks of the three orders, stacked, are summed
+    into 7-diagonal scalar bands A (band[i, k] = A[i, i + k - 3]),
+    symmetrized as 0.5 (A + A^T) and expanded by ``_band_csr``: bit for bit
+    COO assembly, 0.5 (A + A^T) and the Kronecker product with I."""
     n, m = 2 * mesh.nodes.size, mesh.num_elements
-    cols = dim * (np.arange(n)[:, None, None] + np.arange(7) - 3) \
+    blk = np.stack([_element_blocks(mesh, o) for o in range(3)]).astype(float)
+    band = np.zeros((3, n + 6, 7))                     # 3 zero rows each side
+    # row a of element e's block: scalar row 2e + a, columns 2e..2e+3; an
+    # entry gets at most two terms, whose sum does not depend on order
+    for a in range(4):
+        band[:, 3 + a:3 + a + 2 * m:2, 3 - a:7 - a] += blk[:, :, a]
+    # (A^T)[i, k] = A[i + k - 3, 6 - k]
+    half = 0.5 * (band[:, 3:-3] + np.stack([band[:, k:k + n, 6 - k]
+                                            for k in range(7)], axis=2))
+    mass, gradient, bending = _band_csr(half, dim)
+    return SystemMatrices(mesh, dim, mass, bending, gradient, half)
+
+
+def _band_csr(bands: np.ndarray, dim: int):
+    """CSR of bands[b, i, k] = A_b[i, i+k-3] at (dim*i+c, dim*j+c), no 0s."""
+    n = bands.shape[1]
+    keep = np.repeat((bands != 0)[:, :, None, :], dim, axis=2)
+    data = np.repeat(bands[:, :, None, :], dim, axis=2)
+    cols = dim * (np.arange(n)[:, None, None] + np.arange(-3, 4)) \
         + np.arange(dim)[:, None]                      # (n, dim, 7)
-    mats = []
-    for order in (0, 1, 2):
-        blk = _element_blocks(mesh, order).astype(float)
-        band = np.zeros((n + 6, 7))                    # 3 zero rows each side
-        # row a of element e's block: scalar row 2e + a, columns 2e..2e+3;
-        # an entry gets at most two terms, whose sum does not depend on order
-        for a in range(4):
-            band[3 + a:3 + a + 2 * m:2, 3 - a:7 - a] += blk[:, a]
-        # (A^T)[i, k] = A[i + k - 3, 6 - k]
-        sym = band[3:-3] + np.stack([band[k:k + n, 6 - k] for k in range(7)],
-                                    axis=1)
-        keep = np.repeat((sym != 0)[:, None, :], dim, axis=1)
-        data = np.repeat(0.5 * sym[:, None, :], dim, axis=1)[keep]
-        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2).ravel())])
-        mats.append(sp.csr_matrix((data, cols[keep], indptr),
-                                  shape=(dim * n, dim * n)))
-    mass, gradient, bending = mats
-    return SystemMatrices(mesh, dim, mass, bending, gradient)
+    return [_csr(d[k], cols[k], np.append(0, np.cumsum(k.sum(axis=2))),
+                 (dim * n, dim * n)) for d, k in zip(data, keep)]
+
+
+def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
+    """(indptr, indices, slot) of entries (rows, cols) as ``np.unique(rows *
+    shape[1] + cols, return_inverse=True)``, without a sort: each marks a
+    cell of its row's window at its column's cyclic offset from the row's
+    share of columns (rotated to start at the smallest if ties wrap)."""
+    key = rows * shape[1] + cols
+    if np.all(key[1:] > key[:-1]):
+        return (np.searchsorted(rows, np.arange(shape[0] + 1)), cols,
+                np.arange(key.size))
+    k = max(shape[1], 1)
+    anchor = np.arange(shape[0]) * k // max(shape[0], 1)
+    off = (cols - anchor[rows] + k // 2) % k - k // 2
+    lo, width = off.min(), off.max() - off.min() + 1
+    start = -(anchor + lo) % k          # the cell of column 0, if in reach
+    start[start >= width] = 0
+    cell = rows * width + (off - lo - start[rows]) % width
+    marked = np.bincount(cell, minlength=shape[0] * width) > 0
+    where = np.flatnonzero(marked)
+    indptr = np.searchsorted(where, width * np.arange(shape[0] + 1))
+    r = np.repeat(np.arange(shape[0]), np.diff(indptr))
+    indices = (anchor[r] + lo + (where - r * width + start[r]) % width) % k
+    return indptr, indices, np.cumsum(marked, dtype=np.int32)[cell] - 1
 
 
 def derivative_map(mesh: Mesh1D, dim: int,
                    variant: ConstraintVariant) -> sp.csr_matrix:
     """The constant map D from curve DOFs Y to the derivative components
-    Y'(z)_c at the constraint nodes z of ``variant``, in row dim*z + c.
+    Y'(z)_c at the constraint nodes z of ``variant`` in row dim*z + c, by index.
 
     Evaluations keep ``HermiteCurve``'s differenced stencil, not ``D @ dofs``,
     which sums the cancelling +-1.5/h terms one by one and so differs from it
     by up to 1.6e-15 at M=20 and 1.5e-13 at M=1280 (oval-h2, j3 curve)."""
-    node = np.arange(mesh.nodes.size)[:, None]
-    comp = np.arange(dim)
+    m, comp = mesh.num_elements, np.arange(dim)
+    # (constraint node, component, entry); unused entries stay 0 and go
+    cols = np.zeros((2 * m + 1, dim, 4), dtype=np.intp)
+    vals = np.zeros(cols.shape)
     # at node i, constraint node 2i: the derivative DOF of node i
-    rows, cols = [2 * dim * node + comp], [2 * dim * node + dim + comp]
-    # at the midpoint of element e, constraint node 2e+1:
-    # (3/2h)(v_R - v_L) - (1/4)(d_L + d_R) on its DOFs (v_L, d_L, v_R, d_R),
-    # which sit dim apart
-    elem = np.arange(mesh.num_elements)[:, None, None]
+    cols[::2, :, 0] = 2 * dim * np.arange(m + 1)[:, None] + dim + comp
+    vals[::2, :, 0] = 1.0
+    # at the midpoint of element e, constraint node 2e+1: (3/2h)(v_R - v_L)
+    # - (1/4)(d_L + d_R) on its DOFs (v_L, d_L, v_R, d_R), dim apart
+    cols[1::2] = 2 * dim * np.arange(m)[:, None, None] + comp[:, None] \
+        + dim * np.arange(4)
     h = mesh.element_lengths[:, None, None]
     quarter = np.full(h.shape, -0.25)
-    cols.append(2 * dim * elem + comp[:, None] + dim * np.arange(4))
-    rows.append(np.broadcast_to(dim * (2 * elem + 1) + comp[:, None],
-                                cols[1].shape))
-    vals = [np.ones(rows[0].shape), np.broadcast_to(
-        np.concatenate([-1.5 / h, quarter, 1.5 / h, quarter], axis=2),
-        cols[1].shape)]
-    data, row, col = (np.concatenate([a.ravel() for a in parts])
-                      for parts in (vals, rows, cols))
-    nz = 2 * mesh.num_elements + 1
-    D = sp.csr_matrix((data, (row, col)),
-                      shape=(dim * nz, 2 * dim * mesh.nodes.size))
-    return D[(dim * np.arange(0, nz, variant.stride)[:, None] + comp).ravel()]
+    vals[1::2] = np.concatenate([-1.5 / h, quarter, 1.5 / h, quarter], axis=2)
+    cols, vals = cols[::variant.stride], vals[::variant.stride]
+    keep = vals != 0
+    return _csr(vals[keep], cols[keep], np.append(0, np.cumsum(keep.sum(2))),
+                (dim * cols.shape[0], 2 * dim * mesh.nodes.size))
 
 
 TARGETS = ("value_a", "deriv_a", "value_b", "deriv_b")
@@ -265,9 +299,8 @@ class BoundaryConditions:
         reduced = np.flatnonzero(source == np.arange(n))
         kept = source >= 0
         cols = source[kept] if full else np.searchsorted(reduced, source[kept])
-        return sp.csr_matrix(
-            (np.ones(kept.sum()), cols, np.concatenate([[0], np.cumsum(kept)])),
-            shape=(n, n if full else reduced.size))
+        return _csr(np.ones(kept.sum()), cols, np.append(0, np.cumsum(kept)),
+                    (n, n if full else reduced.size))
 
     def validate_initial(self, curve: HermiteCurve) -> None:
         """Check the initial curve against the targets.
@@ -328,20 +361,21 @@ class ConstraintPattern:
         return matrix
 
     def restrict(self, A: sp.csr_matrix) -> sp.csr_matrix:
-        """P^T A P in canonical CSR form (sorted, unique column indices),
-        and A's diagonal entry in each empty column of a square P; entries
-        that cancel stay as explicit zeros, so A's pattern sets the result's."""
+        """P^T A P in canonical CSR form, and A's diagonal entry in each empty
+        column of a square P; entries that cancel stay as explicit zeros, so
+        A's pattern (no zeros) sets the result's; ties sum in A's order."""
         k, c = self.restriction.shape[1], self.columns
+        rows, cols = np.repeat(c, np.diff(A.indptr)), c[A.indices]
+        kept = np.maximum(rows, cols) < k
+        indptr, indices, slot = csr_pattern(rows[kept], cols[kept], (k, k))
+        data = np.bincount(slot, A.data[kept], indices.size).astype(float)
+        # an empty column's row is empty too; its diagonal entry goes there
         gone = np.flatnonzero(np.bincount(c, minlength=k + 1)[:k] == 0)
-        rows = np.append(np.repeat(c, np.diff(A.indptr)), gone)
-        cols = np.append(c[A.indices], gone)
-        kept = np.flatnonzero((rows < k) & (cols < k))
-        kept = kept[np.argsort(rows[kept] * k + cols[kept], kind="stable")]
-        reduced = sp.csr_matrix(
-            (np.append(A.data, A.diagonal()[gone])[kept], cols[kept],
-             np.searchsorted(rows[kept], np.arange(k + 1))), shape=(k, k))
-        reduced.sum_duplicates()     # where periodic ties meet
-        return reduced
+        if gone.size:
+            data, indices = (np.insert(x, indptr[gone], y) for x, y in (
+                (data, A.diagonal()[gone]), (indices, gone)))
+            indptr = indptr + np.searchsorted(gone, np.arange(k + 1))
+        return _csr(data, indices, indptr, (k, k))
 
 
 def constraint_pattern(D: sp.csr_matrix, P: sp.csr_matrix, dim: int,
@@ -352,32 +386,38 @@ def constraint_pattern(D: sp.csr_matrix, P: sp.csr_matrix, dim: int,
 
     By default every constraint node has a row, except a mesh node whose
     derivative DOFs are not their own reduced DOFs (fixed, or tied to node
-    0's): its row would vanish or repeat another.
+    0's): its row would vanish or repeat another.  Bit for bit D @ P's rows.
     """
-    columns = np.full(P.shape[0], P.shape[1])
+    n, k = P.shape
+    columns = np.full(n, k)
     columns[np.diff(P.indptr) > 0] = P.indices
     if rows is None:
         # the DOF that owns a column is its first row
-        cols, first = np.unique(columns, return_index=True)
-        own = np.isin(np.arange(P.shape[0]), first[cols < P.shape[1]])
+        first = np.full(k + 1, n)
+        np.minimum.at(first, columns, np.arange(n))
+        own = (first[columns] == np.arange(n)) & (columns < k)
         # over the P2 sequence, whose even entries are the mesh nodes
-        keep = np.ones(P.shape[0] // dim - 1, dtype=bool)
+        keep = np.ones(n // dim - 1, dtype=bool)
         keep[::2] = own.reshape(-1, 2, dim)[:, 1].all(axis=1)
         rows = np.flatnonzero(keep[::variant.stride])
-    sel = (dim * rows[:, None] + np.arange(dim)).ravel()
-    # D P sums the columns that periodic ties merge
-    DP = (D @ P)[sel]
-    counts = np.diff(DP.indptr)
-    tangent = np.repeat(sel, counts)
-    # the dim component rows of a node touch disjoint columns; merge them
-    out_row = np.repeat(np.repeat(np.arange(rows.size), dim), counts)
-    order = np.lexsort((DP.indices, out_row))
-    template = sp.csr_matrix(
-        (np.zeros(order.size), DP.indices[order],
-         np.concatenate([[0], np.cumsum(counts.reshape(-1, dim).sum(axis=1))])),
-        shape=(rows.size, P.shape[1]))
-    return ConstraintPattern(template, DP.data[order], tangent[order], rows,
-                             P, columns)
+    # node rows[r]'s D rows: a dim x W block, read W x dim (columns ascend)
+    start = D.indptr[dim * rows]
+    size = D.indptr[dim * rows + dim] - start
+    r = np.repeat(np.arange(rows.size), size)
+    a, c = np.divmod(np.arange(r.size) - (np.cumsum(size) - size)[r], dim)
+    entry = start[r] + c * (size // dim)[r] + a
+    cols = columns[D.indices[entry]]
+    kept = cols < k
+    # the columns that periodic ties merge sum, as in D P
+    indptr, indices, slot = csr_pattern(r[kept], cols[kept], (rows.size, k))
+    coef = np.bincount(slot, D.data[entry[kept]], indices.size).astype(float)
+    tangent = np.empty(indices.size, dtype=np.intp)
+    tangent[slot] = (dim * rows[r] + c)[kept]
+    nz = coef != 0      # D P drops the sums that cancel (periodic, M = 1)
+    indptr = np.append(0, np.cumsum(nz))[indptr]
+    indices, coef, tangent = indices[nz], coef[nz], tangent[nz]
+    template = _csr(np.zeros(indices.size), indices, indptr, (rows.size, k))
+    return ConstraintPattern(template, coef, tangent, rows, P, columns)
 
 
 def assemble_constraint(Zn: HermiteCurve, variant: ConstraintVariant,

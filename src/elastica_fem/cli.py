@@ -211,21 +211,14 @@ def _cmd_run(ns: argparse.Namespace) -> int:
             f"experiment {spec.name!r} is long-running; pass --long to confirm "
             "(or use oval-h2 for the fast variant)")
 
-    table = run_experiment(spec)
+    table = run_experiment(spec, snapshot_stride=ns.snapshot_stride)
     out = _output_dir(ns)
     path = os.path.join(out, f"{spec.name}_{spec.constraint.value}_{spec.flow_variant}.csv")
     emit_csv(table, path)
     print(f"wrote {path}")
-    if ns.snapshot_stride > 0:
-        mesh = Mesh1D.uniform(*spec.interval, spec.mesh_sizes[0])
-        fc = flow.FlowConfig(tau=spec.taus[0], T=spec.T,
-                             variant=spec.flow_variant,
-                             constraint=spec.constraint, bc=spec.bc)
-        _, snaps = flow.run(fc, mesh, spec.z0, spec.dim,
-                            initializer=spec.initializer,
-                            snapshot_stride=ns.snapshot_stride)
+    if table.snapshots:     # the coarsest run's, unless that cell failed
         traj = os.path.join(out, f"{spec.name}_trajectory.txt")
-        flow.dump_trajectory(snaps, spec.taus[0], traj)
+        flow.dump_trajectory(table.snapshots, spec.taus[0], traj)
         print(f"wrote {traj}")
     for col in table.columns:
         eocs = ",".join("--" if r is None else f"{r:.2f}" for r in col.eocs[1:])

@@ -201,6 +201,7 @@ class ExperimentTable:
     columns: List[TableColumn]
     meta: dict
     failures: List[str] = field(default_factory=list)
+    snapshots: list = field(default_factory=list)   # see run_experiment
 
     @property
     def ok(self) -> bool:
@@ -223,12 +224,14 @@ def _column_eocs(errors: List[Optional[float]], hs: List[float]
         for i, (a, b) in enumerate(zip(errors, errors[1:]), start=1)]
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
+def run_experiment(spec: ExperimentSpec,
+                   snapshot_stride: int = 0) -> ExperimentTable:
     """Run the (mesh, tau) sweep and tabulate the requested error norms with
     their experimental orders of convergence.
 
     Cell failures are recorded and marked in the table; remaining cells are
-    still computed.
+    still computed.  The first flow cell (coarsest mesh, first tau) keeps
+    its ``flow.run`` snapshots of ``snapshot_stride`` in ``snapshots``.
     """
     if spec.exact is None:
         raise ValueError("experiment needs an exact solution to measure errors")
@@ -241,6 +244,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     cells: dict = {(s, n): [] for s, _ in series for n in spec.norms}
     failures: List[str] = []
 
+    snapshots: list = []
     for M in spec.mesh_sizes:
         mesh = Mesh1D.uniform(a, b, M)
         matrices = assemble_matrices(mesh, spec.dim)
@@ -257,9 +261,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
                     cfg = flow_mod.FlowConfig(
                         tau=tau, T=spec.T, variant=spec.flow_variant,
                         constraint=spec.constraint, bc=spec.bc)
-                    state, _ = flow_mod.run(cfg, mesh, spec.z0, spec.dim,
-                                            initializer=spec.initializer,
-                                            matrices=matrices)
+                    first = len(hs) == 1 and label == series[0][0]
+                    state, snaps = flow_mod.run(
+                        cfg, mesh, spec.z0, spec.dim, spec.initializer,
+                        matrices, snapshot_stride if first else 0)
+                    snapshots += snaps
                     curve = state.curve
                 weak = weak_errors(curve, spec.exact, matrices) \
                     if ("l2" in spec.norms or "h1" in spec.norms) else None
@@ -286,7 +292,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
         "norms": list(spec.norms),
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
-    return ExperimentTable(hs=hs, columns=columns, meta=meta, failures=failures)
+    return ExperimentTable(hs, columns, meta, failures, snapshots)
 
 
 def stationarity_check(name: str, constraint: ConstraintVariant,

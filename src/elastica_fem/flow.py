@@ -143,9 +143,9 @@ class StepStructure:
             matrices.derivative_map(config.constraint),
             config.bc.restriction(matrices.mesh, matrices.dim, full=True),
             matrices.dim, config.constraint)
-        A = pattern.restrict(
-            matrices.mass + config.tau * matrices.bending
-            if config.variant == "l2" else (1.0 + config.tau) * matrices.bending)
+        A = pattern.restrict(matrices.combine(mass=1.0, bending=config.tau)
+                             if config.variant == "l2"
+                             else matrices.combine(bending=1.0 + config.tau))
         B = copy.copy(pattern.template)
         return cls(A, pattern, B, BandedKKT(A, B),
                    np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)))

@@ -11,6 +11,8 @@ from scipy.linalg import lapack
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
+from .assembly import _csr
+
 
 class KKTSingularError(RuntimeError):
     """Raised when the KKT matrix is singular or numerically rank deficient.
@@ -125,8 +127,9 @@ class BandedKKT:
         # over half the size means joined (periodic) ends or a tiny mesh,
         # and there the reverse Cuthill-McKee order is taken if narrower
         if 2 * order[0] > size:
-            graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                                  shape=(size, size))
+            src = np.argsort(rows * size + cols, kind="stable")  # K's pattern
+            graph = _csr(np.ones(src.size), cols[src], np.searchsorted(
+                rows[src], np.arange(size + 1)), (size, size))
             order = min(order, _ordered(
                 csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True),
                 rows, cols), key=lambda o: o[0])
@@ -140,9 +143,8 @@ class BandedKKT:
         self._slot = np.empty(src.size, dtype=np.int32)
         self._slot[src] = np.arange(src.size)
         del src
-        self._k = sp.csr_matrix(
-            (np.zeros(rows.size), cols, np.searchsorted(rows, np.arange(
-                size + 1))), shape=(size, size))
+        self._k = _csr(np.zeros(rows.size), cols,
+                       np.searchsorted(rows, np.arange(size + 1)), (size, size))
         self._k_ld = copy.copy(self._k)    # on the same index arrays
         self._k_ld.data = self._k.data.astype(np.longdouble)
         # gbtrf's layout: K[i, j] at ab[2*bw + i - j, j], with bw extra rows

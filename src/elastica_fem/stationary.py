@@ -22,7 +22,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .assembly import (_GAUSS4_T, _GAUSS4_W, TARGETS, BoundaryConditions,
-                       ConstraintPattern, SystemMatrices, constraint_pattern)
+                       ConstraintPattern, SystemMatrices, _csr,
+                       constraint_pattern, csr_pattern)
 from .mesh import ConstraintVariant, Mesh1D
 from .saddle_solver import BandedKKT, KKTSingularError, SaddleSystem
 from .splines import (FunctionOracle, HermiteCurve, _quadratic_reference,
@@ -83,8 +84,8 @@ def _jacobian_pattern(matrices: SystemMatrices, variant: ConstraintVariant,
     under the constraint pattern: A's data is the bincount over ``slot`` of
     W[row] * coef, W = (w, 1).  Its terms are w_r (D_ri D_rj) for each pair
     (i, j) of entries in a row r of D, row by row, and last S's entries, of
-    weight 1.  Each term has its place whatever w is, and (i, j) and (j, i)
-    sum equal terms in the same order, so A is exactly symmetric."""
+    weight 1, placed by ``csr_pattern``.  Each term has its place whatever w
+    is; (i, j) and (j, i) sum equal terms in one order: A is symmetric."""
     pattern = _pattern(matrices, variant, bc)
 
     def build():
@@ -100,10 +101,8 @@ def _jacobian_pattern(matrices: SystemMatrices, variant: ConstraintVariant,
                            np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)))]
         cols = c[np.append(D.indices[f], S.indices)]
         kept = (rows < k) & (cols < k)
-        keys, slot = np.unique(rows[kept] * k + cols[kept], return_inverse=True)
-        template = sp.csr_matrix(
-            (np.zeros(keys.size), keys % k,
-             np.searchsorted(keys, k * np.arange(k + 1))), shape=(k, k))
+        indptr, indices, slot = csr_pattern(rows[kept], cols[kept], (k, k))
+        template = _csr(np.zeros(indices.size), indices, indptr, (k, k))
         return (template, slot, np.append(r, np.full(S.nnz, D.shape[0]))[kept],
                 np.append(D.data[e] * D.data[f], S.data)[kept])
     return matrices.cached(pattern, build)
@@ -288,10 +287,10 @@ def _extreme_eigenvalue(matvec: Callable, n: int, which: str,
 
 @dataclass
 class DiscreteNorms:
-    """The H2 Gram G = U^T U of the reduced curve DOFs with its factor, and
-    the factors of the mass and H1 Gram H of the zero-boundary multiplier
-    space.  The dual norm on multiplier DOFs is the computable surrogate
-    mu -> sqrt(t^T H t), with t = mass^-1 r and r the load vector of mu."""
+    """The H2 Gram G = U^T U = P^T (M + G1 + S) P of the reduced curve DOFs
+    with its factor; factors of the mass and H1 Gram H of the zero-boundary
+    multiplier space.  The dual norm on multiplier DOFs is the computable
+    surrogate mu -> sqrt(t^T H t), t = mass^-1 r, r the load vector of mu."""
 
     gram: sp.csr_matrix
     gram_factor: np.ndarray
@@ -304,7 +303,7 @@ class DiscreteNorms:
         if matrices.mesh.constraint_nodes(variant).size <= 2:
             raise ValueError("the multiplier space is empty")
         gram = _pattern(matrices, variant, bc).restrict(
-            matrices.mass + matrices.gradient + matrices.bending)
+            matrices.combine(mass=1.0, gradient=1.0, bending=1.0))
         return cls(gram, sla.cholesky_banded(_upper_band(gram)),
                    *_multiplier_factors(matrices.mesh, variant))
 

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from elastica_fem import cli
+from elastica_fem import Mesh1D, cli, flow
 from elastica_fem.cli import (UsageError, _run_spec, console_main,
                               load_config, main, parse_args)
 from elastica_fem.experiments import named_experiment
@@ -123,6 +123,31 @@ class TestMain:
                           "--output-dir", str(tmp_path)])
         assert main(cfg) == 0
         assert (tmp_path / "circle_p1_l2.csv").exists()
+
+    def test_snapshots_come_from_the_study_run(self, tmp_path, monkeypatch):
+        # the trajectory is the coarsest cell's own flow run: one flow.run
+        # per (M, tau), and the file a separate run of that cell wrote
+        calls, run = [], flow.run
+
+        def spy(config, mesh, *args, **kwargs):
+            calls.append((mesh.num_elements, config.tau))
+            return run(config, mesh, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "run", spy)
+        assert console_main(["run", "circle", "-M", "4,8", "--T", "0.2",
+                             "--snapshot-stride", "1",
+                             "--output-dir", str(tmp_path)]) == 0
+        spec = named_experiment("circle")
+        assert calls == [(M, tau) for M in (4, 8) for tau in spec.taus]
+        config = flow.FlowConfig(tau=spec.taus[0], T=0.2,
+                                 variant=spec.flow_variant,
+                                 constraint=spec.constraint, bc=spec.bc)
+        _, snapshots = run(config, Mesh1D.uniform(*spec.interval, 4), spec.z0,
+                           spec.dim, initializer=spec.initializer,
+                           snapshot_stride=1)
+        flow.dump_trajectory(snapshots, spec.taus[0], str(tmp_path / "want"))
+        assert (tmp_path / "circle_trajectory.txt").read_bytes() \
+            == (tmp_path / "want").read_bytes()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ELASTICA_FEM_OUTPUT_DIR", str(tmp_path / "envout"))

@@ -1,0 +1,331 @@
+"""The per-mesh structures built by index arithmetic against the scipy
+constructions they replace, inlined here as oracles, bit for bit: the
+derivative map D, the constraint pattern, P^T A P, the sums of the system
+matrices, the Jacobian pattern, the natural-order KKT graph of the band's
+reverse Cuthill-McKee branch, and ``csr_pattern`` itself."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
+                          Mesh1D, assemble_matrices, saddle_solver)
+from elastica_fem.assembly import (constraint_pattern, csr_pattern,
+                                   derivative_map)
+from elastica_fem.experiments import named_experiment
+from elastica_fem.flow import StepStructure
+from elastica_fem.stationary import (DiscreteNorms, _jacobian_pattern,
+                                     _pattern, _upper_band)
+
+P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
+
+
+# ---------------------------------------------------------------------------
+# the scipy constructions of the parent commit
+
+def scipy_derivative_map(mesh, dim, variant):
+    node = np.arange(mesh.nodes.size)[:, None]
+    comp = np.arange(dim)
+    rows, cols = [2 * dim * node + comp], [2 * dim * node + dim + comp]
+    elem = np.arange(mesh.num_elements)[:, None, None]
+    h = mesh.element_lengths[:, None, None]
+    quarter = np.full(h.shape, -0.25)
+    cols.append(2 * dim * elem + comp[:, None] + dim * np.arange(4))
+    rows.append(np.broadcast_to(dim * (2 * elem + 1) + comp[:, None],
+                                cols[1].shape))
+    vals = [np.ones(rows[0].shape), np.broadcast_to(
+        np.concatenate([-1.5 / h, quarter, 1.5 / h, quarter], axis=2),
+        cols[1].shape)]
+    data, row, col = (np.concatenate([a.ravel() for a in parts])
+                      for parts in (vals, rows, cols))
+    nz = 2 * mesh.num_elements + 1
+    D = sp.csr_matrix((data, (row, col)),
+                      shape=(dim * nz, 2 * dim * mesh.nodes.size))
+    return D[(dim * np.arange(0, nz, variant.stride)[:, None] + comp).ravel()]
+
+
+def scipy_constraint_pattern(D, P, dim, variant, rows=None):
+    """(template, coef, tangent, rows, columns) from D @ P, its row
+    selection and a lexsort."""
+    columns = np.full(P.shape[0], P.shape[1])
+    columns[np.diff(P.indptr) > 0] = P.indices
+    if rows is None:
+        cols, first = np.unique(columns, return_index=True)
+        own = np.isin(np.arange(P.shape[0]), first[cols < P.shape[1]])
+        keep = np.ones(P.shape[0] // dim - 1, dtype=bool)
+        keep[::2] = own.reshape(-1, 2, dim)[:, 1].all(axis=1)
+        rows = np.flatnonzero(keep[::variant.stride])
+    sel = (dim * rows[:, None] + np.arange(dim)).ravel()
+    DP = (D @ P)[sel]
+    counts = np.diff(DP.indptr)
+    tangent = np.repeat(sel, counts)
+    out_row = np.repeat(np.repeat(np.arange(rows.size), dim), counts)
+    order = np.lexsort((DP.indices, out_row))
+    template = sp.csr_matrix(
+        (np.zeros(order.size), DP.indices[order],
+         np.concatenate([[0], np.cumsum(counts.reshape(-1, dim).sum(axis=1))])),
+        shape=(rows.size, P.shape[1]))
+    return template, DP.data[order], tangent[order], rows, columns
+
+
+def scipy_restrict(columns, k, A):
+    """P^T A P by a stable argsort of the (row, column) keys and
+    ``sum_duplicates``, with A's diagonal in the empty columns."""
+    c = columns
+    gone = np.flatnonzero(np.bincount(c, minlength=k + 1)[:k] == 0)
+    rows = np.append(np.repeat(c, np.diff(A.indptr)), gone)
+    cols = np.append(c[A.indices], gone)
+    kept = np.flatnonzero((rows < k) & (cols < k))
+    kept = kept[np.argsort(rows[kept] * k + cols[kept], kind="stable")]
+    reduced = sp.csr_matrix(
+        (np.append(A.data, A.diagonal()[gone])[kept], cols[kept],
+         np.searchsorted(rows[kept], np.arange(k + 1))), shape=(k, k))
+    reduced.sum_duplicates()
+    return reduced
+
+
+def scipy_jacobian_pattern(matrices, pattern, variant):
+    """(template, slot) of the Jacobian from ``np.unique``."""
+    D, S, c = matrices.derivative_map(variant), matrices.bending, pattern.columns
+    k = pattern.restriction.shape[1]
+    lo, hi = D.indptr[:-1, None], D.indptr[1:, None]
+    entry = lo + np.arange((hi - lo).max())
+    both = (entry < hi)[:, :, None] & (entry < hi)[:, None, :]
+    e, f = (np.broadcast_to(x, both.shape)[both]
+            for x in (entry[:, :, None], entry[:, None, :]))
+    rows = c[np.append(D.indices[e],
+                       np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)))]
+    cols = c[np.append(D.indices[f], S.indices)]
+    kept = (rows < k) & (cols < k)
+    keys, slot = np.unique(rows[kept] * k + cols[kept], return_inverse=True)
+    template = sp.csr_matrix(
+        (np.zeros(keys.size), keys % k,
+         np.searchsorted(keys, k * np.arange(k + 1))), shape=(k, k))
+    return template, slot
+
+
+def scipy_upper_band(A):
+    off = A.indices - np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    ab, up = np.zeros((off.max() + 1, A.shape[0])), off >= 0
+    ab[off.max() - off[up], A.indices[up]] = A.data[up]
+    return ab
+
+
+# ---------------------------------------------------------------------------
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    if want.dtype.kind == "f":
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    else:
+        assert np.array_equal(got, want)
+
+
+def same_csr(got, want):
+    assert got.shape == want.shape
+    assert got.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        same_bits(getattr(got, attr), getattr(want, attr))
+
+
+def boundary_conditions(dim):
+    e = np.eye(dim)[0]
+    return [BoundaryConditions.free(),
+            BoundaryConditions(value_a=np.zeros(dim), deriv_a=e, deriv_b=e),
+            BoundaryConditions.clamped(np.zeros(dim), e, np.ones(dim), e),
+            BoundaryConditions(periodic=True)]
+
+
+def assert_structures_match_scipy(mesh, dim):
+    mats = assemble_matrices(mesh, dim)
+    gram = mats.mass + mats.gradient + mats.bending
+    flows = (mats.mass + 0.1 * mats.bending, 1.1 * mats.bending)
+    same_csr(mats.combine(mass=1.0, gradient=1.0, bending=1.0), gram)
+    same_csr(mats.combine(mass=1.0, bending=0.1), flows[0])
+    same_csr(mats.combine(bending=1.1), flows[1])
+    for variant in (P1, P2):
+        D = derivative_map(mesh, dim, variant)
+        same_csr(D, scipy_derivative_map(mesh, dim, variant))
+        nz = mesh.constraint_nodes(variant).size
+        for bc in boundary_conditions(dim):
+            # the flow's full restriction, and the stationary rows at the
+            # interior constraint nodes (endpoint conditions only)
+            cases = [(False, None), (True, None)] + (
+                [] if bc.periodic else [(False, np.arange(1, nz - 1))])
+            for full, rows in cases:
+                P = bc.restriction(mesh, dim, full=full)
+                pattern = constraint_pattern(D, P, dim, variant, rows=rows)
+                template, coef, tangent, want_rows, columns = \
+                    scipy_constraint_pattern(D, P, dim, variant, rows=rows)
+                same_csr(pattern.template, template)
+                same_bits(pattern.coef, coef)
+                same_bits(pattern.tangent, tangent)
+                same_bits(pattern.rows, want_rows)
+                same_bits(pattern.columns, columns)
+                for A in (gram,) + flows:
+                    same_csr(pattern.restrict(A),
+                             scipy_restrict(columns, P.shape[1], A))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2, 5, 20, 1280])
+@pytest.mark.parametrize("name", ["circle", "helix", "oval-h2"])
+def test_structures_bitwise_equal_scipy(name, M, dim):
+    assert_structures_match_scipy(
+        Mesh1D.uniform(*named_experiment(name).interval, M), dim)
+
+
+@given(st.lists(st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+                min_size=1, max_size=40),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=25, deadline=None)
+def test_graded_structures_bitwise_equal_scipy(widths, dim):
+    assert_structures_match_scipy(
+        Mesh1D(np.concatenate([[0.0], np.cumsum(widths)])), dim)
+
+
+@pytest.mark.parametrize("variant", [P1, P2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_periodic_restrict_sums_ties_in_entry_order(variant, dim):
+    # at M=1 the last node is node 0: four entries of A meet at each entry
+    # of node 0's block, and at M=2 two; values of spread magnitudes make
+    # the bits depend on the order of the sum
+    rng = np.random.default_rng(dim)
+    for M in (1, 2):
+        mesh = Mesh1D.uniform(0.0, 1.0, M)
+        A = assemble_matrices(mesh, dim).combine(mass=1.0, bending=1.0)
+        A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-8, 9, A.nnz)
+        for full in (False, True):
+            P = BoundaryConditions(periodic=True).restriction(mesh, dim,
+                                                             full=full)
+            pattern = constraint_pattern(derivative_map(mesh, dim, variant), P,
+                                         dim, variant)
+            got = pattern.restrict(A)
+            same_csr(got, scipy_restrict(pattern.columns, P.shape[1], A))
+            terms = [A[i, j] for i in (0, 2 * dim * M) for j in (0, 2 * dim * M)
+                     if A[i, j] != 0.0]
+            assert len(terms) == (4 if M == 1 else 2)
+            assert got[0, 0] == sum(terms)     # in A's entry order
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 20, 1280])
+@pytest.mark.parametrize("name", ["circle", "helix"])
+def test_jacobian_and_gram_bitwise_equal_scipy(name, M):
+    spec = named_experiment(name)
+    mats = assemble_matrices(Mesh1D.uniform(*spec.interval, M), spec.dim)
+    for variant in (P1, P2):
+        if mats.mesh.constraint_nodes(variant).size <= 2:
+            continue
+        for bc in (spec.bc, BoundaryConditions.free()):
+            pattern = _pattern(mats, variant, bc)
+            template, slot = scipy_jacobian_pattern(mats, pattern, variant)
+            got = _jacobian_pattern(mats, variant, bc)
+            same_csr(got[0], template)
+            same_bits(got[1], slot)
+            if pattern.restriction.shape[1] == 0:     # every DOF fixed
+                with pytest.raises(ValueError):
+                    DiscreteNorms.build(mats, bc, variant)
+                continue
+            norms = DiscreteNorms.build(mats, bc, variant)
+            gram = scipy_restrict(pattern.columns, pattern.restriction.shape[1],
+                                  mats.mass + mats.gradient + mats.bending)
+            same_csr(norms.gram, gram)
+            same_bits(_upper_band(norms.gram), scipy_upper_band(gram))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2, 5, 20])
+def test_band_graph_is_coo_pattern(monkeypatch, M, dim):
+    # periodic flows and tiny meshes take the reverse Cuthill-McKee branch;
+    # its graph is K's pattern in the natural order, as the COO
+    # construction of K's entries gives it
+    graphs, rcm = [], saddle_solver.csgraph.reverse_cuthill_mckee
+
+    def spy(graph, symmetric_mode):
+        graphs.append(graph)
+        return rcm(graph, symmetric_mode=symmetric_mode)
+
+    monkeypatch.setattr(saddle_solver.csgraph, "reverse_cuthill_mckee", spy)
+    mats = assemble_matrices(Mesh1D.uniform(0.0, 2.0 * np.pi, M), dim)
+    taken = 0
+    for variant in (P1, P2):
+        for bc in (BoundaryConditions(periodic=True),
+                   BoundaryConditions.free()):
+            graphs.clear()
+            structure = StepStructure.build(
+                FlowConfig(tau=0.1, T=0.1, constraint=variant, bc=bc), mats)
+            A, B = structure.A, structure.B
+            if not graphs:
+                continue
+            taken += 1
+            n, m = A.shape[0], B.shape[0]
+            a_rows = np.repeat(np.arange(n), np.diff(A.indptr))
+            b_rows = np.repeat(np.arange(m), np.diff(B.indptr))
+            rows = np.concatenate([a_rows, n + b_rows, B.indices])
+            cols = np.concatenate([A.indices, B.indices, n + b_rows])
+            want = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                                 shape=(n + m, n + m))
+            same_bits(graphs[0].indptr, want.indptr)
+            same_bits(graphs[0].indices, want.indices)
+    assert taken        # the branch ran
+
+
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_csr_pattern_is_unique_with_inverse(nrows, ncols, nnz, seed):
+    # any entries, repeated ones and columns far from the diagonal included
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, nrows, nnz)
+    cols = rng.integers(0, ncols, nnz)
+    keys, slot = np.unique(rows * ncols + cols, return_inverse=True)
+    indptr, indices, got_slot = csr_pattern(rows, cols, (nrows, ncols))
+    assert np.array_equal(indptr, np.searchsorted(keys, ncols * np.arange(
+        nrows + 1)))
+    assert np.array_equal(indices, keys % ncols)
+    assert np.array_equal(got_slot, slot)
+
+
+def test_setup_uses_no_general_sparse_operations(monkeypatch):
+    # DiscreteNorms.build, StepStructure.build, _jacobian_pattern and
+    # BandedKKT(A, B) build each matrix as one CSR array: no COO
+    # construction, no sparse product or sum, no fancy row indexing
+    from scipy.sparse import _base, _coo, _index
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("set-up builds CSR arrays directly")
+
+    def no_sparse(name):
+        original = getattr(_base._spbase, name)
+
+        def guarded(self, other):
+            if sp.issparse(other):
+                forbidden()
+            return original(self, other)
+        return guarded
+
+    spec = named_experiment("helix")
+    mats = [assemble_matrices(Mesh1D.uniform(*spec.interval, 6), 3)
+            for _ in range(2)]
+    monkeypatch.setattr(_coo._coo_base, "__init__", forbidden)
+    monkeypatch.setattr(_index.IndexMixin, "__getitem__", forbidden)
+    for name in ("__matmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(_base._spbase, name, no_sparse(name))
+    for variant in (P1, P2):
+        norms = DiscreteNorms.build(mats[0], spec.bc, variant)
+        template = _jacobian_pattern(mats[0], variant, spec.bc)[0]
+        saddle_solver.BandedKKT(norms.gram, _pattern(mats[0], variant,
+                                                     spec.bc).template)
+        saddle_solver.BandedKKT(template, _pattern(mats[0], variant,
+                                                   spec.bc).template)
+        for bc in (spec.bc, BoundaryConditions(periodic=True)):
+            for flow in ("l2", "h2"):
+                StepStructure.build(FlowConfig(tau=0.1, T=0.1, variant=flow,
+                                               constraint=variant, bc=bc),
+                                    mats[1])

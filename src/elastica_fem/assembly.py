@@ -58,8 +58,7 @@ class SystemMatrices:
     dim: int
     mass: sp.csr_matrix
     bending: sp.csr_matrix
-    gradient: sp.csr_matrix
-    bands: np.ndarray = field(repr=False)   # their scalar bands, stacked
+    bands: np.ndarray = field(repr=False)   # scalar bands of M, G and S
     _cache: dict = field(repr=False, default_factory=dict)
 
     def _bending_scales(self):
@@ -149,12 +148,12 @@ class SystemMatrices:
 
 def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
     """Assemble the three system matrices with elementwise Gauss quadrature
-    that is exact for the polynomial integrands, one CSR construction each.
+    that is exact for the polynomial integrands, as symmetrized bands.
 
     The float64 element blocks of the three orders, stacked, are summed
-    into 7-diagonal scalar bands A (band[i, k] = A[i, i + k - 3]),
-    symmetrized as 0.5 (A + A^T) and expanded by ``_band_csr``: bit for bit
-    COO assembly, 0.5 (A + A^T) and the Kronecker product with I."""
+    into 7-diagonal scalar bands A (band[i, k] = A[i, i + k - 3]) and
+    symmetrized as 0.5 (A + A^T); ``_band_csr`` expands mass and bending,
+    bit for bit COO assembly, 0.5 (A + A^T) and the Kronecker product with I."""
     n, m = 2 * mesh.nodes.size, mesh.num_elements
     blk = np.stack([_element_blocks(mesh, o) for o in range(3)]).astype(float)
     band = np.zeros((3, n + 6, 7))                     # 3 zero rows each side
@@ -165,8 +164,8 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
     # (A^T)[i, k] = A[i + k - 3, 6 - k]
     half = 0.5 * (band[:, 3:-3] + np.stack([band[:, k:k + n, 6 - k]
                                             for k in range(7)], axis=2))
-    mass, gradient, bending = _band_csr(half, dim)
-    return SystemMatrices(mesh, dim, mass, bending, gradient, half)
+    mass, bending = _band_csr(half[::2], dim)
+    return SystemMatrices(mesh, dim, mass, bending, half)
 
 
 def _band_csr(bands: np.ndarray, dim: int):
@@ -182,26 +181,15 @@ def _band_csr(bands: np.ndarray, dim: int):
 
 def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
     """(indptr, indices, slot) of entries (rows, cols) as ``np.unique(rows *
-    shape[1] + cols, return_inverse=True)``, without a sort: each marks a
-    cell of its row's window at its column's cyclic offset from the row's
-    share of columns (rotated to start at the smallest if ties wrap)."""
+    shape[1] + cols, return_inverse=True)`` gives them; entries that arrive
+    in CSR order already, as every set-up structure's do, skip the sort."""
     key = rows * shape[1] + cols
     if np.all(key[1:] > key[:-1]):
         return (np.searchsorted(rows, np.arange(shape[0] + 1)), cols,
                 np.arange(key.size))
-    k = max(shape[1], 1)
-    anchor = np.arange(shape[0]) * k // max(shape[0], 1)
-    off = (cols - anchor[rows] + k // 2) % k - k // 2
-    lo, width = off.min(), off.max() - off.min() + 1
-    start = -(anchor + lo) % k          # the cell of column 0, if in reach
-    start[start >= width] = 0
-    cell = rows * width + (off - lo - start[rows]) % width
-    marked = np.bincount(cell, minlength=shape[0] * width) > 0
-    where = np.flatnonzero(marked)
-    indptr = np.searchsorted(where, width * np.arange(shape[0] + 1))
-    r = np.repeat(np.arange(shape[0]), np.diff(indptr))
-    indices = (anchor[r] + lo + (where - r * width + start[r]) % width) % k
-    return indptr, indices, np.cumsum(marked, dtype=np.int32)[cell] - 1
+    keys, slot = np.unique(key, return_inverse=True)
+    rows, indices = np.divmod(keys, shape[1])
+    return np.searchsorted(rows, np.arange(shape[0] + 1)), indices, slot
 
 
 def derivative_map(mesh: Mesh1D, dim: int,

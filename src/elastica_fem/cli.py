@@ -55,7 +55,10 @@ def _mesh_size(text: str) -> int:
 
 
 def _mesh_sizes(text: str) -> List[int]:
-    return [_mesh_size(tok) for tok in text.split(",") if tok.strip()]
+    sizes = [_mesh_size(tok) for tok in text.split(",") if tok.strip()]
+    if len(set(sizes)) < len(sizes):
+        raise UsageError(f"mesh sizes must not repeat, got {text!r}")
+    return sizes
 
 
 def _float_list(text: str) -> List[float]:
@@ -180,7 +183,11 @@ def _run_spec(ns: argparse.Namespace) -> ExperimentSpec:
             **fields)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if raw.get("bc.periodic", "").lower() in ("1", "true", "yes"):
+    periodic = raw.get("bc.periodic", "no").lower()
+    if periodic not in ("1", "true", "yes", "0", "false", "no"):
+        raise UsageError(f"bc.periodic takes 1/0, true/false or yes/no, "
+                         f"got {raw['bc.periodic']!r}")
+    if periodic in ("1", "true", "yes"):
         if targets:
             raise UsageError("conflicting keys: bc.periodic excludes endpoint fixing")
         return spec.override(bc=BoundaryConditions(periodic=True))

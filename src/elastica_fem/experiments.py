@@ -136,12 +136,16 @@ class ExperimentSpec:
         for n in self.norms:
             if n not in ("h2", "l2", "h1"):
                 raise ValueError(f"unknown norm: {n!r}")
-        if len(self.mesh_sizes) < 1:
-            raise ValueError("need at least one mesh size")
-        if min(self.mesh_sizes) < 1:
-            raise ValueError("mesh sizes must be >= 1")
+        if min(self.mesh_sizes, default=0) < 1:
+            raise ValueError("need one or more mesh sizes, each >= 1")
         if min(self.taus, default=1.0) <= 0.0:
             raise ValueError("time steps tau must be positive")
+        if self.flow_variant != "newton" and not self.taus:
+            raise ValueError("a flow needs at least one time step tau")
+        # a table needs one row per mesh size and one column per tau=%g label
+        for items in (self.mesh_sizes, self.norms, [f"{tau:g}" for tau in self.taus]):
+            if len(set(items)) < len(items):
+                raise ValueError(f"repeated entries in {items}")
         if self.T < 0.0:
             raise ValueError("end time T must be non-negative")
 
@@ -296,14 +300,13 @@ def run_experiment(spec: ExperimentSpec,
 
 
 def stationarity_check(name: str, constraint: ConstraintVariant,
-                       initializer: str, mesh_size: int = 20,
-                       tau: float = 0.1) -> float:
-    """Velocity norm of the first flow step from the given initializer."""
+                       initializer: str, mesh_size: int = 20) -> float:
+    """Velocity norm of the first flow step (tau 0.1) from the initializer."""
     spec = named_experiment(name, constraint=constraint, initializer=initializer)
     a, b = spec.interval
     mesh = Mesh1D.uniform(a, b, mesh_size)
     matrices = assemble_matrices(mesh, spec.dim)
-    cfg = flow_mod.FlowConfig(tau=tau, T=tau, variant="l2",
+    cfg = flow_mod.FlowConfig(tau=0.1, T=0.1, variant="l2",
                               constraint=constraint, bc=spec.bc)
     state, _ = flow_mod.run(cfg, mesh, spec.z0, spec.dim,
                             initializer=initializer, matrices=matrices)

@@ -238,14 +238,12 @@ def run(config: FlowConfig, mesh: Mesh1D, z0: FunctionOracle, dim: int,
 
 
 def dump_trajectory(snapshots: List[Tuple[int, HermiteCurve]], tau: float,
-                    path: str, points_per_element: int = 10) -> None:
-    """Plain-text snapshot blocks: rows "x u1 u2 [u3]", blank-line separated."""
+                    path: str) -> None:
+    """Blank-line separated blocks of "x u1 u2 [u3]" rows, 10 per element."""
     with open(path, "w") as fh:
         for n, curve in snapshots:
-            mesh = curve.mesh
-            t = np.linspace(0.0, 1.0, points_per_element, endpoint=False)
-            x = (mesh.nodes[:-1, None] + np.outer(mesh.element_lengths, t)).ravel()
-            x = np.append(x, mesh.b)
+            mesh, t = curve.mesh, np.linspace(0.0, 1.0, 10, endpoint=False)
+            x = np.append(mesh.nodes[:-1, None] + np.outer(mesh.element_lengths, t), mesh.b)
             vals = curve.eval(x)
             fh.write(f"# step {n} t={n * tau:.6g}\n")
             for xi, row in zip(x, vals):

@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .assembly import _csr
+from .assembly import _csr, csr_pattern
 
 
 class KKTSingularError(RuntimeError):
@@ -127,9 +127,8 @@ class BandedKKT:
         # over half the size means joined (periodic) ends or a tiny mesh,
         # and there the reverse Cuthill-McKee order is taken if narrower
         if 2 * order[0] > size:
-            src = np.argsort(rows * size + cols, kind="stable")  # K's pattern
-            graph = _csr(np.ones(src.size), cols[src], np.searchsorted(
-                rows[src], np.arange(size + 1)), (size, size))
+            indptr, indices, _ = csr_pattern(rows, cols, (size, size))
+            graph = _csr(np.ones(indices.size), indices, indptr, (size, size))
             order = min(order, _ordered(
                 csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True),
                 rows, cols), key=lambda o: o[0])

@@ -84,8 +84,8 @@ def _jacobian_pattern(matrices: SystemMatrices, variant: ConstraintVariant,
     under the constraint pattern: A's data is the bincount over ``slot`` of
     W[row] * coef, W = (w, 1).  Its terms are w_r (D_ri D_rj) for each pair
     (i, j) of entries in a row r of D, row by row, and last S's entries, of
-    weight 1, placed by ``csr_pattern``.  Each term has its place whatever w
-    is; (i, j) and (j, i) sum equal terms in one order: A is symmetric."""
+    weight 1, placed by ``csr_pattern``'s sort.  Each term has its place
+    whatever w is; (i, j) and (j, i) sum equal terms in one order: A is symmetric."""
     pattern = _pattern(matrices, variant, bc)
 
     def build():

@@ -106,6 +106,15 @@ class TestLoadConfig:
         assert_allclose(spec.bc.value_b, [1.0, 0.0])
         assert named_experiment("circle").bc.value_b is None
 
+    @pytest.mark.parametrize("value, periodic", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("False", False), ("NO", False)])
+    def test_periodic_switch_spellings(self, tmp_path, value, periodic):
+        path = self.write(tmp_path, f"experiment=circle\nbc.periodic={value}\n")
+        spec = _run_spec(parse_args(["run", "--config", path]))
+        assert spec.bc.periodic is periodic
+        assert (spec.bc.value_a is None) is periodic
+
 
 class TestMain:
     def test_run_small_circle(self, tmp_path):
@@ -311,18 +320,37 @@ class TestFlagsAndConfig:
         ["run", "circle", "-M", "4", "--T", "0.1", "--snapshot-stride", "-3"],
         ["run", "circle", "-M", "4", "--flow", "newton",
          "--snapshot-stride", "2"],
+        ["run", "circle", "-M", "4", "--T", "0.1", "--tau", ""],
+        ["run", "circle", "-M", "4,4", "--T", "0.1"],
+        ["run", "circle", "-M", "4", "--T", "0.1", "--norms", "h2,h2"],
+        ["run", "circle", "-M", "4", "--T", "0.1", "--tau", "0.1,0.10000001"],
     ], ids=["tau-zero", "tau-negative", "T-negative", "M-zero", "M-negative",
-            "stride-negative", "stride-newton"])
+            "stride-negative", "stride-newton", "tau-empty", "M-repeated",
+            "norms-repeated", "tau-labels-repeated"])
     def test_out_of_range_run_is_usage_error(self, argv, tmp_path, capsys):
         assert console_main(argv + ["--output-dir", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_out_of_range_config_is_usage_error(self, tmp_path):
+    def test_newton_run_takes_no_tau(self):
+        spec = _run_spec(parse_args(["run", "circle", "--flow", "newton",
+                                     "--tau", ""]))
+        assert spec.taus == []
+
+    @pytest.mark.parametrize("text", [
+        "M=4\ntau=0.1\nT=-0.2\n", "M=4\ntau=\nT=0.1\n",
+        "M=4,4\ntau=0.1\nT=0.1\n", "M=4\nT=0.1\nnorms=h2,h2\n",
+        "M=4\nT=0.1\ntau=0.1,0.10000001\n",
+        "M=4\ntau=0.1\nT=0.1\nbc.periodic=ture\n",
+        "M=4\ntau=0.1\nT=0.1\nbc.periodic=\n",
+    ], ids=["T-negative", "tau-empty", "M-repeated", "norms-repeated",
+            "tau-labels-repeated", "periodic-misspelt", "periodic-empty"])
+    def test_out_of_range_config_is_usage_error(self, text, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("experiment=circle\nM=4\ntau=0.1\nT=-0.2\n")
+        cfg_file.write_text("experiment=circle\n" + text)
         assert console_main(["run", "--config", str(cfg_file),
                              "--output-dir", str(tmp_path)]) == 2
+        assert "usage error" in capsys.readouterr().err
         assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize("argv", [
@@ -333,6 +361,16 @@ class TestFlagsAndConfig:
     def test_mesh_size_below_one_is_usage_error(self, argv, capsys):
         assert console_main(argv) == 2
         assert "mesh sizes must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnostics", "circle", "-M", "4,4"],
+        ["interp-study", "-M", "8,8"],
+    ], ids=["diagnostics", "interp-study"])
+    def test_repeated_mesh_size_is_usage_error(self, argv, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert console_main(argv) == 2
+        assert "mesh sizes must not repeat" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["circle", "helix"])
     def test_default_newton_run_succeeds(self, name, tmp_path):

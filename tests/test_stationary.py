@@ -427,7 +427,7 @@ def dense_brezzi(pair, variant, bc, mats):
     (Z^T A Z, Z^T G Z); beta^2 the smallest eigenvalue of W y = mu N y with
     W = B G^-1 B^T and N = mass H^-1 mass."""
     G = _pattern(mats, variant, bc).restrict(
-        mats.mass + mats.gradient + mats.bending).toarray()
+        mats.mass + mats.combine(gradient=1.0) + mats.bending).toarray()
     mass, stiff = dense_multiplier_grams(mats.mesh, variant)
     h1 = mass + stiff
     r_u, r_mu = residual(pair, variant, bc, mats)

@@ -18,6 +18,9 @@ _GAUSS4_T, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 # mapped to [0,1]; longdouble for the element matrices (see _element_blocks)
 _QT = (0.5 * (_GAUSS4_T + 1.0)).astype(np.longdouble)
 _QW = (0.5 * _GAUSS4_W).astype(np.longdouble)
+_REFERENCE_GRAMS = [(b * _QW) @ b.T for b in (   # of each derivative order
+    _hermite_reference(_QT.astype(float), k).astype(np.longdouble)
+    for k in range(3))]
 
 
 def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
@@ -30,11 +33,9 @@ def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
     In longdouble, entries that are 0 in exact arithmetic round to exact
     zeros, which keeps them out of the CSR pattern (bending at M=5, d=1:
     56 nonzeros, 64 if built in float64)."""
-    basis = _hermite_reference(_QT.astype(float), order).astype(np.longdouble)
-    gram = (basis * _QW) @ basis.T
     h = mesh.element_lengths.astype(np.longdouble)
     scale = np.where([False, True, False, True], h[:, None], 1.0)
-    blocks = gram[None, :, :] * scale[:, :, None] * scale[:, None, :]
+    blocks = _REFERENCE_GRAMS[order] * scale[:, :, None] * scale[:, None, :]
     return blocks * h[:, None, None] ** (1 - 2 * order)
 
 
@@ -187,9 +188,12 @@ def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
     if np.all(key[1:] > key[:-1]):
         return (np.searchsorted(rows, np.arange(shape[0] + 1)), cols,
                 np.arange(key.size))
-    keys, slot = np.unique(key, return_inverse=True)
-    rows, indices = np.divmod(keys, shape[1])
-    return np.searchsorted(rows, np.arange(shape[0] + 1)), indices, slot
+    order = np.argsort(key, kind="stable")     # linear on presorted runs
+    first = np.append(True, np.diff(key[order]) != 0)   # first of each key
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    kept = order[first]
+    return np.searchsorted(rows[kept], np.arange(shape[0] + 1)), cols[kept], slot
 
 
 def derivative_map(mesh: Mesh1D, dim: int,

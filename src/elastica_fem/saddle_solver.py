@@ -90,9 +90,10 @@ class BandedKKT:
     with one K (a Lanczos iteration) needs.
 
     The band holds D K D, d_i = |A_ii|^(-1/2) on x (1 on the multipliers
-    and where A_ii = 0) from the A given at construction.  Value and
-    derivative DOFs differ by powers of h, so the pivots of K itself fall
-    below _PIVOT_TOL from M ~ 300 on; those of D K D measure rank.
+    and where A_ii = 0) of the first A factored after construction or
+    ``rescale``.  Value and derivative DOFs differ by powers of h, so the
+    pivots of K itself fall below _PIVOT_TOL from M ~ 300 on; those of D K
+    D measure rank.
     """
 
     def __init__(self, A: sp.csr_matrix, B: sp.csr_matrix):
@@ -151,12 +152,11 @@ class BandedKKT:
         # C-ordered (size, 3*bw+1) array, so it is Fortran-contiguous and
         # factored in place, and its flat index is j*(3*bw+1) + 2*bw + i - j.
         self._pos = cols * (3 * bw + 1) + 2 * bw + rows - cols
-        diag = np.abs(A.diagonal())
-        d = np.append(np.where(diag > 0, diag, 1.0) ** -0.5, np.ones(m))
-        self._d_perm = d[self.perm]
-        self._scale = self._d_perm[rows]
-        self._scale *= self._d_perm[cols]
-        self._ab_t = np.zeros((size, 3 * bw + 1))
+        self._ab_t, self._scale = np.zeros((size, 3 * bw + 1)), None
+
+    def rescale(self) -> None:
+        """Take d from the next A factored, as after construction."""
+        self._scale = None
 
     def factor(self, A: sp.csr_matrix, B: sp.csr_matrix) -> None:
         """Factor the band of A and B, which have the patterns given at
@@ -171,6 +171,13 @@ class BandedKKT:
                                             B.indices), self._patterns)):
             raise ValueError("KKT blocks do not match the band pattern")
         bw, self._factors = self.bandwidth, None   # the band is overwritten
+        if self._scale is None:
+            a = np.abs(A.diagonal())
+            d = np.append(np.where(a > 0, a, 1.0) ** -0.5,
+                          np.ones(self.perm.size - a.size))
+            self._d_perm = d[self.perm]
+            self._scale = (np.repeat(self._d_perm, np.diff(self._k.indptr))
+                           * self._d_perm[self._k.indices.astype(np.intp)])
         k, slot = self._k.data, self._slot
         k[slot[:A.nnz]] = A.data
         k[slot[A.nnz:].reshape(2, -1)] = B.data     # B and B^T

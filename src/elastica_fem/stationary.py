@@ -70,42 +70,59 @@ def _pattern(matrices: SystemMatrices, variant: ConstraintVariant,
         raise ValueError("stationary solver supports endpoint conditions only")
     mesh, dim = matrices.mesh, matrices.dim
     bc.check_dim(dim)
-    nz = mesh.constraint_nodes(variant).size
     return matrices.cached(
         (variant,) + tuple(getattr(bc, name) is None for name in TARGETS),
-        lambda: constraint_pattern(matrices.derivative_map(variant),
-                                   bc.restriction(mesh, dim), dim, variant,
-                                   rows=np.arange(1, nz - 1)))
+        lambda: constraint_pattern(
+            matrices.derivative_map(variant), bc.restriction(mesh, dim), dim,
+            variant, rows=np.arange(1, mesh.constraint_nodes(variant).size - 1)))
 
 
 def _jacobian_pattern(matrices: SystemMatrices, variant: ConstraintVariant,
                       bc: BoundaryConditions):
-    """(template, slot, row, coef) of A = P^T (S + D^T diag(w) D) P, cached
-    under the constraint pattern: A's data is the bincount over ``slot`` of
-    W[row] * coef, W = (w, 1).  Its terms are w_r (D_ri D_rj) for each pair
-    (i, j) of entries in a row r of D, row by row, and last S's entries, of
-    weight 1, placed by ``csr_pattern``'s sort.  Each term has its place
-    whatever w is; (i, j) and (j, i) sum equal terms in one order: A is symmetric."""
+    """(template, slot, row, coef, band), cached under the constraint
+    pattern: the union of the entries of A = P^T (S + D^T diag(w) D) P and
+    of the H2 Gram, and the one ``BandedKKT`` on it.  A's data is the
+    bincount over ``slot`` of W[row] * coef, W = (w, 1), of w_r (D_ri D_rj)
+    for each pair (i, j) of entries in a row r of D, then S's entries and
+    the Gram's that S lacks, of weight 1 and 0.  Each term has its place
+    whatever w is; (i, j) and (j, i) sum equal terms in one order: A is
+    symmetric."""
     pattern = _pattern(matrices, variant, bc)
 
     def build():
         D, S, c = matrices.derivative_map(variant), matrices.bending, pattern.columns
-        k = pattern.restriction.shape[1]
+        k, dim, b = pattern.restriction.shape[1], matrices.dim, matrices.bands
         lo, hi = D.indptr[:-1, None], D.indptr[1:, None]
         entry = lo + np.arange((hi - lo).max())
         both = (entry < hi)[:, :, None] & (entry < hi)[:, None, :]
         e, f, r = (np.broadcast_to(x, both.shape)[both] for x in (
             entry[:, :, None], entry[:, None, :],
             np.arange(D.shape[0])[:, None, None]))
-        rows = c[np.append(D.indices[e],
-                           np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)))]
-        cols = c[np.append(D.indices[f], S.indices)]
+        # the Gram P^T (M + G1 + S) P sums the scalar bands: its entries are
+        # S's and the band entries (i, i + j - 3) that S lacks
+        i, j = np.nonzero((b[0] + b[1] + b[2] != 0) & (b[2] == 0))
+        gi, gj = ((dim * x[:, None] + np.arange(dim)).ravel() for x in (i, i + j - 3))
+        rows = c[np.concatenate([D.indices[e], np.repeat(
+            np.arange(S.shape[0]), np.diff(S.indptr)), gi])]
+        cols = c[np.concatenate([D.indices[f], S.indices, gj])]
         kept = (rows < k) & (cols < k)
         indptr, indices, slot = csr_pattern(rows[kept], cols[kept], (k, k))
         template = _csr(np.zeros(indices.size), indices, indptr, (k, k))
-        return (template, slot, np.append(r, np.full(S.nnz, D.shape[0]))[kept],
-                np.append(D.data[e] * D.data[f], S.data)[kept])
+        return (template, slot, np.append(r, np.full(S.nnz + gi.size, D.shape[0]))[kept],
+                np.concatenate([D.data[e] * D.data[f], S.data, np.zeros(gi.size)])[kept],
+                BandedKKT(template, pattern.template))
     return matrices.cached(pattern, build)
+
+
+def _on_band(G: sp.csr_matrix, matrices: SystemMatrices,
+             variant: ConstraintVariant, bc: BoundaryConditions):
+    """(G on the mesh's KKT band pattern, which holds its entries; the band)."""
+    template, *_, band = _jacobian_pattern(matrices, variant, bc)
+    keys = [np.repeat(np.arange(X.shape[0]), np.diff(X.indptr)) * X.shape[1]
+            + X.indices for X in (template, G)]
+    on_band = copy.copy(template)
+    on_band.data = np.bincount(np.searchsorted(*keys), G.data, template.nnz)
+    return on_band, band
 
 
 def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
@@ -120,7 +137,8 @@ def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     du = p.u.derivative_at_constraint_nodes(variant)
     D = matrices.derivative_map(variant)
     w = (beta * _multiplier_nodes(p, variant))[:, None] * du
-    r_u = matrices.apply_bending(p.u.dofs) + D.T @ w.ravel()
+    r_u = matrices.apply_bending(p.u.dofs) + np.bincount(   # D.T @ w's sums
+        D.indices, D.data * np.repeat(w.ravel(), np.diff(D.indptr)), D.shape[1])
 
     speed = np.einsum("nd,nd->n", du, du)
     r_mu = 0.5 * beta[1:-1] * (speed[1:-1] - 1.0)
@@ -144,7 +162,7 @@ def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     DOFs, on the same index arrays at every p: A is the bending form plus
     the lumped multiplier term (``_jacobian_pattern``), B is
     ``_constraint_block``."""
-    template, slot, row, coef = _jacobian_pattern(matrices, variant, bc)
+    template, slot, row, coef, _ = _jacobian_pattern(matrices, variant, bc)
     w = np.repeat(lumped_weights(p.u.mesh, variant)
                   * _multiplier_nodes(p, variant), p.u.dim)
     A = copy.copy(template)     # shares the index arrays, as ``fill`` does
@@ -172,9 +190,10 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     ``tol``, by default its roundoff floor max(1e-11, 0.1 eps |S|_inf
     |u0|_inf sqrt(n)): S the bending matrix, u0 the starting DOFs, n the
     residual length.  A step-halving fallback engages only when a full step
-    would increase the residual norm.  Returns the solution and a log with
-    the residual norms and the tol used; a failed KKT solve raises
-    ``NewtonError``.
+    would increase the residual norm.  Each iteration factors the mesh's KKT
+    band with its Jacobian, equilibrated by the first.  Returns the solution
+    and a log with the residual norms and the tol used; a failed KKT solve
+    raises ``NewtonError``.
     """
     # per call, so that a wrapper of saddle_solver.solve_kkt sees Newton
     from .saddle_solver import solve_kkt
@@ -185,18 +204,18 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     norms = [float(np.sqrt(np.dot(r_u, r_u) + np.dot(r_mu, r_mu)))]
     halvings = 0
     if tol is None:
+        S = matrices.bending    # |S|_inf, rows summed as scipy sums them
         tol = max(1e-11, float(0.1 * np.finfo(float).eps
-                               * abs(matrices.bending).sum(axis=1).max()
+                               * np.add.reduceat(abs(S.data), S.indptr[:-1]).max()
                                * np.abs(p0.u.dofs).max()
                                * np.sqrt(r_u.size + r_mu.size)))
 
-    band = None
+    band = _jacobian_pattern(matrices, variant, bc)[-1]
+    band.rescale()      # by the first Jacobian
     for _ in range(max_iter):
         if norms[-1] <= tol:
             break
         A, B = jacobian(p, variant, bc, matrices)
-        if band is None:    # the patterns are the discretization's
-            band = BandedKKT(A, B)
         try:
             du, dlam = solve_kkt(SaddleSystem(A, B, -r_u, -r_mu), band)
         except KKTSingularError as exc:
@@ -247,15 +266,18 @@ def _tri(U: np.ndarray, x: np.ndarray, trans=0, solve=False) -> np.ndarray:
                                                  trans=trans)
 
 
+_QUADRATICS = [_quadratic_reference(0.5 * (_GAUSS4_T + 1.0), k) for k in (0, 1)]
+_MULTIPLIER_REFERENCE = {   # (mass, stiffness); P1's hats: midpoints are means
+    v: [np.einsum("q,aq,bq->ab", 0.5 * _GAUSS4_W, b, b) for b in basis]
+    for v, basis in ((ConstraintVariant.P2, _QUADRATICS),
+                     (ConstraintVariant.P1, [b[::2] + 0.5 * b[1] for b in _QUADRATICS]))}
+
+
 def _multiplier_factors(mesh: Mesh1D, variant: ConstraintVariant
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of the mass and H1 Grams of the multiplier space on
     the interior constraint nodes (zero boundary values)."""
-    basis = [_quadratic_reference(0.5 * (_GAUSS4_T + 1.0), k) for k in (0, 1)]
-    if variant is ConstraintVariant.P1:     # hats: midpoints are means
-        basis = [b[::2] + 0.5 * b[1] for b in basis]
-    mass_ref, stiff_ref = (np.einsum("q,aq,bq->ab", 0.5 * _GAUSS4_W, b, b)
-                           for b in basis)
+    mass_ref, stiff_ref = _MULTIPLIER_REFERENCE[variant]
     # element e holds the constraint nodes step*e, ..., step*(e+1); its
     # entry (a, b), a <= b, goes to band row step + a - b, column step*e + b
     step, h = mass_ref.shape[0] - 1, mesh.element_lengths
@@ -341,23 +363,24 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
     placed by Lanczos on U^-T A U^-1 and certified by a Cholesky factor of
     A - sigma G, is below alpha (interlacing).  Then alpha = sigma + 1/nu,
     nu the largest eigenvalue of y -> U x with x the curve part of the
-    solution of [[A - sigma G, B^T], [B, 0]] for (U^T y, 0), whose band is
-    factored once.  Unshifted, 1/nu would miss a negative alpha.
+    solution of [[A - sigma G, B^T], [B, 0]] for (U^T y, 0), the mesh's KKT
+    band factored once.  Unshifted, 1/nu would miss a negative alpha.
     """
     if norms is None:
         norms = DiscreteNorms.build(matrices, bc, variant)
     A, B = jacobian(p, variant, bc, matrices)
-    U, n = norms.gram_factor, A.shape[0]
+    G, band = _on_band(norms.gram, matrices, variant, bc)
+    U, n, tail = norms.gram_factor, A.shape[0], np.zeros(B.shape[0])
     lowest = _extreme_eigenvalue(lambda y: _tri(U, A @ _tri(U, y, 0, True),
                                                 1, True), n, "SA", 1e-2)
     gap = 0.1 * (1.0 + abs(lowest))
     # a Ritz value may miss the bottom of the spectrum
-    while lapack.dpbtrf(_upper_band(A - (lowest - gap) * norms.gram))[1]:
+    while lapack.dpbtrf(_upper_band(A) - (lowest - gap) * _upper_band(G))[1]:
         gap *= 2.0
-    shifted = A - (lowest - gap) * norms.gram
-    band, tail = BandedKKT(shifted, B), np.zeros(B.shape[0])
+    A.data -= (lowest - gap) * G.data       # A - sigma G, on the band's pattern
     try:
-        band.factor(shifted, B)
+        band.rescale()
+        band.factor(A, B)
         nu = _extreme_eigenvalue(lambda y: _tri(U, band.apply(np.concatenate(
             [_tri(U, y, 1), tail]))[:n]), n, "LA")
     except KKTSingularError as exc:
@@ -374,14 +397,14 @@ def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
 
     beta^2 = 1/nu, nu the largest eigenvalue of U_H^-T mass W^-1 mass
     U_H^-1 (H = U_H^T U_H, W = B G^-1 B^T).  W^-1 r is -lam of the solution
-    of [[G, B^T], [B, 0]] for (0, r), whose band is factored once; beta is
-    0 when that band is singular.
+    of [[G, B^T], [B, 0]] for (0, r), the mesh's KKT band factored once;
+    beta is 0 when it is singular.
     """
     if norms is None:
         norms = DiscreteNorms.build(matrices, bc, variant)
     B = _constraint_block(p, variant, bc, matrices)
+    G, band = _on_band(norms.gram, matrices, variant, bc)
     H, F, head = norms.h1_factor, norms.mass_factor, np.zeros(B.shape[1])
-    band = BandedKKT(norms.gram, B)
 
     def mass(x):
         return _tri(F, _tri(F, x), 1)
@@ -391,7 +414,8 @@ def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
         return -_tri(H, mass(r[head.size:]), 1, True)
 
     try:
-        band.factor(norms.gram, B)
+        band.rescale()
+        band.factor(G, B)
         return float(np.sqrt(1.0 / _extreme_eigenvalue(matvec, B.shape[0],
                                                         "LA")))
     except KKTSingularError:

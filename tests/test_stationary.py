@@ -12,7 +12,8 @@ from elastica_fem import assembly, saddle_solver
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
 from elastica_fem.flow import FlowConfig, run
 from elastica_fem.splines import lumped_weights
-from elastica_fem.stationary import (DiscreteNorms, SaddlePoint, _pattern,
+from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
+                                     _jacobian_pattern, _pattern,
                                      coercivity_estimate, infsup_estimate,
                                      jacobian, make_interpolant_pair,
                                      newton_solve, residual,
@@ -279,6 +280,18 @@ class TestNewton:
         assert log["iterations"] >= 2
         assert len(built) == 1
 
+    def test_circle_p2_converges_at_two_elements(self, circle_spec):
+        # alpha < 0 here and the last pivot ratio is 4.4e-12, near the
+        # 1e-12 gate: the band must be scaled by the first Jacobian's
+        # diagonal, as a band of Newton's own is
+        mesh = Mesh1D.uniform(*circle_spec.interval, 2)
+        mats = assemble_matrices(mesh, 2)
+        pair = make_interpolant_pair(circle_spec.exact.oracle,
+                                     circle_spec.exact.multiplier, mesh, 2, P2)
+        infsup_estimate(pair, P2, circle_spec.bc, mats)     # builds the band
+        _, log = newton_solve(pair, P2, circle_spec.bc, mats)
+        assert log["iterations"] == 4
+
     @pytest.mark.parametrize("variant", [P1, P2])
     def test_singular_jacobian_raises_newton_error(self, circle_spec,
                                                    variant):
@@ -512,7 +525,110 @@ class TestBandedBrezziAgainstDense:
         args = scaled_pair("helix", 40, P2)
         coercivity_estimate(*args)
         infsup_estimate(*args)
-        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert len(calls) == 2 and calls[0] is calls[1]
+
+
+# ---------------------------------------------------------------------------
+# one KKT structure per mesh, variant and set of fixed ends
+
+def fresh_row(name, variant, M=20):
+    spec = named_experiment(name)
+    mesh = Mesh1D.uniform(*spec.interval, M)
+    mats = assemble_matrices(mesh, spec.dim)
+    pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
+                                 mesh, spec.dim, variant)
+    return pair, variant, spec.bc, mats
+
+
+def row_result(routine, pair, variant, bc, mats):
+    """alpha, beta or the Newton solution's DOFs, on ``mats``."""
+    if routine == "newton":
+        sol, _ = newton_solve(pair, variant, bc, mats)
+        return np.append(sol.u.dofs, sol.lam)
+    norms = DiscreteNorms.build(mats, bc, variant)
+    estimate = {"alpha": coercivity_estimate, "beta": infsup_estimate}[routine]
+    return np.array([estimate(pair, variant, bc, mats, norms)])
+
+
+@pytest.mark.parametrize("variant", [P1, P2])
+@pytest.mark.parametrize("name", ["circle", "helix"])
+class TestOneKKTPerMesh:
+    def test_diagnostics_row_builds_one_band(self, monkeypatch, name,
+                                             variant):
+        built = []
+        band_init = saddle_solver.BandedKKT.__init__
+
+        def init_spy(band, *args):
+            built.append(band)
+            band_init(band, *args)
+
+        monkeypatch.setattr(saddle_solver.BandedKKT, "__init__", init_spy)
+        pair, variant, bc, mats = fresh_row(name, variant)
+        norms = DiscreteNorms.build(mats, bc, variant)
+        for estimate in (residual_dual_norm, coercivity_estimate,
+                         infsup_estimate):
+            estimate(pair, variant, bc, mats, norms)
+        newton_solve(pair, variant, bc, mats)
+        assert len(built) == 1
+
+    def test_results_do_not_depend_on_order(self, name, variant):
+        # each routine first on fresh matrices, and last after the others
+        routines = ("alpha", "beta", "newton")
+        for routine in routines:
+            pair, variant, bc, mats = fresh_row(name, variant)
+            first = row_result(routine, pair, variant, bc, mats)
+            mats = assemble_matrices(mats.mesh, mats.dim)
+            for other in routines:
+                if other != routine:
+                    row_result(other, pair, variant, bc, mats)
+            last = row_result(routine, pair, variant, bc, mats)
+            assert np.array_equal(first.view(np.uint8), last.view(np.uint8))
+
+    def test_each_routine_equilibrates_by_its_own_matrix(self, monkeypatch,
+                                                         name, variant):
+        # the shared band scales K as a band of the routine's own would:
+        # by the diagonal of A - sigma G, of G, and of Newton's first Jacobian
+        seen = []
+        factor = saddle_solver.BandedKKT.factor
+
+        def spy(band, A, B):
+            d = np.abs(A.diagonal())
+            factor(band, A, B)
+            seen.append((band._d_perm[np.argsort(band.perm)][:d.size], d))
+
+        monkeypatch.setattr(saddle_solver.BandedKKT, "factor", spy)
+        pair, variant, bc, mats = fresh_row(name, variant)
+        for routine in ("alpha", "beta", "newton"):
+            row_result(routine, pair, variant, bc, mats)
+        assert len(seen) >= 3
+        for i, (d, diag) in enumerate(seen):
+            own = diag if i < 3 else seen[2][1]
+            assert np.array_equal(d, np.where(own > 0, own, 1.0) ** -0.5)
+
+    def test_union_pattern_holds_jacobian_and_gram(self, rng, name, variant):
+        spec = named_experiment(name)
+        meshes = [Mesh1D.uniform(*spec.interval, M) for M in (1, 2, 5, 20)]
+        meshes.append(Mesh1D(spec.interval[0] + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.5, 1.4, 12))])))
+        for mesh in meshes:
+            mats = assemble_matrices(mesh, spec.dim)
+            D = mats.derivative_map(variant)
+            # nonzero multiplier weights: no Jacobian term cancels
+            w = rng.uniform(1.0, 2.0, D.shape[0])
+            for bc in (spec.bc, BoundaryConditions.free()):
+                template = _jacobian_pattern(mats, variant, bc)[0]
+                P = bc.restriction(mesh, spec.dim)
+                held = template.copy()
+                held.data[:] = 1.0
+                for A in (P.T @ (mats.bending + D.T @ sp.diags(w) @ D) @ P,
+                          P.T @ (mats.mass + mats.combine(gradient=1.0)
+                                 + mats.bending) @ P):
+                    outside = abs(A) - abs(A).multiply(held)
+                    assert outside.count_nonzero() == 0
+                if mesh.constraint_nodes(variant).size > 2 and P.shape[1]:
+                    gram = DiscreteNorms.build(mats, bc, variant).gram
+                    assert (abs(gram) - abs(gram).multiply(held)
+                            ).count_nonzero() == 0
 
 
 @pytest.mark.parametrize("variant, size", [(P1, 3), (P2, 7)])

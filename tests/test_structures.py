@@ -1,8 +1,10 @@
 """The per-mesh structures built by index arithmetic against the scipy
 constructions they replace, inlined here as oracles, bit for bit: the
 derivative map D, the constraint pattern, P^T A P, the sums of the system
-matrices, the Jacobian pattern, the natural-order KKT graph of the band's
-reverse Cuthill-McKee branch, and ``csr_pattern`` itself."""
+matrices, the union pattern of the Jacobian and the H2 Gram, the
+natural-order KKT graph of the band's reverse Cuthill-McKee branch, and
+``csr_pattern`` itself; and guards that no general sparse operation runs
+in set-up, nor in a stationary solve once the mesh's structures exist."""
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from elastica_fem.assembly import (constraint_pattern, csr_pattern,
 from elastica_fem.experiments import named_experiment
 from elastica_fem.flow import StepStructure
 from elastica_fem.stationary import (DiscreteNorms, _jacobian_pattern,
-                                     _pattern, _upper_band)
+                                     _on_band, _pattern, _upper_band,
+                                     coercivity_estimate, infsup_estimate,
+                                     make_interpolant_pair, newton_solve,
+                                     residual_dual_norm)
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -86,8 +91,9 @@ def scipy_restrict(columns, k, A):
     return reduced
 
 
-def scipy_jacobian_pattern(matrices, pattern, variant):
-    """(template, slot) of the Jacobian from ``np.unique``."""
+def scipy_jacobian_pattern(matrices, pattern, variant, gram):
+    """(template, slot) of the union of the Jacobian's terms and the Gram's
+    entries from ``np.unique``; slot places the Jacobian's terms."""
     D, S, c = matrices.derivative_map(variant), matrices.bending, pattern.columns
     k = pattern.restriction.shape[1]
     lo, hi = D.indptr[:-1, None], D.indptr[1:, None]
@@ -99,11 +105,14 @@ def scipy_jacobian_pattern(matrices, pattern, variant):
                        np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)))]
     cols = c[np.append(D.indices[f], S.indices)]
     kept = (rows < k) & (cols < k)
-    keys, slot = np.unique(rows[kept] * k + cols[kept], return_inverse=True)
+    gram_rows = np.repeat(np.arange(k), np.diff(gram.indptr))
+    keys, slot = np.unique(np.append(rows[kept] * k + cols[kept],
+                                     gram_rows * k + gram.indices),
+                           return_inverse=True)
     template = sp.csr_matrix(
         (np.zeros(keys.size), keys % k,
          np.searchsorted(keys, k * np.arange(k + 1))), shape=(k, k))
-    return template, slot
+    return template, slot[:np.count_nonzero(kept)]
 
 
 def scipy_upper_band(A):
@@ -222,20 +231,28 @@ def test_jacobian_and_gram_bitwise_equal_scipy(name, M):
             continue
         for bc in (spec.bc, BoundaryConditions.free()):
             pattern = _pattern(mats, variant, bc)
-            template, slot = scipy_jacobian_pattern(mats, pattern, variant)
+            gram = scipy_restrict(pattern.columns, pattern.restriction.shape[1],
+                                  mats.mass + mats.combine(gradient=1.0)
+                                  + mats.bending)
+            template, slot = scipy_jacobian_pattern(mats, pattern, variant,
+                                                    gram)
             got = _jacobian_pattern(mats, variant, bc)
             same_csr(got[0], template)
-            same_bits(got[1], slot)
+            # A's terms, then the Gram's entries that S lacks, of weight 0
+            same_bits(got[1][:slot.size], slot)
+            assert not got[3][slot.size:].any()
             if pattern.restriction.shape[1] == 0:     # every DOF fixed
                 with pytest.raises(ValueError):
                     DiscreteNorms.build(mats, bc, variant)
                 continue
             norms = DiscreteNorms.build(mats, bc, variant)
-            gram = scipy_restrict(pattern.columns, pattern.restriction.shape[1],
-                                  mats.mass + mats.combine(gradient=1.0)
-                                  + mats.bending)
             same_csr(norms.gram, gram)
             same_bits(_upper_band(norms.gram), scipy_upper_band(gram))
+            on_band = _on_band(norms.gram, mats, variant, bc)[0]
+            assert on_band.indices is got[0].indices
+            same_bits(on_band.data, gram.toarray()[
+                np.repeat(np.arange(template.shape[0]), np.diff(template.indptr)),
+                template.indices])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -278,13 +295,20 @@ def test_band_graph_is_coo_pattern(monkeypatch, M, dim):
 @given(st.integers(min_value=1, max_value=12),
        st.integers(min_value=1, max_value=12),
        st.integers(min_value=0, max_value=60),
-       st.integers(min_value=0, max_value=2 ** 32 - 1))
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_csr_pattern_is_unique_with_inverse(nrows, ncols, nnz, seed):
+def test_csr_pattern_is_unique_with_inverse(nrows, ncols, nnz, seed, runs):
     # any entries, repeated ones and columns far from the diagonal included
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, nrows, nnz)
     cols = rng.integers(0, ncols, nnz)
+    if runs:    # three presorted runs, as the union of the Jacobian's
+        # terms and the Gram's entries, or K's blocks, arrive
+        key = rows * ncols + cols
+        order = np.concatenate([
+            run[np.argsort(key[run], kind="stable")] for run in
+            np.split(np.arange(nnz), np.sort(rng.integers(0, nnz + 1, 2)))])
+        rows, cols = rows[order], cols[order]
     keys, slot = np.unique(rows * ncols + cols, return_inverse=True)
     indptr, indices, got_slot = csr_pattern(rows, cols, (nrows, ncols))
     assert np.array_equal(indptr, np.searchsorted(keys, ncols * np.arange(
@@ -293,14 +317,13 @@ def test_csr_pattern_is_unique_with_inverse(nrows, ncols, nnz, seed):
     assert np.array_equal(got_slot, slot)
 
 
-def test_setup_uses_no_general_sparse_operations(monkeypatch):
-    # DiscreteNorms.build, StepStructure.build, _jacobian_pattern and
-    # BandedKKT(A, B) build each matrix as one CSR array: no COO
-    # construction, no sparse product or sum, no fancy row indexing
-    from scipy.sparse import _base, _coo, _index
+def forbid_sparse(monkeypatch, operators, entry_points):
+    """Make each (class, method) of ``entry_points`` raise, and each binary
+    operator in ``operators`` raise when both operands are sparse."""
+    from scipy.sparse import _base
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("set-up builds CSR arrays directly")
+        raise AssertionError("a general sparse operation ran")
 
     def no_sparse(name):
         original = getattr(_base._spbase, name)
@@ -311,13 +334,24 @@ def test_setup_uses_no_general_sparse_operations(monkeypatch):
             return original(self, other)
         return guarded
 
+    for cls, method in entry_points:
+        monkeypatch.setattr(cls, method, forbidden)
+    for name in operators:
+        monkeypatch.setattr(_base._spbase, name, no_sparse(name))
+
+
+def test_setup_uses_no_general_sparse_operations(monkeypatch):
+    # DiscreteNorms.build, StepStructure.build, _jacobian_pattern and
+    # BandedKKT(A, B) build each matrix as one CSR array: no COO
+    # construction, no sparse product or sum, no fancy row indexing
+    from scipy.sparse import _coo, _index
+
     spec = named_experiment("helix")
     mats = [assemble_matrices(Mesh1D.uniform(*spec.interval, 6), 3)
             for _ in range(2)]
-    monkeypatch.setattr(_coo._coo_base, "__init__", forbidden)
-    monkeypatch.setattr(_index.IndexMixin, "__getitem__", forbidden)
-    for name in ("__matmul__", "__add__", "__radd__"):
-        monkeypatch.setattr(_base._spbase, name, no_sparse(name))
+    forbid_sparse(monkeypatch, ("__matmul__", "__add__", "__radd__"),
+                  [(_coo._coo_base, "__init__"),
+                   (_index.IndexMixin, "__getitem__")])
     for variant in (P1, P2):
         norms = DiscreteNorms.build(mats[0], spec.bc, variant)
         template = _jacobian_pattern(mats[0], variant, spec.bc)[0]
@@ -330,3 +364,34 @@ def test_setup_uses_no_general_sparse_operations(monkeypatch):
                 StepStructure.build(FlowConfig(tau=0.1, T=0.1, variant=flow,
                                                constraint=variant, bc=bc),
                                     mats[1])
+
+
+def test_stationary_solves_use_no_sparse_construction(monkeypatch):
+    # once a mesh's KKT structure exists, the Brezzi estimates and Newton
+    # work on data arrays: no COO or CSR construction, no transpose, no
+    # sparse-with-sparse sum, difference or product
+    from scipy.sparse import _base, _compressed, _coo
+
+    cases = []
+    for name in ("circle", "helix"):
+        spec = named_experiment(name)
+        mesh = Mesh1D.uniform(*spec.interval, 10)
+        mats = assemble_matrices(mesh, spec.dim)
+        for variant in (P1, P2):
+            pair = make_interpolant_pair(spec.exact.oracle,
+                                         spec.exact.multiplier, mesh,
+                                         spec.dim, variant)
+            args = (pair, variant, spec.bc, mats,
+                    DiscreteNorms.build(mats, spec.bc, variant))
+            coercivity_estimate(*args)      # builds the structures
+            cases.append(args)
+    forbid_sparse(monkeypatch, ("__matmul__", "__rmatmul__", "__add__",
+                                "__radd__", "__sub__", "__rsub__"),
+                  [(_coo._coo_base, "__init__"),
+                   (_compressed._cs_matrix, "__init__"),
+                   (_base._spbase, "transpose")])
+    for args in cases:
+        for estimate in (residual_dual_norm, coercivity_estimate,
+                         infsup_estimate):
+            estimate(*args)
+        assert newton_solve(*args[:4])[1]["iterations"] >= 1

@@ -25,8 +25,11 @@ _REFERENCE_GRAMS = [(b * _QW) @ b.T for b in (   # of each derivative order
 
 def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
     """(M, 4, 4) longdouble element matrices of the order-th derivative
-    product, with the physical h-scaling of value/derivative DOFs applied;
-    4-point Gauss is exact for these integrands (degree <= 6).
+    product, with the physical h-scaling of value/derivative DOFs applied.
+    4-point Gauss is exact for these integrands (degree <= 6), but its nodes
+    and the basis values are float64 and only the sums longdouble: the
+    reference Grams are within 8.0e-16 (bending) to 9.4e-16 (mass),
+    relative, of their rational entries.
 
     They only build the CSR matrices, unsymmetrized; ``assemble_matrices``
     casts them to float64, symmetrizes their sum and drops its exact zeros.

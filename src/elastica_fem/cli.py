@@ -21,10 +21,10 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import flow
-from .analysis import eoc, linf_error, quadrature_error
+from .analysis import linf_error, quadrature_error
 from .assembly import TARGETS, BoundaryConditions, assemble_matrices
-from .experiments import (ExperimentSpec, emit_csv, named_experiment,
-                          run_experiment, stationarity_check)
+from .experiments import (ExperimentSpec, _column_eocs, _fmt_eoc, emit_csv,
+                          named_experiment, run_experiment, stationarity_check)
 from .mesh import ConstraintVariant, Mesh1D
 from .splines import FunctionOracle, interp_hermite
 from .stationary import (DiscreteNorms, NewtonError, make_interpolant_pair,
@@ -228,8 +228,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         flow.dump_trajectory(table.snapshots, spec.taus[0], traj)
         print(f"wrote {traj}")
     for col in table.columns:
-        eocs = ",".join("--" if r is None else f"{r:.2f}" for r in col.eocs[1:])
-        print(f"  {col.label}: eoc {eocs}")
+        print(f"  {col.label}: eoc {','.join(map(_fmt_eoc, col.eocs[1:]))}")
     if table.failures:
         for f in table.failures:
             print(f"FAILED cell: {f}", file=sys.stderr)
@@ -306,8 +305,7 @@ def _cmd_interp_study(ns: argparse.Namespace) -> int:
             f"{errs[k][i]:.3e}" for k in ("linf", "l2", "h1", "h2")))
     print("eoc:")
     for k in ("linf", "l2", "h1", "h2"):
-        rates = ",".join(f"{r:.2f}" for r in eoc(errs[k], hs))
-        print(f"  {k}: {rates}")
+        print(f"  {k}: {','.join(map(_fmt_eoc, _column_eocs(errs[k], hs)[1:]))}")
     return 0
 
 

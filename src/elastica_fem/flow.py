@@ -71,11 +71,11 @@ class FlowState:
     energy: float
     last_velocity_norm: float
     constraint_violation: float
+    # S @ curve.dofs and u' at its constraint nodes, for the next step
+    bending_load: np.ndarray = field(repr=False)
+    tangents: np.ndarray = field(repr=False)
     max_identity_violation: float = 0.0
     max_constraint_residual: float = 0.0
-    # S @ curve.dofs and u' at its constraint nodes, for the next step; None: compute
-    bending_load: Optional[np.ndarray] = field(default=None, repr=False)
-    tangents: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def init_state(z0: FunctionOracle, mesh: Mesh1D, dim: int,
@@ -115,6 +115,7 @@ def init_state(z0: FunctionOracle, mesh: Mesh1D, dim: int,
         energy=0.5 * matrices.quad_bending(curve.dofs),
         last_velocity_norm=float("nan"),
         constraint_violation=unit_speed_violation(curve, constraint, tangents),
+        bending_load=matrices.apply_bending(curve.dofs),
         tangents=tangents,
     )
 
@@ -165,14 +166,10 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
     Z, tau, variant = state.curve, config.tau, config.constraint
     if structure is None:
         structure = StepStructure.build(config, matrices)
-    load = matrices.apply_bending(Z.dofs) if state.bending_load is None \
-        else state.bending_load
-    tangents = Z.derivative_at_constraint_nodes(variant) \
-        if state.tangents is None else state.tangents
     B, pattern, n = structure.B, structure.pattern, structure.A.shape[0]
-    B.data = pattern.coef * tangents.ravel()[pattern.tangent]
-    system = SaddleSystem(structure.A, B, np.bincount(pattern.columns, -load, n + 1)[:n],
-                          np.zeros(B.shape[0]))
+    B.data = pattern.coef * state.tangents.ravel()[pattern.tangent]
+    system = SaddleSystem(structure.A, B, np.bincount(
+        pattern.columns, -state.bending_load, n + 1)[:n], np.zeros(B.shape[0]))
     try:
         v_r, _ = solve_kkt(system, band=structure.band)
     except Exception as exc:

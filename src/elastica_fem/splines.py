@@ -86,18 +86,13 @@ def hermite_basis(t: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     return ref * scale
 
 
-# Quadratic Lagrange reference basis on t in [0,1] at (left, mid, right).
-def _quadratic_reference(t: np.ndarray, order: int) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if order == 0:
-        return np.stack([
-            2.0 * t**2 - 3.0 * t + 1.0,
-            4.0 * t - 4.0 * t**2,
-            2.0 * t**2 - t,
-        ])
-    if order == 1:
-        return np.stack([4.0 * t - 3.0, 4.0 - 8.0 * t, 4.0 * t - 1.0])
-    raise ValueError("derivative order must be 0 or 1")
+# (mass, stiffness) on [0, 1] of the constraint-node spaces, each entry
+# rounded once: P2's quadratics at (left, mid, right) and P1's hats.
+_CONSTRAINT_GRAMS = {
+    ConstraintVariant.P2: (np.array([[4, 2, -1], [2, 16, 2], [-1, 2, 4]]) / 30,
+                           np.array([[7, -8, 1], [-8, 16, -8], [1, -8, 7]]) / 3),
+    ConstraintVariant.P1: (np.array([[2, 1], [1, 2]]) / 6,
+                           np.array([[1.0, -1.0], [-1.0, 1.0]]))}
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,8 @@ class QuadraticField:
     """Continuous piecewise-quadratic field: values at nodes and midpoints.
 
     ``values[2i]`` sits at node x_i, ``values[2i+1]`` at midpoint m_{i+1};
-    a value shared by two elements is stored once.
+    a value shared by two elements is stored once.  Its L2 norm is exact,
+    from the P2 reference mass of ``_CONSTRAINT_GRAMS``.
     """
 
     mesh: Mesh1D
@@ -182,14 +178,11 @@ class QuadraticField:
         object.__setattr__(self, "values", values)
 
     def l2_norm_sq(self) -> float:
-        """Exact integral of |v|^2 (3-point Gauss per element)."""
-        tq = 0.5 + np.array([-0.5, 0.0, 0.5]) * np.sqrt(3.0 / 5.0)
-        wq = np.array([5.0, 8.0, 5.0]) / 18.0
-        basis = _quadratic_reference(tq, 0)  # (3, q)
+        """The integral of |v|^2: the sum over elements of h v^T M v."""
+        mass = _CONSTRAINT_GRAMS[ConstraintVariant.P2][0]
         local = np.stack([self.values[0:-2:2], self.values[1::2], self.values[2::2]])
-        vals = np.einsum("bq,bed->eqd", basis, local)
-        per_elem = np.einsum("q,eqd->e", wq, vals**2)
-        return float(np.dot(self.mesh.element_lengths, per_elem))
+        return float(np.dot(self.mesh.element_lengths,
+                            np.einsum("aed,ab,bed->e", local, mass, local)))
 
 
 def interp_hermite(f: FunctionOracle, mesh: Mesh1D, dim: int) -> HermiteCurve:

@@ -21,12 +21,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from .assembly import (_GAUSS4_T, _GAUSS4_W, TARGETS, BoundaryConditions,
-                       ConstraintPattern, SystemMatrices, _csr,
-                       constraint_pattern, csr_pattern)
+from .assembly import (TARGETS, BoundaryConditions, ConstraintPattern,
+                       SystemMatrices, _csr, constraint_pattern, csr_pattern)
 from .mesh import ConstraintVariant, Mesh1D
 from .saddle_solver import BandedKKT, KKTSingularError, SaddleSystem
-from .splines import (FunctionOracle, HermiteCurve, _quadratic_reference,
+from .splines import (_CONSTRAINT_GRAMS, FunctionOracle, HermiteCurve,
                       interp_hermite, lumped_weights)
 
 
@@ -266,18 +265,12 @@ def _tri(U: np.ndarray, x: np.ndarray, trans=0, solve=False) -> np.ndarray:
                                                  trans=trans)
 
 
-_QUADRATICS = [_quadratic_reference(0.5 * (_GAUSS4_T + 1.0), k) for k in (0, 1)]
-_MULTIPLIER_REFERENCE = {   # (mass, stiffness); P1's hats: midpoints are means
-    v: [np.einsum("q,aq,bq->ab", 0.5 * _GAUSS4_W, b, b) for b in basis]
-    for v, basis in ((ConstraintVariant.P2, _QUADRATICS),
-                     (ConstraintVariant.P1, [b[::2] + 0.5 * b[1] for b in _QUADRATICS]))}
-
-
 def _multiplier_factors(mesh: Mesh1D, variant: ConstraintVariant
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of the mass and H1 Grams of the multiplier space on
-    the interior constraint nodes (zero boundary values)."""
-    mass_ref, stiff_ref = _MULTIPLIER_REFERENCE[variant]
+    the interior constraint nodes (zero boundary values), summed from the
+    reference tables ``splines._CONSTRAINT_GRAMS`` scaled by h and 1/h."""
+    mass_ref, stiff_ref = _CONSTRAINT_GRAMS[variant]
     # element e holds the constraint nodes step*e, ..., step*(e+1); its
     # entry (a, b), a <= b, goes to band row step + a - b, column step*e + b
     step, h = mass_ref.shape[0] - 1, mesh.element_lengths
@@ -311,8 +304,10 @@ def _extreme_eigenvalue(matvec: Callable, n: int, which: str,
 class DiscreteNorms:
     """The H2 Gram G = U^T U = P^T (M + G1 + S) P of the reduced curve DOFs
     with its factor; factors of the mass and H1 Gram H of the zero-boundary
-    multiplier space.  The dual norm on multiplier DOFs is the computable
-    surrogate mu -> sqrt(t^T H t), t = mass^-1 r, r the load vector of mu."""
+    multiplier space, from its closed-form reference tables
+    (``_multiplier_factors``).  The dual norm on multiplier DOFs is the
+    computable surrogate mu -> sqrt(t^T H t), t = mass^-1 r, r the load
+    vector of mu."""
 
     gram: sp.csr_matrix
     gram_factor: np.ndarray

@@ -290,6 +290,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert "eoc" in out
 
+    def test_interp_study_single_mesh_size(self, capsys):
+        # one size has no rate: empty eoc lines and exit 0, as `run` prints
+        assert main(parse_args(["interp-study", "-M", "8"])) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].split()[0] == "8"
+        assert out[2:] == ["eoc:", "  linf: ", "  l2: ", "  h1: ", "  h2: "]
+
 
 class TestFlagsAndConfig:
     def test_flags_override_config_keys(self, tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from elastica_fem import (ConstraintVariant, FunctionOracle, HermiteCurve,
                           interp_j3, lumped_product, lumped_weights,
                           unit_speed_violation)
 from elastica_fem.analysis import eoc, linf_error, quadrature_error
-from elastica_fem.splines import _cumulative
+from elastica_fem.splines import _CONSTRAINT_GRAMS, _cumulative
 
 from conftest import random_graded_mesh, smooth_unit_speed_curve
 
@@ -175,6 +177,37 @@ class TestJ3:
             want[i + 1] = acc
         got = _cumulative(start, inc, dim)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestConstraintGrams:
+    # the nodal bases on [0, 1] as Fraction coefficients, lowest degree first
+    BASES = {P2: [[1, -3, 2], [0, 4, -4], [0, -1, 2]], P1: [[1, -1], [0, 1]]}
+
+    @staticmethod
+    def exact_gram(basis, order):
+        polys = [[Fraction(c) for c in p] for p in basis]
+        for _ in range(order):
+            polys = [[k * c for k, c in enumerate(p)][1:] for p in polys]
+        return [[sum(a * b / (i + j + 1) for i, a in enumerate(p)
+                     for j, b in enumerate(q)) for q in polys] for p in polys]
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    def test_entries_are_the_rounded_rationals(self, variant):
+        for order, table in enumerate(_CONSTRAINT_GRAMS[variant]):
+            exact = self.exact_gram(self.BASES[variant], order)
+            assert table.dtype == np.float64
+            assert table.tolist() == [[float(x) for x in row] for row in exact]
+            assert np.array_equal(table, table.T)
+
+    def test_l2_norm_is_the_mass_form(self, rng):
+        mesh = Mesh1D(np.array([0.0, 0.3, 1.1, 2.0]))
+        f = QuadraticField(mesh, 2, rng.normal(size=(7, 2)))
+        mass = self.exact_gram(self.BASES[P2], 0)
+        want = sum(Fraction(h) * mass[a][b] * Fraction(f.values[2 * e + a, c])
+                   * Fraction(f.values[2 * e + b, c])
+                   for e, h in enumerate(mesh.element_lengths)
+                   for a in range(3) for b in range(3) for c in range(2))
+        assert f.l2_norm_sq() == pytest.approx(float(want), rel=1e-15)
 
 
 class TestLumped:

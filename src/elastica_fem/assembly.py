@@ -139,11 +139,12 @@ class SystemMatrices:
         return self.cached(variant, lambda: derivative_map(self.mesh, self.dim,
                                                           variant))
 
-    def combine(self, **coefs: float) -> sp.csr_matrix:
-        """c1 * m1 + ... of the named matrices on their bands, as scipy sums."""
+    def combine(self, dim: Optional[int] = None, **coefs: float) -> sp.csr_matrix:
+        """c1 * m1 + ... of the named matrices on their bands, as scipy sums;
+        for ``dim`` components (1: the scalar matrix), by default ``self.dim``."""
         total = sum(c * self.bands[("mass", "gradient", "bending").index(name)]
                     for name, c in coefs.items())
-        return _band_csr(total[None], self.dim)[0]
+        return _band_csr(total[None], dim or self.dim)[0]
 
     def h2_norm(self, u: np.ndarray) -> float:
         s = self.quad_mass(u) + self.quad_gradient(u) + self.quad_bending(u)
@@ -355,11 +356,13 @@ class ConstraintPattern:
         matrix.data = self.coef * t.ravel()[self.tangent]
         return matrix
 
-    def restrict(self, A: sp.csr_matrix) -> sp.csr_matrix:
+    def restrict(self, A: sp.csr_matrix, dim: int = 1) -> sp.csr_matrix:
         """P^T A P in canonical CSR form, and A's diagonal entry in each empty
         column of a square P; entries that cancel stay as explicit zeros, so
-        A's pattern (no zeros) sets the result's; ties sum in A's order."""
-        k, c = self.restriction.shape[1], self.columns
+        A's pattern (no zeros) sets the result's; ties sum in A's order.
+        With ``dim``, A is the scalar matrix of a (x) I_dim, and so is the
+        result."""
+        k, c = self.restriction.shape[1] // dim, self.columns[::dim] // dim
         rows, cols = np.repeat(c, np.diff(A.indptr)), c[A.indices]
         kept = np.maximum(rows, cols) < k
         indptr, indices, slot = csr_pattern(rows[kept], cols[kept], (k, k))

@@ -1,22 +1,26 @@
 """Constrained gradient-flow time stepping for the bending energy.
 
 Each step linearizes the inextensibility constraint about the previous
-iterate and solves one saddle-point system on the reduced DOFs v_r of the
-restriction P (``BoundaryConditions.restriction``)
+iterate: with A = M + tau*S (L2 flow) or (1 + tau)*S (H2 flow), B = T(Z^n) D P
+and P the restriction of ``BoundaryConditions.restriction``, the velocity
+v = P v_r solves
 
-    [[P^T A P, B^T], [B, 0]] (v_r, Lambda) = (-P^T S Z^n, 0),   B = T(Z^n) D P,
+    [[P^T A P, B^T], [B, 0]] (v_r, Lambda) = (-P^T S Z^n, 0),
 
-with A = M + tau*S for the L2 flow or A = (1 + tau)*S for the H2 flow, then
-updates Z^{n+1} = Z^n + tau * P v_r.  The system is solved in the full DOF
-numbering, each eliminated DOF on an uncoupled row.  A step makes no sparse
-matrix (``StepStructure``), and carries S Z^{n+1} and the tangents of
-Z^{n+1}, which also give the constraint drift, to the next.  No projection
-or renormalization is applied between steps; the drift is monitored only.
+and Z^{n+1} = Z^n + tau * v.  The row of node k says t_k . d_k = 0 for its
+derivative DOFs d_k; the frame Q_k = [t_k/|t_k|, N_k] (``tangent_frames``)
+turns it into "tangential component = 0", an uncoupled row like that of an
+eliminated DOF (the null-space method of Benzi, Golub & Liesen, Acta
+Numerica 14, 2005, sec. 6).  So a step solves for w, v_r = Q w, with Q^T P^T
+A P Q, the midpoint rows times Q (P2; none for P1) and Q^T applied to the
+rhs, in the full DOF numbering (``StepStructure``).  A step makes no sparse
+matrix, and carries S Z^{n+1} and the tangents of Z^{n+1}, which also give
+the constraint drift, to the next.  No projection or renormalization is
+applied between steps; the drift is monitored only.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -25,7 +29,8 @@ import scipy.sparse as sp
 
 # assemble_constraint stays a name here for perfbench's tracer
 from .assembly import (BoundaryConditions, ConstraintPattern, SystemMatrices,
-                       assemble_constraint, assemble_matrices, constraint_pattern)
+                       _csr, assemble_constraint, assemble_matrices,
+                       constraint_pattern)
 from .mesh import ConstraintVariant, Mesh1D
 from .saddle_solver import BandedKKT, SaddleSystem, solve_kkt
 from .splines import (FunctionOracle, HermiteCurve, interp_j2, interp_j3,
@@ -120,36 +125,179 @@ def init_state(z0: FunctionOracle, mesh: Mesh1D, dim: int,
     )
 
 
+_ONE_ZERO = np.array([1.0, 0.0])       # the heads of StepStructure's H and V
+_ROTATION = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]])
+
+
+def tangent_frames(t: np.ndarray) -> np.ndarray:
+    """(K, d, d) orthonormal frames Q_k = [x_k, N_k], x_k = t_k/|t_k|, of the
+    rows t_k of a (K, d) array: for d = 2 the rotation taking e_1 to x_k;
+    else the Householder reflection that swaps e_1 and -s x_k, s the
+    sign of x_k's first component (1 + s x_k1 does not cancel), with its
+    first column times -s."""
+    x = t / np.sqrt(np.add.reduce(t * t, axis=1))[:, None]
+    if t.shape[1] == 2:
+        return (x @ _ROTATION).reshape(-1, 2, 2)
+    s, eye = np.where(x[:, :1] < 0.0, -1.0, 1.0), np.eye(t.shape[1])
+    u = x + s * eye[0]
+    Q = eye - u[:, :, None] * (u / (1.0 + s * x[:, :1]))[:, None]
+    Q[:, :, 0] *= -s
+    return Q
+
+
+def _rotation_maps(pattern: ConstraintPattern, a: sp.csr_matrix, d: int,
+                   variant: ConstraintVariant, mesh: Mesh1D):
+    """``StepStructure``'s fields for the constraint ``pattern`` of a
+    square restriction and the scalar a of P^T A P = a (x) I_d."""
+    ns, bt, c, r = a.shape[0], pattern.template, np.arange(d), np.arange(1, d)
+    n, node_row = ns * d, pattern.rows * variant.stride % 2 == 0
+    nodes = pattern.rows[node_row]
+    k, deriv = nodes.size, (nodes * variant.stride + 1)[:, None] * d + c
+    frame = np.full(ns + 1, -1)          # of each scalar DOF (and none)
+    frame[deriv[:, 0] // d] = np.arange(k)
+
+    def q_at(j, f):          # (..., d) positions in H of Q_f's column j
+        return 2 + (f[..., None] * d + c) * d + j[..., None]
+    t_at = 2 + d * d * k
+    f_at = t_at + d * mesh.constraint_nodes(variant).size
+    # a's entries, each row padded to one width, blocks over (i, j, entry)
+    width = np.diff(a.indptr).max()
+    sr = np.repeat(np.arange(ns), width)
+    e = (a.indptr[:-1, None] + np.arange(width)).ravel()
+    valid = e < a.indptr[sr + 1]
+    e[~valid] = 0
+    sc = a.indices[e]
+    fr, fc = frame[sr], frame[sc]
+    both = valid & (fr >= 0) & (fc >= 0) & (sr != sc)
+    pairs, pair = np.unique((np.minimum(fr, fc) * k + np.maximum(fr, fc))
+                            [both], return_inverse=True)
+    # H's position of entry (i, j) of each entry's block: base + an
+    # offset by its kind, 0 on the diagonal of an unrotated pair or of a
+    # node's own block (Q_k^T Q_k = I)
+    kind = np.where((fr >= 0) & (fc >= 0), 3 + (fr > fc),
+                    np.where(fc >= 0, 1, np.where(fr >= 0, 2, 0)))
+    kind[(sr == sc) | ~valid] = 0
+    base = np.where(kind == 1, 2 + fc * d * d,
+                    np.where(kind == 2, 2 + fr * d * d, f_at + n + 1 - d))
+    base[both] += pair * (d - 1) ** 2
+    i, j = c[:, None], c
+    offset = np.array([0 * (i + j), i * d + j, j * d + i, i * (d - 1) + j,
+                       j * (d - 1) + i])
+    i, j = c[:, None, None], c[:, None]
+    # a tangential component keeps its diagonal entry only
+    keep = valid & np.where(kind == 0, i == j,
+                            ((fr < 0) | (i > 0)) & ((fc < 0) | (j > 0)))
+    # the kept (i, j, entry) in CSR order, (row, i, entry, j)
+    r_, i, l_, j = np.nonzero(keep.reshape(d, d, ns, width).transpose(2, 0, 3, 1))
+    kept, rows = r_ * width + l_, r_ * d + i
+    g = base[kept] + offset[kind[kept], i, j]
+    g[kind[kept] == 0] = 0
+    A = _csr(np.zeros(rows.size), sc[kept] * d + j,
+             np.searchsorted(rows, np.arange(n + 1)), (n, n))
+    del r_, l_, i, j, rows      # what is alive at the end sets the peak
+    # B: the midpoint rows off the tangential columns, t_m^T Q_k over the
+    # (rotated node, midpoint) pairs
+    b_rows = np.repeat(np.arange(bt.shape[0]), np.diff(bt.indptr))
+    fb, comp = frame[bt.indices // d], bt.indices % d
+    on_q = ~node_row[b_rows] & (fb >= 0)
+    mids, mid = np.unique((fb * bt.shape[1] + pattern.tangent // d)[on_q],
+                          return_inverse=True)
+    y_at = f_at + n + 1 + pairs.size * (d - 1) ** 2
+    b_at = t_at + pattern.tangent
+    b_at[on_q] = y_at + mid * (d - 1) + comp[on_q] - 1
+    in_b = ~node_row[b_rows] & ((fb < 0) | (comp > 0))
+    b_row = (np.cumsum(~node_row) - 1)[b_rows[in_b]]
+    B = _csr(np.zeros(b_row.size), bt.indices[in_b], np.searchsorted(
+        b_row, np.arange(node_row.size - k + 1)), (node_row.size - k, n))
+    # the rhs: -f, 0 on the tangential components, -Q_k^T f_k
+    rhs = f_at + np.arange(n)
+    rhs[deriv[:, 0]] = 1
+    rhs[deriv[:, 1:]] = y_at + mids.size * (d - 1) + np.arange(
+        k * (d - 1)).reshape(k, d - 1)
+    # the products Q_a^T Q_b, t_m^T Q_k and Q_k^T f_k on N's columns
+    pa, pb = np.divmod(pairs, max(k, 1))
+    yf, yz = np.divmod(mids, bt.shape[1])
+    z = np.arange(k)[:, None]
+    pieces = [np.broadcast_arrays(x, y) for x, y in (
+        (q_at(r[:, None], pa[:, None, None]), q_at(r, pb[:, None, None])),
+        (t_at + yz[:, None, None] * d + c, q_at(r, yf[:, None])),
+        (q_at(r, z), f_at + deriv[:, None]))]
+    products = np.stack([np.concatenate([x.reshape(-1, d) for x in side])
+                         for side in zip(*pieces)]).transpose(0, 2, 1).copy()
+    # v = P Q w: over N's columns, 1 w (unrotated) or 0 0 (fixed)
+    cols, rv = pattern.columns, np.arange(1, max(d, 2))[:, None]
+    fv, cv = frame[cols // d], cols % d
+    rotated = (fv >= 0) & (rv < d)
+    velocity = np.where(rotated, [2 + (fv * d + cv) * d + rv,
+                                  t_at + cols - cv + rv], 1)
+    velocity[:, 0] = np.where(rotated[0], velocity[:, 0], np.where(
+        (cols < n) & (fv < 0), [np.zeros(n, dtype=np.intp), t_at + cols], 1))
+    scale = np.concatenate([a.data[e[kept]], pattern.coef[in_b],
+                            pattern.coef, np.full(n, -1.0)])
+    gather = np.concatenate([g, b_at[in_b], t_at + pattern.tangent, rhs])
+    return A, B, b_rows, nodes, products, velocity, scale, gather
+
+
 @dataclass(frozen=True, eq=False)
 class StepStructure:
-    """What stays fixed over a run: the reduced system matrix, the pattern
-    of the constraint rows, their matrix ``B`` on the pattern's index arrays
-    (a step sets its values), the banded KKT storage, and the row of each
-    entry of B.  The pattern's restriction Q is P in the full numbering; a
-    DOF that owns no reduced DOF keeps an uncoupled row with A's diagonal
-    entry and a zero right-hand side, so the KKT keeps order N + m and
-    Q v' = P v_r.  Q v', Q^T f and B v' are gathers and bincounts over the
-    pattern's ``columns`` and ``b_rows``."""
+    """What stays fixed over a run: the rotated system's ``A`` and ``B`` on
+    fixed index arrays (``kkt`` sets their values), their ``BandedKKT``, the
+    constraint ``pattern`` with the row of each entry, and index maps.
+
+    With the square restriction (``restriction(full=True)``), P^T A P =
+    a (x) I_d.  Each entry of the rotated A is a_kl times 1 (on the
+    diagonal of an unrotated pair and of a node's own block, Q_k^T Q_k =
+    I), an entry of Q_l or Q_k^T, or (Q_k^T Q_l)_ij, k != l, so that its
+    diagonal is a's; each of B Q_N a coefficient of D times t_c
+    or (Q_k^T t_m)_j; each of the rhs -f_i or -(Q_k^T f_k)_j.  So the values
+    of A, of B, of the rows of ``pattern`` (D's coefficients times t) and of
+    the rhs are ``scale * H[gather]``, H = (1, 0, Q, t, f) followed by the
+    sums over c of ``H[products[0]] * H[products[1]]``; v = P Q w sums
+    ``V[velocity[0]] * V[velocity[1]]``, V = (1, 0, Q, w).  Each sum runs
+    in the order of the components, as a sparse product with Q sums it.
+    ``nodes`` holds the constraint node of each rotated node."""
 
     A: sp.csr_matrix
-    pattern: ConstraintPattern
     B: sp.csr_matrix
     band: BandedKKT
+    pattern: ConstraintPattern
     b_rows: np.ndarray
+    nodes: np.ndarray
+    products: np.ndarray
+    velocity: np.ndarray
+    scale: np.ndarray
+    gather: np.ndarray
 
     @classmethod
     def build(cls, config: FlowConfig, matrices: SystemMatrices
               ) -> "StepStructure":
+        d, variant = matrices.dim, config.constraint
         pattern = constraint_pattern(
-            matrices.derivative_map(config.constraint),
-            config.bc.restriction(matrices.mesh, matrices.dim, full=True),
-            matrices.dim, config.constraint)
-        A = pattern.restrict(matrices.combine(mass=1.0, bending=config.tau)
+            matrices.derivative_map(variant),
+            config.bc.restriction(matrices.mesh, d, full=True), d, variant)
+        a = pattern.restrict(matrices.combine(1, mass=1.0, bending=config.tau)
                              if config.variant == "l2"
-                             else matrices.combine(bending=1.0 + config.tau))
-        B = copy.copy(pattern.template)
-        return cls(A, pattern, B, BandedKKT(A, B),
-                   np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)))
+                             else matrices.combine(1, bending=1.0 + config.tau), d)
+        # the band is built once the maps' temporaries are freed
+        A, B, *maps = _rotation_maps(pattern, a, d, variant, matrices.mesh)
+        return cls(A, B, BandedKKT(A, B), pattern, *maps)
+
+    def kkt(self, state: FlowState
+            ) -> Tuple[SaddleSystem, np.ndarray, np.ndarray]:
+        """The rotated system of the step from ``state``, on ``A`` and
+        ``B``; the frames Q; the values of the rows of ``pattern``."""
+        t, A, B, n = state.tangents, self.A, self.B, self.A.shape[0]
+        Q = tangent_frames(t[self.nodes])
+        H = np.concatenate([_ONE_ZERO, Q.ravel(), t.ravel(), np.bincount(
+            self.pattern.columns, state.bending_load, n + 1)])
+        H = np.concatenate([H, np.add.reduce(
+            H[self.products[0]] * H[self.products[1]], axis=0)])
+        values = H[self.gather]
+        values *= self.scale
+        a, b = A.indices.size, A.indices.size + B.indices.size
+        A.data, B.data = values[:a], values[a:b]
+        return (SaddleSystem(A, B, values[-n:], np.zeros(B.shape[0])), Q,
+                values[b:-n])
 
 
 def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
@@ -162,20 +310,21 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
     The energy-decrease identity of the scheme is monitored: for the L2 flow
     E(Z^{n+1}) = E(Z^n) - tau*|v|_L2^2 - (tau^2/2)*|v''|_L2^2 with v the
     discrete velocity, and analogously with the H2 product for the H2 flow.
+    The linearized-constraint residual is the largest of every row of
+    T(Z^n) D P, at the nodes and the midpoints, at v_r.
     """
     Z, tau, variant = state.curve, config.tau, config.constraint
     if structure is None:
         structure = StepStructure.build(config, matrices)
-    B, pattern, n = structure.B, structure.pattern, structure.A.shape[0]
-    B.data = pattern.coef * state.tangents.ravel()[pattern.tangent]
-    system = SaddleSystem(structure.A, B, np.bincount(
-        pattern.columns, -state.bending_load, n + 1)[:n], np.zeros(B.shape[0]))
+    system, Q, rows = structure.kkt(state)
     try:
         v_r, _ = solve_kkt(system, band=structure.band)
     except Exception as exc:
         raise FlowSolveError(state.n, exc) from exc
-    # fixed DOFs of v are exactly 0 and periodic ends exactly equal
-    v = np.append(v_r, 0.0)[pattern.columns]
+    # v = P Q w (w is 0 on the tangential components): fixed DOFs of v are
+    # exactly 0 and periodic ends exactly equal
+    V, pattern = np.concatenate([_ONE_ZERO, Q.ravel(), v_r]), structure.pattern
+    v = np.add.reduce(V[structure.velocity[0]] * V[structure.velocity[1]], axis=0)
 
     new_dofs = Z.dofs + tau * v
     new_curve = HermiteCurve.from_dofs(Z.mesh, Z.dim, new_dofs)
@@ -190,7 +339,8 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
         identity_err = abs(new_energy - state.energy + (tau + 0.5 * tau**2) * v_bend)
     identity_err /= max(1.0, abs(state.energy))
 
-    tang = np.bincount(structure.b_rows, B.data * v_r[B.indices], B.shape[0])
+    tang = np.bincount(structure.b_rows, rows * v[pattern.template.indices],
+                       pattern.rows.size)
     constraint_res = float(np.abs(tang).max(initial=0.0))
 
     return FlowState(

@@ -78,9 +78,12 @@ class BandedKKT:
     In 1D every constraint row touches the DOFs of one element.  Ordering
     the unknowns along the curve, with each multiplier at the middle of its
     row's column range, keeps the half-bandwidth small and independent of
-    M (flow and Newton systems: 8-9 for d=2, 11-12 for d=3).  Periodic
-    ends, and systems with no such structure, take the reverse
-    Cuthill-McKee order of K's pattern when it is narrower.
+    M (Newton: 8-9 for d=2, 11-12 for d=3; the rotated flow: 5-6 and 9-10).
+    Periodic ends, and systems with no such structure, take the reverse
+    Cuthill-McKee order of K's pattern when it is narrower.  An unknown on
+    an uncoupled row (A's diagonal only, in no row of B: a fixed DOF, a
+    tangential flow component) goes last, out of the band, and a division
+    solves it.
 
     K is held once: a CSR matrix in the band's order, with a longdouble
     twin on the same index arrays.  ``factor`` writes K's values, which
@@ -122,17 +125,22 @@ class BandedKKT:
         cols = np.concatenate([A.indices, B.indices, n + b_rows])
         del a_rows, b_rows    # what is alive at the end sets a build's peak
         size = n + m
-        order = _ordered(np.argsort(np.concatenate([np.arange(n), middle]),
-                                    kind="stable"), rows, cols)
+        # the unknowns on uncoupled rows go last
+        lone = np.diff(A.indptr) == 1
+        lone[lone] = A.indices[A.indptr[:-1][lone]] == np.flatnonzero(lone)
+        lone &= np.bincount(B.indices, minlength=n) == 0
+        lone = np.append(lone, np.zeros(m, dtype=bool))
+        order = _ordered(np.argsort(np.where(lone, size, np.concatenate(
+            [np.arange(n), middle])), kind="stable"), rows, cols)
         # along an open curve one element sets the band at every M; a band
         # over half the size means joined (periodic) ends or a tiny mesh,
         # and there the reverse Cuthill-McKee order is taken if narrower
         if 2 * order[0] > size:
             indptr, indices, _ = csr_pattern(rows, cols, (size, size))
             graph = _csr(np.ones(indices.size), indices, indptr, (size, size))
-            order = min(order, _ordered(
-                csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True),
-                rows, cols), key=lambda o: o[0])
+            rcm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+            order = min(order, _ordered(rcm[np.argsort(lone[rcm], kind="stable")],
+                                        rows, cols), key=lambda o: o[0])
         self.bandwidth, self.perm, rows, cols = order
         bw = self.bandwidth
         # K's entries sorted by (row, col) in the band's order, in place so
@@ -146,13 +154,17 @@ class BandedKKT:
         self._k = _csr(np.zeros(rows.size), cols,
                        np.searchsorted(rows, np.arange(size + 1)), (size, size))
         self._k_ld = copy.copy(self._k)    # on the same index arrays
-        self._k_ld.data = self._k.data.astype(np.longdouble)
+        self._k_ld.data = np.zeros(rows.size, dtype=np.longdouble)
         # gbtrf's layout: K[i, j] at ab[2*bw + i - j, j], with bw extra rows
         # on top for the fill-in of row pivoting.  ab is the transpose of a
-        # C-ordered (size, 3*bw+1) array, so it is Fortran-contiguous and
+        # C-ordered (rows, 3*bw+1) array, so it is Fortran-contiguous and
         # factored in place, and its flat index is j*(3*bw+1) + 2*bw + i - j.
-        self._pos = cols * (3 * bw + 1) + 2 * bw + rows - cols
-        self._ab_t, self._scale = np.zeros((size, 3 * bw + 1)), None
+        # the band holds the first rows (one at least); the uncoupled ones,
+        # after them, hold K's last entries, one each
+        band = max(size - int(lone.sum()), min(size, 1))
+        self._in_band = int(self._k.indptr[band])
+        self._pos = (cols * (3 * bw + 1) + 2 * bw + rows - cols)[:self._in_band]
+        self._ab_t, self._scale = np.zeros((band, 3 * bw + 1)), None
 
     def rescale(self) -> None:
         """Take d from the next A factored, as after construction."""
@@ -184,13 +196,15 @@ class BandedKKT:
         self._k_ld.data[:] = k
         # gbtrf sets the fill-in rows itself; zero the rows that hold D K D
         self._ab_t[:, bw:] = 0.0
-        self._ab_t.reshape(-1)[self._pos] = k * self._scale
+        scaled, e = k * self._scale, self._in_band
+        self._ab_t.reshape(-1)[self._pos] = scaled[:e]
         lu, piv, _ = lapack.dgbtrf(self._ab_t.T, bw, bw, overwrite_ab=1)
-        pivots = np.abs(lu[2 * bw])
+        pivots = np.abs(np.concatenate([lu[2 * bw], scaled[e:]]))
         small = int(np.count_nonzero(pivots <= _PIVOT_TOL * pivots.max()))
         if small:
             raise KKTSingularError("KKT matrix numerically singular", small)
-        self._factors = (lu, piv, np.linalg.norm(k))   # |K|_F
+        # |K|_F, and the uncoupled rows' diagonal
+        self._factors = (lu, piv, np.sqrt(k @ k), k[e:])
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """Solution (x, lam) for ``rhs`` with the last ``factor``, after one
@@ -206,21 +220,29 @@ class BandedKKT:
         does not carry cond(K) times a float64 residual's roundoff.  The
         backward error takes one float64 product with K.
         """
-        lu, piv, norm_k = self._factors
-        bw, d = self.bandwidth, self._d_perm
+        norm_k = self._factors[2]
         b = rhs[self.perm]
-        sol = d * lapack.dgbtrs(lu, bw, bw, d * b, piv)[0]
+        sol = self._solve(b)
         correction = b - self._k_ld @ sol.astype(np.longdouble)
-        sol += d * lapack.dgbtrs(lu, bw, bw, d * correction.astype(float),
-                                 piv)[0]
-        res = np.linalg.norm(b - self._k @ sol)
-        if not res <= _BACKWARD_TOL * (norm_k * np.linalg.norm(sol)
-                                       + np.linalg.norm(rhs)):
+        sol += self._solve(correction.astype(float))
+        r = b - self._k @ sol
+        res = np.sqrt(r @ r)       # the 2-norms as np.linalg.norm takes them
+        if not res <= _BACKWARD_TOL * (norm_k * np.sqrt(sol @ sol)
+                                       + np.sqrt(rhs @ rhs)):
             raise KKTSingularError(f"KKT solve residual {res:.3e} exceeds "
                                    "the backward-error bound", 0)
         out = np.empty_like(rhs)
         out[self.perm] = sol
         return out
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """K^-1 b in the band's order with the last factors: D (D K D)^-1 D
+        b on the band, a division on the uncoupled rows."""
+        lu, piv, _, lone = self._factors
+        band, d = lu.shape[1], self._d_perm[:lu.shape[1]]
+        x = d * lapack.dgbtrs(lu, self.bandwidth, self.bandwidth,
+                              d * b[:band], piv)[0]
+        return np.concatenate([x, b[band:] / lone]) if lone.size else x
 
 
 def solve_kkt(system: SaddleSystem, band: Optional[BandedKKT] = None

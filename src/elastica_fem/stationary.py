@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -51,6 +52,12 @@ class SaddlePoint:
             raise ValueError(f"multiplier needs M-1 or 2M-1 values, M={M}")
         object.__setattr__(self, "lam", lam)
 
+    @cached_property
+    def tangents(self) -> np.ndarray:
+        """u' at the P2 constraint nodes (P1's are every other one),
+        evaluated once for every routine that takes this point."""
+        return self.u.derivative_at_constraint_nodes(ConstraintVariant.P2)
+
 
 def _multiplier_nodes(p: SaddlePoint, variant: ConstraintVariant) -> np.ndarray:
     """p's multiplier at the constraint nodes of ``variant``, ends included."""
@@ -58,6 +65,13 @@ def _multiplier_nodes(p: SaddlePoint, variant: ConstraintVariant) -> np.ndarray:
         raise ValueError(f"{p.lam.size} multiplier values do not fit the "
                          f"{variant.name} constraint nodes")
     return np.concatenate(([0.0], p.lam, [0.0]))
+
+
+def _weights(matrices: SystemMatrices, variant: ConstraintVariant
+             ) -> np.ndarray:
+    """``lumped_weights`` of the mesh, built once per variant."""
+    return matrices.cached(("weights", variant),
+                           lambda: lumped_weights(matrices.mesh, variant))
 
 
 def _pattern(matrices: SystemMatrices, variant: ConstraintVariant,
@@ -132,8 +146,8 @@ def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     lumped multiplier term sum_z beta_z lam(z) u'(z).phi'(z).  Multiplier
     block (interior constraint nodes): (beta_z/2) (|u'(z)|^2 - 1).
     """
-    beta = lumped_weights(p.u.mesh, variant)
-    du = p.u.derivative_at_constraint_nodes(variant)
+    beta = _weights(matrices, variant)
+    du = p.tangents[::variant.stride]
     D = matrices.derivative_map(variant)
     w = (beta * _multiplier_nodes(p, variant))[:, None] * du
     r_u = matrices.apply_bending(p.u.dofs) + np.bincount(   # D.T @ w's sums
@@ -151,8 +165,7 @@ def _constraint_block(p: SaddlePoint, variant: ConstraintVariant,
     """B = beta T(u) D P: the beta-weighted tangential rows at the interior
     constraint nodes (the same kernel as the flow's unweighted rows)."""
     return _pattern(matrices, variant, bc).fill(
-        p.u.derivative_at_constraint_nodes(variant),
-        lumped_weights(p.u.mesh, variant))
+        p.tangents[::variant.stride], _weights(matrices, variant))
 
 
 def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
@@ -162,7 +175,7 @@ def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     the lumped multiplier term (``_jacobian_pattern``), B is
     ``_constraint_block``."""
     template, slot, row, coef, _ = _jacobian_pattern(matrices, variant, bc)
-    w = np.repeat(lumped_weights(p.u.mesh, variant)
+    w = np.repeat(_weights(matrices, variant)
                   * _multiplier_nodes(p, variant), p.u.dim)
     A = copy.copy(template)     # shares the index arrays, as ``fill`` does
     A.data = np.bincount(slot, np.append(w, 1.0)[row] * coef, template.nnz)

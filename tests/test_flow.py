@@ -14,7 +14,7 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           step, unit_speed_violation)
 from elastica_fem.experiments import (circle_initial, named_experiment,
                                       oval_initial)
-from elastica_fem.flow import StepStructure
+from elastica_fem.flow import StepStructure, tangent_frames
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -203,33 +203,86 @@ class TestRun:
 
 
 def _flow_kkt(name, variant, bc_kind, M):
-    """The first L2-flow KKT system of a named experiment on the reduced
-    DOFs, and its structure."""
+    """The first L2-flow KKT system of a named experiment, rotated as
+    ``StepStructure.kkt`` builds it, and its structure."""
     spec = named_experiment(name)
     bc = {"free": BoundaryConditions.free(), "clamped": spec.bc,
           "periodic": BoundaryConditions(periodic=True)}[bc_kind]
     mesh = Mesh1D.uniform(*spec.interval, M)
     mats = assemble_matrices(mesh, spec.dim)
     cfg = FlowConfig(tau=0.1, T=0.1, constraint=variant, bc=bc)
-    Z = init_state(spec.z0, mesh, spec.dim, variant, "j3", mats).curve
+    state = init_state(spec.z0, mesh, spec.dim, variant, "j3", mats)
     structure = StepStructure.build(cfg, mats)
-    B = assemble_constraint(Z, variant, bc, pattern=structure.pattern)
-    P = structure.pattern.restriction
-    system = SaddleSystem(structure.A, B, P.T @ -mats.apply_bending(Z.dofs),
-                          np.zeros(B.shape[0]))
-    return system, structure, cfg, mats
+    return structure.kkt(state)[0], structure, cfg, mats
 
 
 def _refined_dense_solution(system):
-    """Dense solve of the KKT system refined three times: the reference
-    for the banded solves (with free ends cond_2 K reaches ~4e5 at M=80)."""
+    """Dense solve of the KKT system refined three times, each residual
+    summed in longdouble from K's exact entries: the reference for the
+    banded solves.  With free ends cond_2 K reaches ~4e5 at M=80, and
+    residuals summed in float64 leave that reference 1.3e-12 off
+    (rotated helix P1, periodic), while the band is within 5e-16."""
     K = np.block([[system.A.toarray(), system.B.T.toarray()],
                   [system.B.toarray(), np.zeros((system.B.shape[0],) * 2)]])
     rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
     reference = np.linalg.solve(K, rhs)
     for _ in range(3):
-        reference += np.linalg.solve(K, rhs - K @ reference)
+        residual = rhs.astype(np.longdouble) \
+            - K.astype(np.longdouble) @ reference.astype(np.longdouble)
+        reference += np.linalg.solve(K, residual.astype(float))
     return reference
+
+
+class TestTangentFrames:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_frames_are_orthonormal_with_the_tangent_first(self, rng, dim):
+        eye = np.eye(dim)
+        t = np.concatenate([
+            rng.standard_normal((200, dim)) * rng.uniform(0.1, 10.0, (200, 1)),
+            eye, -eye, 3.0 * eye, eye + 1e-9 * rng.standard_normal((dim, dim)),
+            -eye + 1e-12 * rng.standard_normal((dim, dim)),
+            1e-3 * eye[::-1] + eye])       # near +-e_i, and not unit
+        Q = tangent_frames(t)
+        assert Q.shape == (t.shape[0], dim, dim)
+        gram = np.einsum("kci,kcj->kij", Q, Q)
+        assert np.abs(gram - eye).max() <= 1e-15
+        x = t / np.linalg.norm(t, axis=1, keepdims=True)
+        assert np.abs(Q[:, :, 0] - x).max() <= 1e-15
+        # N_k^T t_k = 0, relative to |t_k|
+        normal = np.einsum("kcj,kc->kj", Q[:, :, 1:], t)
+        assert np.abs(normal).max(initial=0.0) \
+            <= 1e-15 * np.linalg.norm(t, axis=1).max()
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    @pytest.mark.parametrize("name, bc_kind", [
+        ("circle", "free"), ("helix", "clamped"), ("circle", "periodic")])
+    def test_residual_is_that_of_every_node_and_midpoint_row(
+            self, monkeypatch, name, bc_kind, variant):
+        # max |T(Z^n) D P v_r| over the rows of assemble_constraint, which
+        # the rotated system solves only in part (P2: the midpoint rows)
+        system, structure, cfg, mats = _flow_kkt(name, variant, bc_kind, 12)
+        spec = named_experiment(name)
+        state = init_state(spec.z0, mats.mesh, spec.dim, variant, "j3", mats)
+        solved = []
+        real = flow.solve_kkt
+
+        def spy(system, band=None):
+            solved.append(real(system, band=band)[0])
+            return solved[-1].copy(), None
+        monkeypatch.setattr(flow, "solve_kkt", spy)
+        new = step(state, cfg, mats, structure)
+        nodes = structure.pattern.rows
+        nodes = nodes[nodes * variant.stride % 2 == 0]
+        deriv = (nodes * variant.stride + 1)[:, None] * spec.dim \
+            + np.arange(spec.dim)
+        v_r = solved[0].copy()
+        v_r[deriv] = np.einsum("kcj,kj->kc", tangent_frames(
+            state.tangents[nodes]), solved[0][deriv])
+        rows = assemble_constraint(state.curve, variant, cfg.bc,
+                                   pattern=structure.pattern)
+        assert rows.shape[0] == structure.pattern.rows.size >= nodes.size > 0
+        assert new.max_constraint_residual == np.abs(rows @ v_r).max()
+        assert new.max_constraint_residual <= 1e-13
 
 
 class TestStepStructure:
@@ -259,26 +312,35 @@ class TestStepStructure:
         assert np.linalg.norm(banded - reference) \
             <= 1e-12 * np.linalg.norm(reference)
 
-    @pytest.mark.parametrize("variant", [P1, P2])
-    @pytest.mark.parametrize("name", ["circle", "helix"])
-    def test_bandwidth_independent_of_mesh(self, name, variant):
+    @pytest.mark.parametrize("name, variant, width", [
+        ("circle", P1, 5), ("circle", P2, 6), ("helix", P1, 9),
+        ("helix", P2, 10)])
+    def test_bandwidth_independent_of_mesh(self, name, variant, width):
+        # the rotated system, its uncoupled rows out of the band (the node
+        # rows' system had 8, 9, 11 and 12)
         for bc_kind in ("clamped", "free"):
             widths = [_flow_kkt(name, variant, bc_kind, M)[1].band.bandwidth
                       for M in (20, 1280)]
-            assert widths[0] == widths[1], bc_kind
+            assert widths == [width, width], bc_kind
 
     def test_eliminated_dofs_keep_uncoupled_rows(self):
         system, structure, _, mats = _flow_kkt("circle", P2, "clamped", 5)
         P = named_experiment("circle").bc.restriction(mats.mesh, 2)
         fixed = np.flatnonzero(np.diff(P.indptr) == 0)
+        # the tangential component of each node with free derivative DOFs
+        tangential = 4 * (structure.nodes * P2.stride // 2) + 2
         A = structure.A.toarray()
         assert A.shape == (mats.mass.shape[0],) * 2
         diag = mats.mass.diagonal() + 0.1 * mats.bending.diagonal()
-        assert np.array_equal(A[fixed], np.diag(diag)[fixed])
-        assert np.array_equal(A[:, fixed], np.diag(diag)[:, fixed])
-        assert system.B[:, fixed].nnz == 0
+        for rows in (fixed, tangential):
+            assert np.array_equal(A[rows], np.diag(diag)[rows])
+            assert np.array_equal(A[:, rows], np.diag(diag)[:, rows])
+            assert system.B[:, rows].nnz == 0
         x, _ = solve_kkt(system, band=structure.band)
-        assert np.all(x[fixed] == 0.0)
+        assert np.all(x[fixed] == 0.0) and np.all(x[tangential] == 0.0)
+        # out of the band, after every other unknown
+        lone = np.concatenate([fixed, tangential])
+        assert set(structure.band.perm[-lone.size:]) == set(lone)
 
     def test_band_rejects_other_pattern_and_refines_other_matrix(self):
         system, structure, _, _ = _flow_kkt("circle", P2, "clamped", 20)
@@ -365,24 +427,85 @@ class TestStepStructure:
         assert state.max_identity_violation <= 1e-12
 
 
+def _on_pattern(values: sp.csr_matrix, template: sp.csr_matrix):
+    """``values`` placed on the pattern of ``template``, which must hold
+    every nonzero of it (a sparse product drops the entries it computes as
+    0, the step keeps them)."""
+    if not template.nnz:
+        return template.copy()
+    held = template.copy()
+    held.data = np.ones(held.nnz)
+    assert (abs(values) - abs(values).multiply(held)).count_nonzero() == 0
+    rows = np.repeat(np.arange(template.shape[0]), np.diff(template.indptr))
+    placed = template.copy()
+    placed.data = np.asarray(values[rows, template.indices], dtype=float).ravel()
+    return placed
+
+
 def _reference_run(cfg, mesh, spec, mats):
-    """The flow from sparse pieces: constraint rows from
-    ``assemble_constraint``, P^T, P and B as sparse products, a band built
-    per solve and the drift from the curve; returns the final (dofs,
-    energy, identity, constraint residual, drift)."""
+    """The flow from sparse pieces: P^T A P from ``restrict``, the node and
+    midpoint rows from ``assemble_constraint``, the frames as an explicit
+    sparse Q, the rotated system as products with Q (each entry of A times
+    its entry of Q^T E Q, E A's pattern without the rotated nodes' own
+    blocks, whose Q_k^T Q_k is I), solved with a band built per solve, and
+    the drift from the curve.  Also solves each step unrotated.
+    Returns the final (dofs, energy, identity, constraint residual, drift)
+    and the largest |v - v_unrotated| / max(|v_unrotated|, 1) over the
+    steps (max norms; the circle's velocities are roundoff)."""
     structure = StepStructure.build(cfg, mats)
-    P, tau = structure.pattern.restriction, cfg.tau
+    pattern, d, tau = structure.pattern, spec.dim, cfg.tau
+    P = pattern.restriction
+    n = P.shape[0]
+    A_form = ({"mass": 1.0, "bending": tau} if cfg.variant == "l2"
+              else {"bending": 1.0 + tau})
+    A = pattern.restrict(mats.combine(**A_form))
+    scalar = sp.kron(pattern.restrict(mats.combine(1, **A_form), d),
+                     np.ones((d, d)), format="csr")
+    # the rotated nodes: those of the node rows; their tangential DOFs
+    nodes = pattern.rows[pattern.rows * cfg.constraint.stride % 2 == 0]
+    deriv = (nodes * cfg.constraint.stride + 1)[:, None] * d + np.arange(d)
+    own = np.zeros(n)
+    own[deriv] = 1.0
+    E = A.copy()
+    E.data[:] = 1.0
+    E = E - sp.diags(own, format="csr")
+    E.eliminate_zeros()
+    normal = np.ones(n)
+    normal[deriv[:, 0]] = 0.0
+    T = sp.diags(normal, format="csr")
+    midpoints = np.flatnonzero(pattern.rows * cfg.constraint.stride % 2)
+    coef = pattern.template.copy()
+    coef.data = pattern.coef
     state = init_state(spec.z0, mesh, spec.dim, cfg.constraint,
                        spec.initializer, mats)
     Z, energy, identity, residual = state.curve, state.energy, 0.0, 0.0
+    worst = 0.0
     for _ in range(cfg.num_steps):
-        B = assemble_constraint(Z, cfg.constraint, cfg.bc,
-                                pattern=structure.pattern)
-        system = SaddleSystem(structure.A, B,
-                              P.T @ -mats.apply_bending(Z.dofs),
-                              np.zeros(B.shape[0]))
-        v_r, _ = solve_kkt(system)
+        t = Z.derivative_at_constraint_nodes(cfg.constraint)
+        rotated = np.setdiff1d(np.arange(n), deriv)
+        Q = sp.csr_matrix((
+            np.concatenate([np.ones(rotated.size),
+                            tangent_frames(t[pattern.rows[
+                                pattern.rows * cfg.constraint.stride % 2 == 0]]
+                                           ).ravel()]),
+            (np.concatenate([rotated, np.repeat(deriv, d)]),
+             np.concatenate([rotated, np.tile(deriv, d).ravel()]))),
+            shape=(n, n))
+        G = T @ (Q.T @ E @ Q).multiply(scalar) @ T + sp.diags(A.diagonal() * own)
+        rows = assemble_constraint(Z, cfg.constraint, cfg.bc, pattern=pattern)
+        tangents = pattern.template.copy()
+        tangents.data = t.ravel()[pattern.tangent]
+        B_rot = ((tangents @ Q).multiply(coef) @ T)[midpoints]
+        f = P.T @ -mats.apply_bending(Z.dofs)
+        w, _ = solve_kkt(SaddleSystem(
+            _on_pattern(G, structure.A), _on_pattern(B_rot, structure.B),
+            T @ (Q.T @ f), np.zeros(midpoints.size)))
+        v_r = Q @ w
         v = P @ v_r
+        unrotated = P @ solve_kkt(SaddleSystem(A, rows, f,
+                                               np.zeros(rows.shape[0])))[0]
+        worst = max(worst, np.abs(v - unrotated).max()
+                    / max(np.abs(unrotated).max(), 1.0))
         dofs = Z.dofs + tau * v
         v_mass, v_bend, new_energy, _ = mats.step_forms(v, dofs)
         if cfg.variant == "l2":
@@ -390,10 +513,10 @@ def _reference_run(cfg, mesh, spec, mats):
         else:
             err = abs(new_energy - energy + (tau + 0.5 * tau**2) * v_bend)
         identity = max(identity, err / max(1.0, abs(energy)))
-        residual = max(residual, float(np.abs(B @ v_r).max()))
+        residual = max(residual, float(np.abs(rows @ v_r).max()))
         Z, energy = HermiteCurve.from_dofs(mesh, spec.dim, dofs), new_energy
     return (Z.dofs, energy, identity, residual,
-            unit_speed_violation(Z, cfg.constraint))
+            unit_speed_violation(Z, cfg.constraint)), worst
 
 
 class TestStepPath:
@@ -415,7 +538,7 @@ class TestStepPath:
                          constraint=variant, bc=bc)
         state, _ = run(cfg, mesh, spec.z0, spec.dim,
                        initializer=spec.initializer, matrices=mats)
-        dofs, energy, identity, residual, drift = _reference_run(
+        (dofs, energy, identity, residual, drift), worst = _reference_run(
             cfg, mesh, spec, mats)
         assert state.n == 20
         assert np.array_equal(state.curve.dofs, dofs)
@@ -423,6 +546,9 @@ class TestStepPath:
         assert state.max_identity_violation == identity
         assert state.max_constraint_residual == residual
         assert state.constraint_violation == drift
+        # the rotation changes only the rounding of a step's velocity: at
+        # most 4.1e-15 here (oval-h2, H2 flow), a bound 24 times that
+        assert worst <= 1e-13
 
     def test_tangents_computed_once_per_curve(self, monkeypatch):
         curves = []

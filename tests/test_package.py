@@ -39,3 +39,31 @@ def test_benchmark_tracer_targets_exist():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in namespace["TARGETS"]
                if attr not in owner.__dict__]
     assert missing == []
+
+
+@pytest.mark.parametrize("variant", ["p1", "p2"])
+@pytest.mark.parametrize("bc_kind", ["free", "clamped", "periodic"])
+@pytest.mark.parametrize("name", ["circle", "helix"])
+def test_benchmark_flow_contract(monkeypatch, name, bc_kind, variant):
+    # perfbench wraps flow.solve_kkt for its layer timings, and its
+    # forced-failure test picks cells by the order of system.A: each flow
+    # step makes one such call, on the full numbering 2 d (M + 1)
+    from elastica_fem import flow
+    spec = elastica_fem.named_experiment(name)
+    constraint = elastica_fem.ConstraintVariant(variant)
+    bc = {"free": elastica_fem.BoundaryConditions.free(), "clamped": spec.bc,
+          "periodic": elastica_fem.BoundaryConditions(periodic=True)}[bc_kind]
+    M = 6
+    mesh = elastica_fem.Mesh1D.uniform(*spec.interval, M)
+    mats = elastica_fem.assemble_matrices(mesh, spec.dim)
+    cfg = elastica_fem.FlowConfig(tau=0.1, T=0.1, constraint=constraint, bc=bc)
+    state = flow.init_state(spec.z0, mesh, spec.dim, constraint, "j3", mats)
+    orders, real = [], flow.solve_kkt
+
+    def spy(system, *args, **kwargs):
+        orders.append(system.A.shape[0])
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_kkt", spy)
+    flow.step(state, cfg, mats)
+    assert orders == [2 * spec.dim * (M + 1)]

@@ -8,7 +8,7 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant,
                           FunctionOracle, HermiteCurve, KKTSingularError,
                           Mesh1D, NewtonError, assemble_matrices, fit_rate,
                           unit_speed_violation)
-from elastica_fem import assembly, saddle_solver
+from elastica_fem import assembly, saddle_solver, stationary
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
 from elastica_fem.flow import FlowConfig, run
 from elastica_fem.splines import lumped_weights
@@ -279,6 +279,36 @@ class TestNewton:
         _, log = newton_solve(pair, variant, spec.bc, mats)
         assert log["iterations"] >= 2
         assert len(built) == 1
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    def test_each_iterate_is_evaluated_once(self, monkeypatch, variant):
+        # u' at the constraint nodes once per curve (Newton's iterates and
+        # halving candidates), the lumped weights once per mesh and variant
+        curves, weights = [], []
+        derivative = HermiteCurve.derivative_at_constraint_nodes
+        lumped = stationary.lumped_weights
+
+        def derivative_spy(curve, variant):
+            curves.append(curve)
+            return derivative(curve, variant)
+
+        def weights_spy(*args):
+            weights.append(args)
+            return lumped(*args)
+
+        spec = named_experiment("helix")
+        mesh = Mesh1D.uniform(*spec.interval, 20)
+        mats = assemble_matrices(mesh, spec.dim)
+        pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
+                                     mesh, spec.dim, variant)
+        monkeypatch.setattr(HermiteCurve, "derivative_at_constraint_nodes",
+                            derivative_spy)
+        monkeypatch.setattr(stationary, "lumped_weights", weights_spy)
+        _, log = newton_solve(pair, variant, spec.bc, mats)
+        assert log["iterations"] >= 2
+        assert len(curves) == len({id(c) for c in curves}) \
+            == log["iterations"] + log["step_halvings"] + 1
+        assert len(weights) == 1
 
     def test_circle_p2_converges_at_two_elements(self, circle_spec):
         # alpha < 0 here and the last pivot ratio is 4.4e-12, near the

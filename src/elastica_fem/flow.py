@@ -126,6 +126,7 @@ def init_state(z0: FunctionOracle, mesh: Mesh1D, dim: int,
 
 
 _ONE_ZERO = np.array([1.0, 0.0])       # the heads of StepStructure's H and V
+_UNSET = np.broadcast_to(0.0, (2 ** 31 - 1,))   # data that kkt will set
 _ROTATION = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]])
 
 
@@ -138,92 +139,103 @@ def tangent_frames(t: np.ndarray) -> np.ndarray:
     x = t / np.sqrt(np.add.reduce(t * t, axis=1))[:, None]
     if t.shape[1] == 2:
         return (x @ _ROTATION).reshape(-1, 2, 2)
-    s, eye = np.where(x[:, :1] < 0.0, -1.0, 1.0), np.eye(t.shape[1])
+    s, x = np.where(x[:, 0] < 0.0, -1.0, 1.0), x.T.copy()   # frames last
+    eye = np.eye(t.shape[1])[:, :, None]
     u = x + s * eye[0]
-    Q = eye - u[:, :, None] * (u / (1.0 + s * x[:, :1]))[:, None]
-    Q[:, :, 0] *= -s
-    return Q
+    Q = eye - u[:, None] * (u / (1.0 + s * x[0]))
+    Q[:, 0] *= -s
+    return Q.transpose(2, 0, 1)
 
 
 def _rotation_maps(pattern: ConstraintPattern, a: sp.csr_matrix, d: int,
                    variant: ConstraintVariant, mesh: Mesh1D):
-    """``StepStructure``'s fields for the constraint ``pattern`` of a
-    square restriction and the scalar a of P^T A P = a (x) I_d."""
-    ns, bt, c, r = a.shape[0], pattern.template, np.arange(d), np.arange(1, d)
+    """``StepStructure``'s fields for the constraint ``pattern`` of a square
+    restriction and the scalar a of P^T A P = a (x) I_d.  Entry (r, s) of a
+    gives A's block at rows r d + i, columns s d + j, whose kept (i, j) and
+    H's places follow from (i, j) and its class (1: diagonal or unrotated,
+    2: rotated column, 3: rotated row, 4 and 5: both rotated, r's frame
+    first or second).  Rows of one sequence of classes share their slots
+    (i, entry, j) in CSR order: all rows' kept slots, in order, are A's."""
+    ns, bt, c = a.shape[0], pattern.template, np.arange(d)
     n, node_row = ns * d, pattern.rows * variant.stride % 2 == 0
     nodes = pattern.rows[node_row]
     k, deriv = nodes.size, (nodes * variant.stride + 1)[:, None] * d + c
     frame = np.full(ns + 1, -1)          # of each scalar DOF (and none)
     frame[deriv[:, 0] // d] = np.arange(k)
-
-    def q_at(j, f):          # (..., d) positions in H of Q_f's column j
-        return 2 + (f[..., None] * d + c) * d + j[..., None]
     t_at = 2 + d * d * k
     f_at = t_at + d * mesh.constraint_nodes(variant).size
-    # a's entries, each row padded to one width, blocks over (i, j, entry)
-    width = np.diff(a.indptr).max()
-    sr = np.repeat(np.arange(ns), width)
-    e = (a.indptr[:-1, None] + np.arange(width)).ravel()
-    valid = e < a.indptr[sr + 1]
+    # a's entries, rows padded to one width, as (entry, row) arrays; a's
+    # pattern is symmetric: each pair r < s of rotated DOFs is in 4 and 5
+    e = a.indptr[:-1] + np.arange(np.diff(a.indptr).max())[:, None]
+    valid = e < a.indptr[1:]
     e[~valid] = 0
     sc = a.indices[e]
-    fr, fc = frame[sr], frame[sc]
-    both = valid & (fr >= 0) & (fc >= 0) & (sr != sc)
-    pairs, pair = np.unique((np.minimum(fr, fc) * k + np.maximum(fr, fc))
-                            [both], return_inverse=True)
-    # H's position of entry (i, j) of each entry's block: base + an
-    # offset by its kind, 0 on the diagonal of an unrotated pair or of a
-    # node's own block (Q_k^T Q_k = I)
-    kind = np.where((fr >= 0) & (fc >= 0), 3 + (fr > fc),
-                    np.where(fc >= 0, 1, np.where(fr >= 0, 2, 0)))
-    kind[(sr == sc) | ~valid] = 0
-    base = np.where(kind == 1, 2 + fc * d * d,
-                    np.where(kind == 2, 2 + fr * d * d, f_at + n + 1 - d))
-    base[both] += pair * (d - 1) ** 2
-    i, j = c[:, None], c
-    offset = np.array([0 * (i + j), i * d + j, j * d + i, i * (d - 1) + j,
-                       j * (d - 1) + i])
-    i, j = c[:, None, None], c[:, None]
-    # a tangential component keeps its diagonal entry only
-    keep = valid & np.where(kind == 0, i == j,
-                            ((fr < 0) | (i > 0)) & ((fc < 0) | (j > 0)))
-    # the kept (i, j, entry) in CSR order, (row, i, entry, j)
-    r_, i, l_, j = np.nonzero(keep.reshape(d, d, ns, width).transpose(2, 0, 3, 1))
-    kept, rows = r_ * width + l_, r_ * d + i
-    g = base[kept] + offset[kind[kept], i, j]
-    g[kind[kept] == 0] = 0
-    A = _csr(np.zeros(rows.size), sc[kept] * d + j,
-             np.searchsorted(rows, np.arange(n + 1)), (n, n))
-    del r_, l_, i, j, rows      # what is alive at the end sets the peak
+    fr, fc = frame[:ns], frame[sc]
+    cls = 1 + (fc >= 0) + 2 * (fr >= 0) + ((fc >= 0) & (fr > fc))
+    cls = np.where(valid & (sc != np.arange(ns)), cls, valid)
+    pairs = np.sort((fr * k + fc)[cls == 4])
+    base = np.where(cls == 2, 2 + fc * d * d, (cls == 3) * (2 + fr * d * d))
+    for x, y in ((4, fr * k + fc), (5, fc * k + fr)):
+        base[cls == x] = f_at + n + 1 + np.searchsorted(
+            pairs, y[cls == x]) * (d - 1) ** 2
+    # by class and slot: kept or not, and the offset of the place from base
+    i, l, j = np.indices((d, e.shape[0], d)).reshape(3, -1)
+    keep = np.array([i < 0, i == j, j > 0, i > 0] + [(i > 0) & (j > 0)] * 2)
+    offset = np.array([0 * i, 0 * i, i * d + j, j * d + i,
+                       (i - 1) * (d - 1) + j - 1, (j - 1) * (d - 1) + i - 1])
+    kinds, row, kind = np.unique(6 ** np.arange(e.shape[0]) @ cls,
+                                 return_index=True, return_inverse=True)
+    kinds = cls[l[:, None], row].T, np.arange(l.size)
+    keep, offset = keep[kinds], offset[kinds].astype(np.int16)
+    indptr = np.append(0, np.cumsum(keep.reshape(row.size, d, -1).sum(2)[kind]))
     # B: the midpoint rows off the tangential columns, t_m^T Q_k over the
-    # (rotated node, midpoint) pairs
-    b_rows = np.repeat(np.arange(bt.shape[0]), np.diff(bt.indptr))
-    fb, comp = frame[bt.indices // d], bt.indices % d
-    on_q = ~node_row[b_rows] & (fb >= 0)
-    mids, mid = np.unique((fb * bt.shape[1] + pattern.tangent // d)[on_q],
-                          return_inverse=True)
+    # (rotated node, midpoint) pairs, each listed at its component 0
+    b_rows, node = np.repeat(np.arange(bt.shape[0]), np.diff(bt.indptr)), bt.indices // d
+    fb, comp, mid_row = frame[node], bt.indices - node * d, ~node_row[b_rows]
+    q = np.flatnonzero(mid_row & (fb >= 0))
+    key = fb[q] * n + pattern.tangent[q] // d
+    mids = np.sort(key[comp[q] == 0])
     y_at = f_at + n + 1 + pairs.size * (d - 1) ** 2
     b_at = t_at + pattern.tangent
-    b_at[on_q] = y_at + mid * (d - 1) + comp[on_q] - 1
-    in_b = ~node_row[b_rows] & ((fb < 0) | (comp > 0))
-    b_row = (np.cumsum(~node_row) - 1)[b_rows[in_b]]
-    B = _csr(np.zeros(b_row.size), bt.indices[in_b], np.searchsorted(
-        b_row, np.arange(node_row.size - k + 1)), (node_row.size - k, n))
-    # the rhs: -f, 0 on the tangential components, -Q_k^T f_k
-    rhs = f_at + np.arange(n)
-    rhs[deriv[:, 0]] = 1
-    rhs[deriv[:, 1:]] = y_at + mids.size * (d - 1) + np.arange(
+    b_at[q] = y_at + np.searchsorted(mids, key) * (d - 1) + comp[q] - 1
+    in_b, m = np.flatnonzero(mid_row & ((fb < 0) | (comp > 0))), bt.shape[0] - k
+    B = _csr(_UNSET[:in_b.size], bt.indices[in_b], np.searchsorted(
+        (np.cumsum(~node_row) - 1)[b_rows[in_b]], np.arange(m + 1)), (m, n))
+    # scale * H[gather]: A (by each kept slot's row, slot and entry of a),
+    # B, the rows of pattern, the rhs (-f, 0 or -Q_k^T f_k on the frames)
+    ends = np.cumsum([indptr[-1], B.indices.size, bt.indices.size, n])
+    scale, gather = np.empty(ends[-1]), np.empty(ends[-1], dtype=np.intp)
+    kept = np.flatnonzero(keep[kind])
+    gather[:ends[0]] = offset[kind].ravel()[kept]
+    entry = kept // l.size
+    kept -= entry * l.size
+    cols = j.astype(np.int32)[kept]
+    entry += (l * ns)[kept]
+    del kept, keep, offset, kind
+    cols += (sc * d).ravel()[entry]
+    A = _csr(_UNSET[:cols.size], cols, indptr, (n, n))
+    scale[:ends[0]] = a.data[e].ravel()[entry]
+    gather[:ends[0]] += base.ravel()[entry]
+    del e, valid, sc, fc, cls, base, entry, cols
+    scale[ends[0]:], gather[ends[0]:] = np.concatenate(
+        [pattern.coef[in_b], pattern.coef, np.full(n, -1.0)]), np.concatenate(
+        [b_at[in_b], t_at + pattern.tangent, f_at + np.arange(n)])
+    gather[ends[2] + deriv[:, 0]] = 1
+    gather[ends[2] + deriv[:, 1:]] = y_at + mids.size * (d - 1) + np.arange(
         k * (d - 1)).reshape(k, d - 1)
-    # the products Q_a^T Q_b, t_m^T Q_k and Q_k^T f_k on N's columns
-    pa, pb = np.divmod(pairs, max(k, 1))
-    yf, yz = np.divmod(mids, bt.shape[1])
-    z = np.arange(k)[:, None]
-    pieces = [np.broadcast_arrays(x, y) for x, y in (
-        (q_at(r[:, None], pa[:, None, None]), q_at(r, pb[:, None, None])),
-        (t_at + yz[:, None, None] * d + c, q_at(r, yf[:, None])),
-        (q_at(r, z), f_at + deriv[:, None]))]
-    products = np.stack([np.concatenate([x.reshape(-1, d) for x in side])
-                         for side in zip(*pieces)]).transpose(0, 2, 1).copy()
+    # the products Q_a^T Q_b, t_m^T Q_k, Q_k^T f_k: H[products[0, :, p]] .
+    # H[products[1, :, p]] over the components
+    (pa, pb), (yf, yz) = np.divmod(pairs, max(k, 1)), np.divmod(mids, n)
+    c4, r = c[:, None, None, None], np.arange(1, d)
+
+    def q_at(f, col):        # (d, ...) places in H of Q_f's column col
+        return 2 + (f[:, None, None] * d + c4) * d + col
+    products = np.concatenate([np.stack(np.broadcast_arrays(x, y)).reshape(
+        2, d, -1) for x, y in (
+            (q_at(pa, r[:, None]), q_at(pb, r)),
+            (t_at + yz[:, None, None] * d + c4, q_at(yf, r[:, None])),
+            (q_at(np.arange(k), r[:, None]), f_at + deriv.T[..., None, None]))],
+        axis=2)
     # v = P Q w: over N's columns, 1 w (unrotated) or 0 0 (fixed)
     cols, rv = pattern.columns, np.arange(1, max(d, 2))[:, None]
     fv, cv = frame[cols // d], cols % d
@@ -232,33 +244,26 @@ def _rotation_maps(pattern: ConstraintPattern, a: sp.csr_matrix, d: int,
                                   t_at + cols - cv + rv], 1)
     velocity[:, 0] = np.where(rotated[0], velocity[:, 0], np.where(
         (cols < n) & (fv < 0), [np.zeros(n, dtype=np.intp), t_at + cols], 1))
-    scale = np.concatenate([a.data[e[kept]], pattern.coef[in_b],
-                            pattern.coef, np.full(n, -1.0)])
-    gather = np.concatenate([g, b_at[in_b], t_at + pattern.tangent, rhs])
-    return A, B, b_rows, nodes, products, velocity, scale, gather
+    return (SaddleSystem(A, B, _UNSET[:n], _UNSET[:m]), b_rows, nodes,
+            products, velocity, scale, gather)
 
 
 @dataclass(frozen=True, eq=False)
 class StepStructure:
-    """What stays fixed over a run: the rotated system's ``A`` and ``B`` on
-    fixed index arrays (``kkt`` sets their values), their ``BandedKKT``, the
-    constraint ``pattern`` with the row of each entry, and index maps.
+    """What stays fixed over a run: the rotated ``system``, whose A and B
+    keep their index arrays and whose values ``kkt`` sets, their
+    ``BandedKKT``, the constraint ``pattern`` with the row of each entry,
+    and index maps.  With P^T A P = a (x) I_d, each entry of the
+    rotated A is a_kl times 1, an entry of Q_l or Q_k^T, or (Q_k^T Q_l)_ij
+    (``_rotation_maps``); each of B Q_N a coefficient of D times t_c or
+    (Q_k^T t_m)_j; each of the rhs -f_i or -(Q_k^T f_k)_j.  So the values
+    of A, B, the rows of ``pattern`` and the rhs are ``scale * H[gather]``,
+    H = (1, 0, Q, t, f) followed by the sums over c of ``H[products[0]] *
+    H[products[1]]``; v = P Q w sums ``V[velocity[0]] * V[velocity[1]]``,
+    V = (1, 0, Q, w).  Each sum runs in the order of the components, as a
+    sparse product with Q sums it.  ``nodes`` are the rotated nodes'."""
 
-    With the square restriction (``restriction(full=True)``), P^T A P =
-    a (x) I_d.  Each entry of the rotated A is a_kl times 1 (on the
-    diagonal of an unrotated pair and of a node's own block, Q_k^T Q_k =
-    I), an entry of Q_l or Q_k^T, or (Q_k^T Q_l)_ij, k != l, so that its
-    diagonal is a's; each of B Q_N a coefficient of D times t_c
-    or (Q_k^T t_m)_j; each of the rhs -f_i or -(Q_k^T f_k)_j.  So the values
-    of A, of B, of the rows of ``pattern`` (D's coefficients times t) and of
-    the rhs are ``scale * H[gather]``, H = (1, 0, Q, t, f) followed by the
-    sums over c of ``H[products[0]] * H[products[1]]``; v = P Q w sums
-    ``V[velocity[0]] * V[velocity[1]]``, V = (1, 0, Q, w).  Each sum runs
-    in the order of the components, as a sparse product with Q sums it.
-    ``nodes`` holds the constraint node of each rotated node."""
-
-    A: sp.csr_matrix
-    B: sp.csr_matrix
+    system: SaddleSystem
     band: BandedKKT
     pattern: ConstraintPattern
     b_rows: np.ndarray
@@ -279,25 +284,27 @@ class StepStructure:
                              if config.variant == "l2"
                              else matrices.combine(1, bending=1.0 + config.tau), d)
         # the band is built once the maps' temporaries are freed
-        A, B, *maps = _rotation_maps(pattern, a, d, variant, matrices.mesh)
-        return cls(A, B, BandedKKT(A, B), pattern, *maps)
+        s, *maps = _rotation_maps(pattern, a, d, variant, matrices.mesh)
+        return cls(s, BandedKKT(s.A, s.B), pattern, *maps)
 
     def kkt(self, state: FlowState
             ) -> Tuple[SaddleSystem, np.ndarray, np.ndarray]:
-        """The rotated system of the step from ``state``, on ``A`` and
-        ``B``; the frames Q; the values of the rows of ``pattern``."""
-        t, A, B, n = state.tangents, self.A, self.B, self.A.shape[0]
+        """``system`` with the values of the step from ``state`` (each call
+        overwrites the last's); the frames Q; the values of the rows of
+        ``pattern``."""
+        t, A, B, n = state.tangents, self.system.A, self.system.B, self.system.n
         Q = tangent_frames(t[self.nodes])
-        H = np.concatenate([_ONE_ZERO, Q.ravel(), t.ravel(), np.bincount(
-            self.pattern.columns, state.bending_load, n + 1)])
-        H = np.concatenate([H, np.add.reduce(
-            H[self.products[0]] * H[self.products[1]], axis=0)])
+        f = 2 + Q.size + t.size + n + 1
+        H = np.empty(f + self.products.shape[2])
+        np.concatenate([_ONE_ZERO, Q.ravel(), t.ravel(), np.bincount(
+            self.pattern.columns, state.bending_load, n + 1)], out=H[:f])
+        x = H[self.products]
+        np.add.reduce(np.multiply(x[0], x[1], out=x[0]), axis=0, out=H[f:])
         values = H[self.gather]
         values *= self.scale
         a, b = A.indices.size, A.indices.size + B.indices.size
-        A.data, B.data = values[:a], values[a:b]
-        return (SaddleSystem(A, B, values[-n:], np.zeros(B.shape[0])), Q,
-                values[b:-n])
+        A.data, B.data, self.system.rhs_top = values[:a], values[a:b], values[-n:]
+        return self.system, Q, values[b:-n]
 
 
 def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,

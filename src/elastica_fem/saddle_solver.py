@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .assembly import _csr, csr_pattern
+from .assembly import _csr
 
 
 class KKTSingularError(RuntimeError):
@@ -62,13 +62,35 @@ _PIVOT_TOL = 1e-12   # relative pivot threshold flagging rank deficiency
 _BACKWARD_TOL = 1e-14   # largest normwise backward error of a solve
 
 
-def _ordered(perm: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """(half-bandwidth, perm, rows, cols) of the entries (rows, cols) once
-    the unknowns are ordered by ``perm``."""
-    inv = np.empty(perm.size, dtype=np.intp)
-    inv[perm] = np.arange(perm.size)
-    rows, cols = inv[rows], inv[cols]
-    return int(np.abs(rows - cols).max(initial=0)), perm, rows, cols
+def _kkt_pattern(A: sp.csr_matrix, B: sp.csr_matrix, perm: np.ndarray):
+    """(half-bandwidth, perm, K, slot, rows) of K = [[A, B^T], [B, 0]] in
+    the order ``perm``: K's CSR pattern, each entry's row, and each (A, B,
+    B^T) data entry's place in K.  Rows are filled by counting (A, then B^T
+    in B's row order), then sorted by scipy's compiled per-row sort."""
+    n, m, na, nb = A.shape[0], B.shape[0], A.indices.size, B.indices.size
+    inv = np.empty(n + m, dtype=np.int32)
+    inv[perm] = np.arange(n + m, dtype=np.int32)
+    a_len, b_len = np.diff(A.indptr), np.diff(B.indptr)
+    t_len = np.bincount(B.indices, minlength=n)
+    indptr = np.append(0, np.cumsum(np.append(a_len + t_len, b_len)[perm]))
+    start = indptr[inv]                  # of each row in the natural order
+    at = np.arange(na + 2 * nb)
+    at[:na + nb] += np.repeat(np.append(start[:n] - A.indptr[:-1], start[n:]
+                                        - B.indptr[:-1] - na), np.append(a_len, b_len))
+    # B^T's entries, each column's in B's row order
+    at[na + nb:][np.argsort(B.indices, kind="stable")] = np.arange(nb) \
+        - np.repeat(np.cumsum(t_len) - t_len, t_len)
+    at[na + nb:] += (start[:n] + a_len)[B.indices]
+    k = _csr(np.empty_like(at), np.empty(at.size, dtype=np.int32), indptr,
+             (n + m, n + m))
+    k.indices[at] = np.take(inv, np.concatenate(
+        [A.indices, B.indices, np.repeat(np.arange(n, n + m), b_len)]))
+    k.data[at] = np.arange(at.size)
+    k.sort_indices()
+    slot = np.empty_like(at)     # read by every factor: intp, as index
+    slot[k.data] = np.arange(at.size)
+    rows = np.repeat(np.arange(n + m, dtype=np.int32), np.diff(k.indptr))
+    return int(np.abs(rows - k.indices).max(initial=0)), perm, k, slot, rows
 
 
 class BandedKKT:
@@ -118,43 +140,25 @@ class BandedKKT:
             first, last = middle.argmin(), middle.argmax()
             middle[first] = ends[0, first] - 0.5
             middle[last] = ends[1, last] + 0.5
-        a_rows = np.repeat(np.arange(n), np.diff(A.indptr))
-        b_rows = np.repeat(np.arange(m), np.diff(B.indptr))
-        # K's entries in the order (A, B below the diagonal, B^T above)
-        rows = np.concatenate([a_rows, n + b_rows, B.indices])
-        cols = np.concatenate([A.indices, B.indices, n + b_rows])
-        del a_rows, b_rows    # what is alive at the end sets a build's peak
         size = n + m
         # the unknowns on uncoupled rows go last
         lone = np.diff(A.indptr) == 1
         lone[lone] = A.indices[A.indptr[:-1][lone]] == np.flatnonzero(lone)
         lone &= np.bincount(B.indices, minlength=n) == 0
         lone = np.append(lone, np.zeros(m, dtype=bool))
-        order = _ordered(np.argsort(np.where(lone, size, np.concatenate(
-            [np.arange(n), middle])), kind="stable"), rows, cols)
+        order = _kkt_pattern(A, B, np.argsort(np.where(lone, size, np.concatenate(
+            [np.arange(n), middle])), kind="stable"))
         # along an open curve one element sets the band at every M; a band
         # over half the size means joined (periodic) ends or a tiny mesh,
         # and there the reverse Cuthill-McKee order is taken if narrower
         if 2 * order[0] > size:
-            indptr, indices, _ = csr_pattern(rows, cols, (size, size))
-            graph = _csr(np.ones(indices.size), indices, indptr, (size, size))
-            rcm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
-            order = min(order, _ordered(rcm[np.argsort(lone[rcm], kind="stable")],
-                                        rows, cols), key=lambda o: o[0])
-        self.bandwidth, self.perm, rows, cols = order
-        bw = self.bandwidth
-        # K's entries sorted by (row, col) in the band's order, in place so
-        # that one copy of the entry list is alive; entry i of the list,
-        # valued (A.data, B.data, B.data)[i], is K.data[_slot[i]]
-        src = np.argsort(rows * size + cols, kind="stable")
-        rows[:], cols[:] = rows[src], cols[src]
-        self._slot = np.empty(src.size, dtype=np.int32)
-        self._slot[src] = np.arange(src.size)
-        del src
-        self._k = _csr(np.zeros(rows.size), cols,
-                       np.searchsorted(rows, np.arange(size + 1)), (size, size))
-        self._k_ld = copy.copy(self._k)    # on the same index arrays
-        self._k_ld.data = np.zeros(rows.size, dtype=np.longdouble)
+            rcm = csgraph.reverse_cuthill_mckee(
+                _kkt_pattern(A, B, np.arange(size))[2], symmetric_mode=True)
+            order = min(order, _kkt_pattern(
+                A, B, rcm[np.argsort(lone[rcm], kind="stable")]),
+                key=lambda o: o[0])
+        self.bandwidth, self.perm, self._k, self._slot, rows = order
+        bw, indptr, indices = self.bandwidth, self._k.indptr, self._k.indices
         # gbtrf's layout: K[i, j] at ab[2*bw + i - j, j], with bw extra rows
         # on top for the fill-in of row pivoting.  ab is the transpose of a
         # C-ordered (rows, 3*bw+1) array, so it is Fortran-contiguous and
@@ -162,9 +166,16 @@ class BandedKKT:
         # the band holds the first rows (one at least); the uncoupled ones,
         # after them, hold K's last entries, one each
         band = max(size - int(lone.sum()), min(size, 1))
-        self._in_band = int(self._k.indptr[band])
-        self._pos = (cols * (3 * bw + 1) + 2 * bw + rows - cols)[:self._in_band]
-        self._ab_t, self._scale = np.zeros((band, 3 * bw + 1)), None
+        self._in_band = int(indptr[band])
+        self._pos = np.multiply(indices[:self._in_band], 3 * bw, dtype=np.intp)
+        self._pos += rows[:self._in_band] + 2 * bw
+        del order, rows     # what is alive at the end sets a build's peak
+        # entry i of (A.data, B.data, B.data) is K.data[_slot[i]]; K's
+        # values, its twin's and the band are all written by factor
+        self._k.data = np.empty(indices.size)
+        self._k_ld = copy.copy(self._k)    # on the same index arrays
+        self._k_ld.data = np.empty(indices.size, dtype=np.longdouble)
+        self._ab_t, self._scale = np.empty((band, 3 * bw + 1)), None
 
     def rescale(self) -> None:
         """Take d from the next A factored, as after construction."""

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,7 +330,7 @@ class TestStepStructure:
         fixed = np.flatnonzero(np.diff(P.indptr) == 0)
         # the tangential component of each node with free derivative DOFs
         tangential = 4 * (structure.nodes * P2.stride // 2) + 2
-        A = structure.A.toarray()
+        A = structure.system.A.toarray()
         assert A.shape == (mats.mass.shape[0],) * 2
         diag = mats.mass.diagonal() + 0.1 * mats.bending.diagonal()
         for rows in (fixed, tangential):
@@ -378,6 +379,27 @@ class TestStepStructure:
         assert np.array_equal(alone.curve.dofs, first.curve.dofs)
         assert alone.energy == first.energy
         assert alone.max_identity_violation == first.max_identity_violation
+
+    def test_build_memory_is_bounded(self):
+        # tracemalloc over the memory before the build, helix P2 at M=320
+        # (the derivative map already cached): the structure keeps 2.572
+        # MB and the build holds at most 2.631 MB at once; the bounds are
+        # 5% above (the build that sorted its index lists kept 2.628 and
+        # peaked at 3.075 MB)
+        spec = named_experiment("helix")
+        mats = assemble_matrices(Mesh1D.uniform(*spec.interval, 320), 3)
+        cfg = FlowConfig(tau=0.1, T=0.1, bc=spec.bc)
+        StepStructure.build(cfg, mats)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            structure = StepStructure.build(cfg, mats)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert structure.system.A.shape[0] == 6 * 321
+        assert kept - base <= 1.05 * 2.572e6
+        assert peak - base <= 1.05 * 2.631e6
 
     @pytest.mark.parametrize("M", [8, 1280])
     def test_h2_flow_periodic_fails_in_kkt_diagnosis(self, M):
@@ -498,7 +520,8 @@ def _reference_run(cfg, mesh, spec, mats):
         B_rot = ((tangents @ Q).multiply(coef) @ T)[midpoints]
         f = P.T @ -mats.apply_bending(Z.dofs)
         w, _ = solve_kkt(SaddleSystem(
-            _on_pattern(G, structure.A), _on_pattern(B_rot, structure.B),
+            _on_pattern(G, structure.system.A),
+            _on_pattern(B_rot, structure.system.B),
             T @ (Q.T @ f), np.zeros(midpoints.size)))
         v_r = Q @ w
         v = P @ v_r
@@ -520,19 +543,28 @@ def _reference_run(cfg, mesh, spec, mats):
 
 
 class TestStepPath:
-    @pytest.mark.parametrize("name, variant, bc_kind, flow_variant, tau", [
-        ("oval-h2", P2, "spec", "h2", 1.0 / 200.0),
-        ("oval-h2", P2, "spec", "l2", 1.0 / 200.0),
-        ("circle", P1, "free", "l2", 0.05),
-        ("helix", P2, "periodic", "l2", 0.05),
-        ("circle", P2, "spec", "l2", 0.05),
-    ])
+    @pytest.mark.parametrize("name, variant, bc_kind, flow_variant, tau, M", [
+        pytest.param(*case, 10, id="-".join(map(str, case))) for case in [
+            ("oval-h2", P2, "spec", "h2", 1.0 / 200.0),
+            ("oval-h2", P2, "spec", "l2", 1.0 / 200.0),
+            ("circle", P1, "free", "l2", 0.05),
+            ("helix", P2, "periodic", "l2", 0.05),
+            ("circle", P2, "spec", "l2", 0.05)]
+    ] + [
+        # periodic ties that wrap the index maps (circle P2 at M=1 is
+        # singular); the helix's every end DOF fixed, under the H2 flow
+        (name, variant, "periodic", "l2", 0.05, M)
+        for name in ("circle", "helix") for variant in (P1, P2)
+        for M in (1, 2, 3) if M > 1 or variant is P1
+    ] + [("helix", variant, "spec", "h2", 0.05, M)
+         for variant in (P1, P2) for M in (2, 5)])
     def test_run_matches_sparse_reference_bitwise(self, name, variant,
-                                                  bc_kind, flow_variant, tau):
+                                                  bc_kind, flow_variant, tau,
+                                                  M):
         spec = named_experiment(name, constraint=variant)
         bc = {"spec": spec.bc, "free": BoundaryConditions.free(),
               "periodic": BoundaryConditions(periodic=True)}[bc_kind]
-        mesh = Mesh1D.uniform(*spec.interval, 10)
+        mesh = Mesh1D.uniform(*spec.interval, M)
         mats = assemble_matrices(mesh, spec.dim)
         cfg = FlowConfig(tau=tau, T=20 * tau, variant=flow_variant,
                          constraint=variant, bc=bc)

@@ -2,14 +2,15 @@
 constructions they replace, inlined here as oracles, bit for bit: the
 derivative map D, the constraint pattern, P^T A P, the sums of the system
 matrices, the union pattern of the Jacobian and the H2 Gram, the
-natural-order KKT graph of the band's reverse Cuthill-McKee branch, and
-``csr_pattern`` itself; and guards that no general sparse operation runs
+natural-order KKT graph of the band's reverse Cuthill-McKee branch, the
+band's order and K's pattern in it, and ``csr_pattern`` itself; and guards that no general sparse operation runs
 in set-up, nor in a stationary solve once the mesh's structures exist."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
+from scipy.sparse import csgraph
 from hypothesis import strategies as st
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
@@ -120,6 +121,58 @@ def scipy_upper_band(A):
     ab, up = np.zeros((off.max() + 1, A.shape[0])), off >= 0
     ab[off.max() - off[up], A.indices[up]] = A.data[up]
     return ab
+
+
+def sorted_band(A, B):
+    """(perm, bandwidth, slot, indptr, indices, pos) of the band of K =
+    [[A, B^T], [B, 0]] by sorting: the unknowns along the curve, each
+    multiplier at the middle of its row's columns (the first and last
+    rows' before and after them), those of uncoupled rows last; where
+    that band is over half the size, the reverse Cuthill-McKee order of
+    K's COO pattern if narrower; K's entries in the order by one stable
+    argsort of their (row, column) keys."""
+    n, m = A.shape[0], B.shape[0]
+    size = n + m
+    ends = np.zeros((2, m))
+    filled = np.diff(B.indptr) > 0
+    ends[0, filled] = B.indices[B.indptr[:-1][filled]]
+    ends[1, filled] = B.indices[B.indptr[1:][filled] - 1]
+    middle = ends.mean(axis=0)
+    if m:
+        first, last = middle.argmin(), middle.argmax()
+        middle[first] = ends[0, first] - 0.5
+        middle[last] = ends[1, last] + 0.5
+    a_rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    b_rows = np.repeat(np.arange(m), np.diff(B.indptr))
+    rows = np.concatenate([a_rows, n + b_rows, B.indices])
+    cols = np.concatenate([A.indices, B.indices, n + b_rows])
+    lone = np.diff(A.indptr) == 1
+    lone[lone] = A.indices[A.indptr[:-1][lone]] == np.flatnonzero(lone)
+    lone &= np.bincount(B.indices, minlength=n) == 0
+    lone = np.append(lone, np.zeros(m, dtype=bool))
+
+    def ordered(perm):
+        inv = np.empty(size, dtype=np.intp)
+        inv[perm] = np.arange(size)
+        return (int(np.abs(inv[rows] - inv[cols]).max(initial=0)), perm,
+                inv[rows], inv[cols])
+    order = ordered(np.argsort(np.where(lone, size, np.concatenate(
+        [np.arange(n), middle])), kind="stable"))
+    if 2 * order[0] > size:
+        graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                              shape=(size, size))
+        rcm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        order = min(order, ordered(rcm[np.argsort(lone[rcm], kind="stable")]),
+                    key=lambda o: o[0])
+    bw, perm, rows, cols = order
+    src = np.argsort(rows * size + cols, kind="stable")
+    slot = np.empty(src.size, dtype=np.int32)
+    slot[src] = np.arange(src.size)
+    rows, cols = rows[src], cols[src]
+    band = max(size - int(lone.sum()), min(size, 1))
+    in_band = np.count_nonzero(rows < band)
+    return (perm, bw, slot, np.searchsorted(rows, np.arange(size + 1)), cols,
+            (cols * (3 * bw + 1) + 2 * bw + rows - cols)[:in_band])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +333,8 @@ def test_band_graph_is_coo_pattern(monkeypatch, M, dim):
             pattern = structure.pattern
             node_rows = (pattern.restrict(mats.combine(mass=1.0, bending=0.1)),
                          pattern.template)
-            for A, B in ((structure.A, structure.B), node_rows):
+            for A, B in ((structure.system.A, structure.system.B),
+                         node_rows):
                 graphs.clear()
                 saddle_solver.BandedKKT(A, B)
                 if not graphs:
@@ -296,6 +350,46 @@ def test_band_graph_is_coo_pattern(monkeypatch, M, dim):
                 same_bits(graphs[0].indptr, want.indptr)
                 same_bits(graphs[0].indices, want.indices)
     assert taken        # the branch ran
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2, 5, 20])
+def test_band_order_equals_sorted_band(M, dim):
+    # the flow's rotated system (free and periodic ends), and the Newton
+    # Jacobian's and the H2 Gram's patterns (free and clamped ends; the
+    # stationary routines take no periodic ends): the band's order, K's
+    # pattern in it and the place of every entry as sorting gave them
+    mats = assemble_matrices(Mesh1D.uniform(0.0, 2.0 * np.pi, M), dim)
+    e = np.eye(dim)[0]
+    systems = []
+    for variant in (P1, P2):
+        for bc in (BoundaryConditions(periodic=True),
+                   BoundaryConditions.free()):
+            for flow in ("l2", "h2"):
+                structure = StepStructure.build(FlowConfig(
+                    tau=0.1, T=0.1, variant=flow, constraint=variant, bc=bc),
+                    mats)
+                systems.append((structure.system.A, structure.system.B))
+        if mats.mesh.constraint_nodes(variant).size <= 2:
+            continue
+        for bc in (BoundaryConditions.free(), BoundaryConditions.clamped(
+                np.zeros(dim), e, np.ones(dim), e)):
+            pattern = _pattern(mats, variant, bc)
+            if pattern.restriction.shape[1] == 0:
+                continue
+            systems.append((_jacobian_pattern(mats, variant, bc)[0],
+                            pattern.template))
+            systems.append((DiscreteNorms.build(mats, bc, variant).gram,
+                            pattern.template))
+    for A, B in systems:
+        band = saddle_solver.BandedKKT(A, B)
+        perm, bw, slot, indptr, indices, pos = sorted_band(A, B)
+        same_bits(band.perm, perm)
+        assert band.bandwidth == bw
+        same_bits(band._slot, slot)
+        same_bits(band._k.indptr, indptr.astype(np.int32))
+        same_bits(band._k.indices, indices.astype(np.int32))
+        same_bits(band._pos, pos)
 
 
 @given(st.integers(min_value=1, max_value=12),

@@ -67,15 +67,6 @@ def eoc(errors: Sequence[float], hs: Sequence[float]) -> List[float]:
             for i in range(len(errors) - 1)]
 
 
-def fit_rate(errors: Sequence[float], hs: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(h)."""
-    errors = np.asarray(errors, dtype=float)
-    hs = np.asarray(hs, dtype=float)
-    if np.any(errors <= 0.0) or np.any(hs <= 0.0):
-        raise ValueError("errors and mesh sizes must be positive")
-    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-
-
 _GAUSS10_T, _GAUSS10_W = np.polynomial.legendre.leggauss(10)
 
 

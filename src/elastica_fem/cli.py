@@ -18,7 +18,6 @@ from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import flow
 from .analysis import linf_error, quadrature_error
@@ -257,7 +256,7 @@ def _cmd_diagnostics(ns: argparse.Namespace) -> int:
             norms = DiscreteNorms.build(matrices, spec.bc, variant)
             brezzi = [f(pair, variant, spec.bc, matrices, norms) for f in
                       (residual_dual_norm, coercivity_estimate, infsup_estimate)]
-        except (ValueError, ArpackNoConvergence) as exc:
+        except ValueError as exc:   # no multiplier, rank-deficient B, Lanczos cap
             brezzi, errors = ["FAILED"] * 3, [f"brezzi: {exc}"]
         try:
             iters = newton_solve(pair, variant, spec.bc, matrices)[1]["iterations"]

@@ -207,10 +207,6 @@ class ExperimentTable:
     failures: List[str] = field(default_factory=list)
     snapshots: list = field(default_factory=list)   # see run_experiment
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
     def column(self, label: str) -> TableColumn:
         for col in self.columns:
             if col.label == label:

@@ -1,6 +1,6 @@
 """Spline spaces on a 1D mesh: C1 piecewise cubics (nodal value/derivative
 degrees of freedom), continuous piecewise quadratics (node + midpoint values),
-interpolation operators, and Simpson-lumped products.
+interpolation operators, and Simpson-lumped weights.
 
 DOF layout of a cubic spline curve, used by every assembly routine: node-major,
 per node first the d value components, then the d derivative components, i.e.
@@ -265,23 +265,6 @@ def lumped_weights(mesh: Mesh1D, variant: ConstraintVariant = ConstraintVariant.
     w[2::2] += h / 6.0
     w[1::2] = 2.0 * h / 3.0
     return w
-
-
-def lumped_product(f: QuadraticField, g: QuadraticField,
-                   variant: ConstraintVariant = ConstraintVariant.P2) -> float:
-    """Lumped L2 product: the integral of the nodal interpolant of the
-    pointwise dot product f.g.
-
-    P2 amounts to the elementwise Simpson rule on node/midpoint samples, P1
-    to the elementwise trapezoid rule on nodal samples.  Symmetric and
-    bilinear in f and g.
-    """
-    if f.mesh is not g.mesh and not np.array_equal(f.mesh.nodes, g.mesh.nodes):
-        raise ValueError("lumped product requires fields on the same mesh")
-    if f.dim != g.dim:
-        raise ValueError("lumped product requires fields of equal dimension")
-    prod = np.einsum("nd,nd->n", f.values, g.values)
-    return float(np.dot(lumped_weights(f.mesh, variant), prod[::variant.stride]))
 
 
 def unit_speed_violation(curve: HermiteCurve, variant: ConstraintVariant,

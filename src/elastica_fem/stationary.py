@@ -19,7 +19,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .assembly import (TARGETS, BoundaryConditions, ConstraintPattern,
@@ -299,18 +298,48 @@ def _multiplier_factors(mesh: Mesh1D, variant: ConstraintVariant
     return sla.cholesky_banded(mass), sla.cholesky_banded(mass + stiff)
 
 
+_LANCZOS_CAP = 80
+
+
 def _extreme_eigenvalue(matvec: Callable, n: int, which: str,
                         tol: float = 0.0) -> float:
     """Largest (``which="LA"``) or smallest (``"SA"``) eigenvalue of the
-    symmetric operator ``matvec`` on R^n to relative residual ``tol`` (0:
-    machine precision), by Lanczos (ARPACK) on at most 10 basis vectors
-    from a fixed start, so that a rerun gives the same bits."""
-    if n == 1:
-        return float(matvec(np.ones(1))[0])
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    return float(spla.eigsh(op, k=1, which=which, v0=v0, ncv=min(n, 10),
-                            tol=tol, return_eigenvectors=False)[0])
+    symmetric operator ``matvec`` on R^n, by Lanczos with full
+    reorthogonalization from a fixed start, so that a rerun gives the same
+    bits.  With s the largest |Ritz value|, r the wanted one's residual and
+    gap its distance to the next, it stops at r <= tol s, or for ``tol`` 0
+    at r^2 <= eps s gap (the Ritz value's error r^2/gap, Parlett ch. 11) or
+    r <= eps s; measured against s, a value near 0 converges.  A basis
+    spanning R^n gives the exact value; an invariant Krylov space keeps its
+    value and the run restarts orthogonal to it.  Past ``_LANCZOS_CAP``
+    basis vectors it raises ``ValueError``."""
+    sign, eps = (1.0 if which == "LA" else -1.0), np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    a, b, V = np.empty(_LANCZOS_CAP), np.empty(_LANCZOS_CAP), np.empty((0, n))
+    w, start, best, scale = rng.standard_normal(n), 0, -np.inf, 0.0
+    for k in range(min(n, _LANCZOS_CAP)):
+        if k == len(V):             # the basis grows 16 vectors at a time
+            V = np.concatenate([V, np.empty((16, n))])
+        V[k] = w / np.linalg.norm(w)
+        w = sign * matvec(V[k])
+        a[k] = V[k] @ w
+        for _ in range(2):          # two Gram-Schmidt passes
+            w -= V[:k + 1].T @ (V[:k + 1] @ w)
+        b[k] = np.linalg.norm(w)
+        # Ritz values of the tridiagonal since the last restart
+        theta, z, _ = lapack.dstev(a[start:k + 1], b[start:max(k, start + 1)])
+        scale = max(scale, -theta[0], theta[-1])
+        r = b[k] * abs(z[-1, -1])
+        gap = theta[-1] - theta[-2] if k > start else 0.0
+        if k + 1 == n or b[k] > eps * scale and (
+                r <= tol * scale if tol else
+                r * r <= eps * scale * gap or r <= eps * scale):
+            return float(sign * max(best, theta[-1]))
+        if b[k] <= eps * scale:     # an invariant Krylov space: exact
+            best, start, w = max(best, theta[-1]), k + 1, rng.standard_normal(n)
+            for _ in range(2):
+                w -= V[:k + 1].T @ (V[:k + 1] @ w)
+    raise ValueError(f"Lanczos did not converge in {_LANCZOS_CAP} steps")
 
 
 @dataclass
@@ -382,8 +411,9 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
     lowest = _extreme_eigenvalue(lambda y: _tri(U, A @ _tri(U, y, 0, True),
                                                 1, True), n, "SA", 1e-2)
     gap = 0.1 * (1.0 + abs(lowest))
+    A_band, G_band = _upper_band(A), _upper_band(G)
     # a Ritz value may miss the bottom of the spectrum
-    while lapack.dpbtrf(_upper_band(A) - (lowest - gap) * _upper_band(G))[1]:
+    while lapack.dpbtrf(A_band - (lowest - gap) * G_band)[1]:
         gap *= 2.0
     A.data -= (lowest - gap) * G.data       # A - sigma G, on the band's pattern
     try:

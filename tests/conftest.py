@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FunctionOracle,
-                          Mesh1D, assemble_matrices)
+                          Mesh1D, QuadraticField, assemble_matrices,
+                          lumped_weights)
 from elastica_fem.experiments import named_experiment
 
 
@@ -57,3 +58,29 @@ def smooth_unit_speed_curve(rng, num_modes=3):
         return np.stack([np.cos(t), np.sin(t)], axis=-1)
 
     return FunctionOracle(value=deriv, deriv=deriv)
+
+
+def fit_rate(errors, hs):
+    """Least-squares slope of log(error) against log(h)."""
+    errors = np.asarray(errors, dtype=float)
+    hs = np.asarray(hs, dtype=float)
+    if np.any(errors <= 0.0) or np.any(hs <= 0.0):
+        raise ValueError("errors and mesh sizes must be positive")
+    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+
+
+def lumped_product(f: QuadraticField, g: QuadraticField,
+                   variant: ConstraintVariant = ConstraintVariant.P2) -> float:
+    """Lumped L2 product: the integral of the nodal interpolant of the
+    pointwise dot product f.g.
+
+    P2 amounts to the elementwise Simpson rule on node/midpoint samples, P1
+    to the elementwise trapezoid rule on nodal samples.  Symmetric and
+    bilinear in f and g.
+    """
+    if f.mesh is not g.mesh and not np.array_equal(f.mesh.nodes, g.mesh.nodes):
+        raise ValueError("lumped product requires fields on the same mesh")
+    if f.dim != g.dim:
+        raise ValueError("lumped product requires fields of equal dimension")
+    prod = np.einsum("nd,nd->n", f.values, g.values)
+    return float(np.dot(lumped_weights(f.mesh, variant), prod[::variant.stride]))

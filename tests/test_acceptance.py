@@ -23,8 +23,8 @@ import pytest
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           Mesh1D, QuadraticField, SaddleSystem,
-                          assemble_matrices, eoc, fit_rate, h2_error,
-                          lumped_product, solve_kkt, weak_errors)
+                          assemble_matrices, eoc, h2_error, solve_kkt,
+                          weak_errors)
 from elastica_fem import flow as _flow_mod
 from elastica_fem.experiments import named_experiment, stationarity_check
 from elastica_fem.flow import run as flow_run
@@ -34,6 +34,8 @@ from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
                                      newton_solve, residual,
                                      residual_dual_norm)
 from elastica_fem.splines import HermiteCurve
+
+from conftest import fit_rate, lumped_product
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 

@@ -5,10 +5,12 @@ from numpy.testing import assert_allclose
 
 from elastica_fem import (ConstraintVariant, ExactSolution, FunctionOracle,
                           HermiteCurve, Mesh1D, assemble_matrices, eoc,
-                          fit_rate, h2_error, interp_hermite, interp_j3,
+                          h2_error, interp_hermite, interp_j3,
                           quadrature_error, weak_errors)
 from elastica_fem.experiments import (circle_exact, helix_exact, oval_exact,
                                       named_experiment)
+
+from conftest import fit_rate
 
 
 class TestEoc:

@@ -9,12 +9,12 @@ from numpy.testing import assert_allclose
 
 from elastica_fem import (ConstraintVariant, FunctionOracle, HermiteCurve,
                           Mesh1D, QuadraticField, interp_hermite, interp_j2,
-                          interp_j3, lumped_product, lumped_weights,
-                          unit_speed_violation)
+                          interp_j3, lumped_weights, unit_speed_violation)
 from elastica_fem.analysis import eoc, linf_error, quadrature_error
 from elastica_fem.splines import _CONSTRAINT_GRAMS, _cumulative
 
-from conftest import random_graded_mesh, smooth_unit_speed_curve
+from conftest import (lumped_product, random_graded_mesh,
+                      smooth_unit_speed_curve)
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 

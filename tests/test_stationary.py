@@ -6,18 +6,20 @@ from numpy.testing import assert_allclose
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant,
                           FunctionOracle, HermiteCurve, KKTSingularError,
-                          Mesh1D, NewtonError, assemble_matrices, fit_rate,
+                          Mesh1D, NewtonError, assemble_matrices,
                           unit_speed_violation)
 from elastica_fem import assembly, saddle_solver, stationary
 from elastica_fem.experiments import named_experiment, HELIX_FREQ
 from elastica_fem.flow import FlowConfig, run
 from elastica_fem.splines import lumped_weights
 from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
-                                     _jacobian_pattern, _pattern,
-                                     coercivity_estimate, infsup_estimate,
-                                     jacobian, make_interpolant_pair,
-                                     newton_solve, residual,
-                                     residual_dual_norm)
+                                     _extreme_eigenvalue, _jacobian_pattern,
+                                     _pattern, coercivity_estimate,
+                                     infsup_estimate, jacobian,
+                                     make_interpolant_pair, newton_solve,
+                                     residual, residual_dual_norm)
+
+from conftest import fit_rate
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -556,6 +558,141 @@ class TestBandedBrezziAgainstDense:
         coercivity_estimate(*args)
         infsup_estimate(*args)
         assert len(calls) == 2 and calls[0] is calls[1]
+
+    @pytest.mark.parametrize("M", [10, 40, 160])
+    @pytest.mark.parametrize("variant", [P1, P2], ids=["p1", "p2"])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_lanczos_applies_per_estimate(self, monkeypatch, name, variant, M):
+        # each Lanczos step applies the factored KKT band once; ARPACK's
+        # residual test took 16-21 applies per estimate here
+        calls = []
+        apply = saddle_solver.BandedKKT.apply
+
+        def spy(band, rhs):
+            calls.append(band)
+            return apply(band, rhs)
+
+        monkeypatch.setattr(saddle_solver.BandedKKT, "apply", spy)
+        args = scaled_pair(name, M, variant)
+        norms = DiscreteNorms.build(args[3], args[2], variant)
+        for estimate in (coercivity_estimate, infsup_estimate):
+            calls.clear()
+            estimate(*args, norms)
+            assert 1 <= len(calls) <= 14, (estimate.__name__, len(calls))
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos of the Brezzi estimates against dense eigenvalues
+
+def with_spectrum(lam, seed=1):
+    """Symmetric matrix Q diag(lam) Q^T, Q a random orthogonal matrix."""
+    lam = np.asarray(lam, dtype=float)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (lam.size, lam.size)))
+    return (Q * lam) @ Q.T
+
+
+def counted(A):
+    """(y -> A y, the list of the vectors it was applied to)."""
+    calls = []
+
+    def matvec(y):
+        calls.append(y)
+        return A @ y
+    return matvec, calls
+
+
+def assert_extreme(A, which, tol=0.0):
+    """The Lanczos value of ``which`` against eigvalsh: to a few ulps of
+    the spectral radius at tol 0, and from the right side (a Ritz value
+    lies inside the spectrum) within tol^2 of it otherwise."""
+    lam = np.linalg.eigvalsh(A)
+    value = _extreme_eigenvalue(counted(A)[0], A.shape[0], which, tol)
+    exact = lam[-1] if which == "LA" else lam[0]
+    radius = np.abs(lam).max()
+    if tol == 0.0:
+        assert abs(value - exact) <= 1e-14 * radius
+    else:
+        inside = exact - value if which == "LA" else value - exact
+        assert -1e-14 * radius <= inside <= 10 * tol ** 2 * radius
+
+
+@pytest.mark.parametrize("which", ["LA", "SA"])
+class TestExtremeEigenvalue:
+    @pytest.mark.parametrize("tol", [0.0, 1e-2])
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 100])
+    def test_random_symmetric(self, which, n, tol):
+        X = np.random.default_rng(n).standard_normal((n, n))
+        assert_extreme(X + X.T, which, tol)
+
+    def test_indefinite_spectrum(self, which):
+        lam = np.concatenate([np.linspace(-3.0, -0.5, 40),
+                              np.linspace(0.5, 2.0, 40)])
+        assert_extreme(with_spectrum(lam), which)
+
+    def test_exhausted_krylov_space_is_exact(self, which):
+        # a basis spanning R^n gives the eigenvalue of the full tridiagonal
+        A = with_spectrum([-1.0, 0.3, 0.31, 0.32, 2.0, 2.01])
+        matvec, calls = counted(A)
+        value = _extreme_eigenvalue(matvec, 6, which)
+        lam = np.linalg.eigvalsh(A)
+        assert len(calls) == 6
+        assert value == pytest.approx(lam[-1] if which == "LA" else lam[0],
+                                      abs=1e-14)
+
+    def test_start_in_an_invariant_subspace(self, which):
+        # A = L L^T with the start q in its null space: A q = 0 exactly, so
+        # b_1 = 0 and the Krylov space of q alone knows only the eigenvalue 0
+        n = 30
+        q = np.random.default_rng(0).standard_normal(n)
+        q /= np.linalg.norm(q)
+
+        def matvec(y):          # L^T y = (q[j+1] y[j] - q[j] y[j+1])_j
+            t = q[1:] * y[:-1] - q[:-1] * y[1:]
+            out = np.zeros(n)
+            out[:-1] += q[1:] * t
+            out[1:] -= q[:-1] * t
+            return out
+
+        assert not matvec(q).any()
+        A = np.column_stack([matvec(e) for e in np.eye(n)])
+        lam = np.linalg.eigvalsh(A)
+        value = _extreme_eigenvalue(matvec, n, which)
+        assert value == pytest.approx(lam[-1] if which == "LA" else 0.0,
+                                      abs=1e-14 * lam[-1])
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-2])
+    def test_near_null_cluster(self, which, tol):
+        # three eigenvalues within 1e-10 of 0 at the end of the spectrum,
+        # like the Gram-relative Jacobian of helix P2 at M=160 below [0.25,
+        # 1]: measured against the largest |Ritz value|, not against the
+        # Ritz value, the residual converges in a few steps
+        sign = 1.0 if which == "LA" else -1.0
+        lam = sign * np.concatenate([[-1e-10, 0.0, 1e-10],
+                                     np.linspace(-1.0, -0.25, 197)])
+        matvec, calls = counted(with_spectrum(lam))
+        value = sign * _extreme_eigenvalue(matvec, lam.size, which, tol)
+        # a Ritz value inside the spectrum, off the cluster's hull by at
+        # most its error r^2 / gap
+        assert -1e-10 - 10 * tol ** 2 - 1e-15 <= value <= 1e-10 + 1e-15
+        assert len(calls) <= 30
+
+    def test_reruns_are_bit_identical(self, which):
+        X = np.random.default_rng(7).standard_normal((50, 50))
+        A = X + X.T
+        first, second = (_extreme_eigenvalue(lambda y: A @ y, 50, which)
+                         for _ in range(2))
+        assert np.array_equal(np.array([first]).view(np.uint8),
+                              np.array([second]).view(np.uint8))
+
+    def test_cap_raises(self, which):
+        # 2000 evenly spaced eigenvalues: the extreme one is not resolved
+        # in 80 steps
+        d, calls = np.linspace(0.0, 1.0, 2000), []
+        with pytest.raises(ValueError, match="did not converge in 80 steps"):
+            _extreme_eigenvalue(lambda y: calls.append(y) or d * y, d.size,
+                                which)
+        assert len(calls) == stationary._LANCZOS_CAP == 80
 
 
 # ---------------------------------------------------------------------------

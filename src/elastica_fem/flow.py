@@ -198,9 +198,12 @@ def _rotation_maps(pattern: ConstraintPattern, a: sp.csr_matrix, d: int,
     y_at = f_at + n + 1 + pairs.size * (d - 1) ** 2
     b_at = t_at + pattern.tangent
     b_at[q] = y_at + np.searchsorted(mids, key) * (d - 1) + comp[q] - 1
-    in_b, m = np.flatnonzero(mid_row & ((fb < 0) | (comp > 0))), bt.shape[0] - k
-    B = _csr(_UNSET[:in_b.size], bt.indices[in_b], np.searchsorted(
-        (np.cumsum(~node_row) - 1)[b_rows[in_b]], np.arange(m + 1)), (m, n))
+    # a midpoint row left with no entry (its DOFs fixed or tangential) is 0 = 0
+    in_b = np.flatnonzero(mid_row & ((fb < 0) | (comp > 0)))
+    per_row = np.bincount(b_rows[in_b])
+    per_row, m = per_row[per_row > 0], np.count_nonzero(per_row)
+    B = _csr(_UNSET[:in_b.size], bt.indices[in_b],
+             np.append(0, np.cumsum(per_row)), (m, n))
     # scale * H[gather]: A (by each kept slot's row, slot and entry of a),
     # B, the rows of pattern, the rhs (-f, 0 or -Q_k^T f_k on the frames)
     ends = np.cumsum([indptr[-1], B.indices.size, bt.indices.size, n])
@@ -292,7 +295,8 @@ class StepStructure:
         """``system`` with the values of the step from ``state`` (each call
         overwrites the last's); the frames Q; the values of the rows of
         ``pattern``."""
-        t, A, B, n = state.tangents, self.system.A, self.system.B, self.system.n
+        t, A, B = state.tangents, self.system.A, self.system.B
+        n = A.shape[0]
         Q = tangent_frames(t[self.nodes])
         f = 2 + Q.size + t.size + n + 1
         H = np.empty(f + self.products.shape[2])
@@ -398,8 +402,6 @@ def dump_trajectory(snapshots: List[Tuple[int, HermiteCurve]], tau: float,
         for n, curve in snapshots:
             mesh, t = curve.mesh, np.linspace(0.0, 1.0, 10, endpoint=False)
             x = np.append(mesh.nodes[:-1, None] + np.outer(mesh.element_lengths, t), mesh.b)
-            vals = curve.eval(x)
             fh.write(f"# step {n} t={n * tau:.6g}\n")
-            for xi, row in zip(x, vals):
-                fh.write(" ".join(f"{v:.12g}" for v in (xi, *row)) + "\n")
+            np.savetxt(fh, np.column_stack([x, curve.eval(x)]), fmt="%.12g")
             fh.write("\n")

@@ -41,22 +41,6 @@ class SaddleSystem:
     rhs_top: np.ndarray
     rhs_bottom: np.ndarray
 
-    def __post_init__(self):
-        # the csr constructor's format checks cost more than a small solve
-        self.A, self.B = (m if sp.issparse(m) and m.format == "csr"
-                          else sp.csr_matrix(m) for m in (self.A, self.B))
-        self.rhs_top = np.asarray(self.rhs_top, dtype=float).ravel()
-        self.rhs_bottom = np.asarray(self.rhs_bottom, dtype=float).ravel()
-        n, m = self.A.shape[0], self.B.shape[0]
-        if self.A.shape != (n, n) or self.B.shape[1] != n:
-            raise ValueError("incompatible block shapes")
-        if self.rhs_top.size != n or self.rhs_bottom.size != m:
-            raise ValueError("right-hand side does not match block sizes")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
 
 _PIVOT_TOL = 1e-12   # relative pivot threshold flagging rank deficiency
 _BACKWARD_TOL = 1e-14   # largest normwise backward error of a solve
@@ -122,11 +106,13 @@ class BandedKKT:
     """
 
     def __init__(self, A: sp.csr_matrix, B: sp.csr_matrix):
+        n, m = A.shape[0], B.shape[0]
+        if A.shape != (n, n) or B.shape[1] != n:
+            raise ValueError("incompatible block shapes")
         # values are scattered entry by entry, so an entry must not repeat
         if not (A.has_canonical_format and B.has_canonical_format):
             raise ValueError("A and B need sorted, unique column indices "
                              "in every row")
-        n, m = A.shape[0], B.shape[0]
         self._patterns = (A.indptr, A.indices, B.indptr, B.indices)
         # each multiplier at the middle of its row's columns; fixed DOFs may
         # cut the ranges of the first and last rows, which go before and
@@ -231,6 +217,8 @@ class BandedKKT:
         does not carry cond(K) times a float64 residual's roundoff.  The
         backward error takes one float64 product with K.
         """
+        if rhs.shape != self.perm.shape:
+            raise ValueError("right-hand side does not match block sizes")
         norm_k = self._factors[2]
         b = rhs[self.perm]
         sol = self._solve(b)
@@ -258,14 +246,18 @@ class BandedKKT:
 
 def solve_kkt(system: SaddleSystem, band: Optional[BandedKKT] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve the block system with ``band`` (built for the patterns of
-    this A and B) or a band built here: ``factor`` with its A and B, then
-    ``apply``; returns (x, lam).  Raises ``KKTSingularError`` from either.
-    A and B need sorted, unique column indices in every row.
-    """
+    """Solve the block system with ``band``, built for the CSR patterns of
+    this A and B, or with a band built here for any blocks scipy takes:
+    ``factor`` with its A and B, then ``apply``; returns (x, lam).  Raises
+    ``KKTSingularError`` from either, ``ValueError`` on sizes that do not
+    match."""
+    A, B, top, bottom = system.A, system.B, system.rhs_top, system.rhs_bottom
     if band is None:
-        band = BandedKKT(system.A, system.B)
-    band.factor(system.A, system.B)
-    sol = band.apply(np.concatenate([system.rhs_top, system.rhs_bottom]))
-    return sol[:system.n], sol[system.n:]
+        A, B = (m if sp.issparse(m) and m.format == "csr" else sp.csr_matrix(m)
+                for m in (A, B))
+        top, bottom = (np.asarray(r, dtype=float).ravel() for r in (top, bottom))
+        band = BandedKKT(A, B)
+    band.factor(A, B)
+    sol = band.apply(np.concatenate([top, bottom]))
+    return sol[:A.shape[0]], sol[A.shape[0]:]
 

@@ -21,6 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
+from . import saddle_solver
 from .assembly import (TARGETS, BoundaryConditions, ConstraintPattern,
                        SystemMatrices, _csr, constraint_pattern, csr_pattern)
 from .mesh import ConstraintVariant, Mesh1D
@@ -206,9 +207,6 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     and a log with the residual norms and the tol used; a failed KKT solve
     raises ``NewtonError``.
     """
-    # per call, so that a wrapper of saddle_solver.solve_kkt sees Newton
-    from .saddle_solver import solve_kkt
-
     mesh, dim = p0.u.mesh, p0.u.dim
     p, columns = p0, _pattern(matrices, variant, bc).columns
     r_u, r_mu = residual(p, variant, bc, matrices)
@@ -228,7 +226,8 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
             break
         A, B = jacobian(p, variant, bc, matrices)
         try:
-            du, dlam = solve_kkt(SaddleSystem(A, B, -r_u, -r_mu), band)
+            du, dlam = saddle_solver.solve_kkt(   # a wrapper of it sees Newton
+                SaddleSystem(A, B, -r_u, -r_mu), band)
         except KKTSingularError as exc:
             raise NewtonError(f"KKT solve failed: {exc}", norms) from exc
 
@@ -361,7 +360,10 @@ class DiscreteNorms:
               variant: ConstraintVariant) -> "DiscreteNorms":
         if matrices.mesh.constraint_nodes(variant).size <= 2:
             raise ValueError("the multiplier space is empty")
-        gram = _pattern(matrices, variant, bc).restrict(
+        pattern = _pattern(matrices, variant, bc)
+        if not pattern.restriction.shape[1]:
+            raise ValueError("no free curve DOFs")
+        gram = pattern.restrict(
             matrices.combine(mass=1.0, gradient=1.0, bending=1.0))
         return cls(gram, sla.cholesky_banded(_upper_band(gram)),
                    *_multiplier_factors(matrices.mesh, variant))

@@ -418,3 +418,36 @@ class TestConsoleEntry:
     def test_ok(self, tmp_path):
         assert console_main(["run", "circle", "-M", "4", "--tau", "0.1",
                              "--T", "0.2", "--output-dir", str(tmp_path)]) == 0
+
+
+class TestSmallestMeshes:
+    """Every subcommand on one and two elements, in process."""
+
+    REASONS = ("the multiplier space is empty", "no free curve DOFs",
+               "KKT solve failed")
+
+    @pytest.mark.parametrize("constraint", ["p1", "p2"])
+    @pytest.mark.parametrize("name", ["circle", "helix", "oval-h2"])
+    def test_sweep(self, name, constraint, tmp_path, capsys):
+        out, which = ["--output-dir", str(tmp_path)], [name, "--constraint",
+                                                       constraint]
+        # every flow runs, also helix's fully clamped single element
+        assert console_main(["run", *which, "-M", "1,2", "--T", "0.1",
+                             *out]) == 0
+        for M in ("1", "2"):
+            assert console_main(["stationarity", *which,
+                                 "--mesh-size", M]) == 0
+        capsys.readouterr()
+        console_main(["diagnostics", *which, "-M", "1,2", *out])
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("FAILED row")]
+        for line in failed:
+            reasons = re.findall(r" (?:brezzi|newton): (.*?)(?= newton: |$)",
+                                 line)
+            assert reasons and all(r.startswith(self.REASONS)
+                                   for r in reasons), line
+
+    def test_brezzi_row_without_free_curve_dofs(self, tmp_path, capsys):
+        assert console_main(["diagnostics", "helix", "-M", "1",
+                             "--output-dir", str(tmp_path)]) == 1
+        assert "brezzi: no free curve DOFs newton:" in capsys.readouterr().err

@@ -346,7 +346,7 @@ class TestStepStructure:
     def test_band_rejects_other_pattern_and_refines_other_matrix(self):
         system, structure, _, _ = _flow_kkt("circle", P2, "clamped", 20)
         other, _, _, _ = _flow_kkt("circle", P1, "clamped", 20)
-        n = system.n
+        n = system.A.shape[0]
         corners = sp.csr_matrix(([1.0, 1.0], ([0, n - 1], [n - 1, 0])),
                                 shape=(n, n))
         for mismatched in (
@@ -627,3 +627,44 @@ def test_snapshots_and_trajectory_dump(tmp_path):
     assert len(rows) == 6 * 10 + 1  # ten points per element plus endpoint
     assert all(len(r) == 3 for r in rows)  # x u1 u2
     assert float(rows[0][1]) == pytest.approx(1.0)
+
+
+def test_trajectory_dump_is_the_per_value_layout(tmp_path):
+    # byte for byte the rows " ".join(f"{v:.12g}") of every sample point,
+    # also for negative, tiny and huge values
+    spec = named_experiment("helix")
+    cfg = FlowConfig(tau=0.05, T=0.2, constraint=spec.constraint, bc=spec.bc)
+    _, snaps = run(cfg, Mesh1D.uniform(*spec.interval, 8), spec.z0, spec.dim,
+                   snapshot_stride=2)
+    odd = HermiteCurve(Mesh1D.uniform(-1.0, 2.0, 1), 2,
+                       [[-2.5e-7, 1e-300], [1e15, 1.0 / 3.0]], np.zeros((2, 2)))
+    snaps.append((7, odd))
+    path = os.path.join(tmp_path, "traj.txt")
+    dump_trajectory(snaps, cfg.tau, path)
+    lines = []
+    for n, curve in snaps:
+        mesh, t = curve.mesh, np.linspace(0.0, 1.0, 10, endpoint=False)
+        x = np.append(mesh.nodes[:-1, None]
+                      + np.outer(mesh.element_lengths, t), mesh.b)
+        lines.append(f"# step {n} t={n * cfg.tau:.6g}")
+        lines += [" ".join(f"{v:.12g}" for v in (xi, *row))
+                  for xi, row in zip(x, curve.eval(x))]
+        lines.append("")
+    with open(path, "rb") as fh:
+        assert fh.read() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("variant", ["l2", "h2"])
+def test_clamped_single_element_stays_put(variant):
+    # helix's ends fix every DOF of one element: its P2 midpoint row keeps
+    # no entry and is dropped, and each step solves for v = 0
+    spec = named_experiment("helix")
+    mesh = Mesh1D.uniform(*spec.interval, 1)
+    cfg = FlowConfig(tau=0.1, T=0.3, variant=variant, constraint=P2,
+                     bc=spec.bc)
+    start = init_state(spec.z0, mesh, spec.dim, P2)
+    state, _ = run(cfg, mesh, spec.z0, spec.dim)
+    assert state.n == 3 and state.last_velocity_norm == 0.0
+    assert np.array_equal(state.curve.dofs, start.curve.dofs)
+    structure = StepStructure.build(cfg, assemble_matrices(mesh, spec.dim))
+    assert structure.system.B.shape == (0, 2 * 2 * spec.dim)

@@ -29,7 +29,7 @@ def random_system(rng, n, m, rhs_bottom_zero=False):
     B = rng.normal(size=(m, n))
     b = rng.normal(size=n)
     c = np.zeros(m) if rhs_bottom_zero else rng.normal(size=m)
-    return SaddleSystem(A, B, b, c)
+    return SaddleSystem(sp.csr_matrix(A), sp.csr_matrix(B), b, c)
 
 
 def test_hand_example():
@@ -178,10 +178,12 @@ def test_large_singular_kkt_skips_svd(monkeypatch):
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        SaddleSystem(np.eye(3), np.ones((2, 4)), np.ones(3), np.ones(2))
-    with pytest.raises(ValueError):
-        SaddleSystem(np.eye(3), np.ones((2, 3)), np.ones(3), np.ones(1))
+    with pytest.raises(ValueError, match="block shapes"):
+        solve_kkt(SaddleSystem(np.eye(3), np.ones((2, 4)), np.ones(3),
+                               np.ones(2)))
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_kkt(SaddleSystem(np.eye(3), np.eye(2, 3), np.ones(3),
+                               np.ones(1)))
 
 
 def test_one_factor_serves_many_right_hand_sides(rng):

@@ -9,8 +9,10 @@ from numpy.testing import assert_allclose
 
 from elastica_fem import (ConstraintVariant, FunctionOracle, HermiteCurve,
                           Mesh1D, QuadraticField, interp_hermite, interp_j2,
-                          interp_j3, lumped_weights, unit_speed_violation)
+                          interp_j3, lumped_weights, splines,
+                          unit_speed_violation)
 from elastica_fem.analysis import eoc, linf_error, quadrature_error
+from elastica_fem.experiments import named_experiment
 from elastica_fem.splines import _CONSTRAINT_GRAMS, _cumulative
 
 from conftest import (lumped_product, random_graded_mesh,
@@ -159,24 +161,44 @@ class TestJ3:
         x = np.linspace(0.1, 2.0 * np.pi - 0.1, 40)
         assert_allclose(curve.eval(x, order=3), 0.0, atol=1e-10)
 
-    def test_cumulative_bitwise_equal_vector_recurrence(self, rng):
-        """The per-component Kahan sums equal the same recurrence run on
-        (dim,) numpy arrays, bit for bit."""
+    @staticmethod
+    def exact_prefix_sums(start, inc):
+        """Each prefix sum of the rows (start; inc) as the exact rational
+        sum rounded once to float."""
+        acc = [Fraction(x) for x in np.ravel(start)]
+        out = [[float(x) for x in acc]]
+        for row in inc.tolist():
+            acc = [a + Fraction(x) for a, x in zip(acc, row)]
+            out.append([float(a) for a in acc])
+        return np.array(out)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cumulative_is_exact_sum_rounded_once(self, seed):
+        """Increments over 12 decades, in pairs that nearly cancel."""
+        rng = np.random.default_rng(seed)
         M, dim = 1280, 3
         inc = rng.normal(size=(M, dim)) * 10.0 ** rng.integers(-6, 7, (M, dim))
-        inc[1::2] = -inc[::2] * (1.0 + 1e-13)     # pairs that nearly cancel
+        inc[1::2] = -inc[::2] * (1.0 + 1e-13)
         start = rng.normal(size=dim)
-        want = np.empty((M + 1, dim))
-        want[0] = start
-        acc, comp = start.copy(), np.zeros(dim)
-        for i, x in enumerate(inc):
-            y = x - comp
-            s = acc + y
-            comp = (s - acc) - y
-            acc = s
-            want[i + 1] = acc
         got = _cumulative(start, inc, dim)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got, self.exact_prefix_sums(start, inc))
+
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_j3_node_values_are_exact_sums_rounded_once(self, name,
+                                                        monkeypatch):
+        spec = named_experiment(name)
+        mesh = Mesh1D.uniform(*spec.interval, 1280)
+        calls, real = [], splines._cumulative
+
+        def spy(start, inc, dim):
+            calls.append((start, inc))
+            return real(start, inc, dim)
+
+        monkeypatch.setattr(splines, "_cumulative", spy)
+        start = spec.z0.value(np.array([mesh.a])).reshape(spec.dim)
+        curve = interp_j3(start, spec.z0.deriv, mesh, spec.dim)
+        (start, inc), = calls
+        assert np.array_equal(curve.values, self.exact_prefix_sums(start, inc))
 
 
 class TestConstraintGrams:

@@ -38,10 +38,10 @@ from .splines import (FunctionOracle, HermiteCurve, interp_j2, interp_j3,
 
 
 class FlowSolveError(RuntimeError):
-    """Solver failure with the step index attached."""
+    """Solver failure with the step index and a note on its cause attached."""
 
-    def __init__(self, step_index: int, cause: Exception):
-        super().__init__(f"saddle solve failed at flow step {step_index}: {cause}")
+    def __init__(self, step_index: int, cause: Exception, note: str):
+        super().__init__(f"saddle solve failed at flow step {step_index}: {cause}{note}")
         self.step_index = step_index
 
 
@@ -51,7 +51,7 @@ class FlowConfig:
     T: float
     variant: str = "l2"                      # "l2" or "h2"
     constraint: ConstraintVariant = ConstraintVariant.P2
-    bc: BoundaryConditions = None
+    bc: BoundaryConditions = field(default_factory=BoundaryConditions.free)
 
     def __post_init__(self):
         if self.tau <= 0.0:
@@ -60,8 +60,6 @@ class FlowConfig:
             raise ValueError("final time must be nonnegative")
         if self.variant not in ("l2", "h2"):
             raise ValueError(f"unknown flow variant: {self.variant!r}")
-        if self.bc is None:
-            self.bc = BoundaryConditions.free()
 
     @property
     def num_steps(self) -> int:
@@ -253,19 +251,22 @@ def _rotation_maps(pattern: ConstraintPattern, a: sp.csr_matrix, d: int,
 
 @dataclass(frozen=True, eq=False)
 class StepStructure:
-    """What stays fixed over a run: the rotated ``system``, whose A and B
-    keep their index arrays and whose values ``kkt`` sets, their
-    ``BandedKKT``, the constraint ``pattern`` with the row of each entry,
-    and index maps.  With P^T A P = a (x) I_d, each entry of the
-    rotated A is a_kl times 1, an entry of Q_l or Q_k^T, or (Q_k^T Q_l)_ij
-    (``_rotation_maps``); each of B Q_N a coefficient of D times t_c or
-    (Q_k^T t_m)_j; each of the rhs -f_i or -(Q_k^T f_k)_j.  So the values
-    of A, B, the rows of ``pattern`` and the rhs are ``scale * H[gather]``,
-    H = (1, 0, Q, t, f) followed by the sums over c of ``H[products[0]] *
-    H[products[1]]``; v = P Q w sums ``V[velocity[0]] * V[velocity[1]]``,
-    V = (1, 0, Q, w).  Each sum runs in the order of the components, as a
-    sparse product with Q sums it.  ``nodes`` are the rotated nodes'."""
+    """What stays fixed over a run: its ``config`` and ``matrices``, the
+    rotated ``system``, whose A and B keep their index arrays and whose
+    values ``kkt`` sets, their ``BandedKKT``, the constraint ``pattern``
+    with the row of each entry, and index maps.  With P^T A P = a (x) I_d,
+    each entry of the rotated A is a_kl times 1, an entry of Q_l or Q_k^T,
+    or (Q_k^T Q_l)_ij (``_rotation_maps``); each of B Q_N a coefficient of D
+    times t_c or (Q_k^T t_m)_j; each of the rhs -f_i or -(Q_k^T f_k)_j.  So
+    the values of A, B, the rows of ``pattern`` and the rhs are ``scale *
+    H[gather]``, H = (1, 0, Q, t, f) followed by the sums over c of
+    ``H[products[0]] * H[products[1]]``; v = P Q w sums ``V[velocity[0]] *
+    V[velocity[1]]``, V = (1, 0, Q, w).  Each sum runs in the order of the
+    components, as a sparse product with Q sums it.  ``nodes`` are the
+    rotated nodes'."""
 
+    config: FlowConfig
+    matrices: SystemMatrices
     system: SaddleSystem
     band: BandedKKT
     pattern: ConstraintPattern
@@ -288,7 +289,7 @@ class StepStructure:
                              else matrices.combine(1, bending=1.0 + config.tau), d)
         # the band is built once the maps' temporaries are freed
         s, *maps = _rotation_maps(pattern, a, d, variant, matrices.mesh)
-        return cls(s, BandedKKT(s.A, s.B), pattern, *maps)
+        return cls(config, matrices, s, BandedKKT(s.A, s.B), pattern, *maps)
 
     def kkt(self, state: FlowState
             ) -> Tuple[SaddleSystem, np.ndarray, np.ndarray]:
@@ -311,12 +312,11 @@ class StepStructure:
         return self.system, Q, values[b:-n]
 
 
-def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
-         structure: Optional[StepStructure] = None) -> FlowState:
-    """One time step; returns the new state.
-
-    ``structure`` is built for this call when not given; ``run`` builds it
-    once for all its steps.
+def step(state: FlowState, structure: StepStructure) -> FlowState:
+    """One time step with the KKT ``structure`` of a run, whose config (tau,
+    flow and constraint variants) and matrices it takes; returns the new
+    state.  ``run`` builds the structure once for all its steps.  A failed
+    P2 solve names the elements whose midpoint tangent vanishes.
 
     The energy-decrease identity of the scheme is monitored: for the L2 flow
     E(Z^{n+1}) = E(Z^n) - tau*|v|_L2^2 - (tau^2/2)*|v''|_L2^2 with v the
@@ -324,14 +324,17 @@ def step(state: FlowState, config: FlowConfig, matrices: SystemMatrices,
     The linearized-constraint residual is the largest of every row of
     T(Z^n) D P, at the nodes and the midpoints, at v_r.
     """
+    config, matrices = structure.config, structure.matrices
     Z, tau, variant = state.curve, config.tau, config.constraint
-    if structure is None:
-        structure = StepStructure.build(config, matrices)
     system, Q, rows = structure.kkt(state)
     try:
         v_r, _ = solve_kkt(system, band=structure.band)
     except Exception as exc:
-        raise FlowSolveError(state.n, exc) from exc
+        speed = np.linalg.norm(state.tangents, axis=1)   # P2: midpoints odd
+        elements = ", ".join(map(str, np.flatnonzero(
+            (speed[1::2] <= 1e-12 * speed.max()) & (variant is ConstraintVariant.P2))))
+        raise FlowSolveError(state.n, exc, elements and f"; u' vanishes at the midpoint "
+                             f"of element {elements}, so its constraint row is 0") from exc
     # v = P Q w (w is 0 on the tangential components): fixed DOFs of v are
     # exactly 0 and periodic ends exactly equal
     V, pattern = np.concatenate([_ONE_ZERO, Q.ravel(), v_r]), structure.pattern
@@ -387,7 +390,7 @@ def run(config: FlowConfig, mesh: Mesh1D, z0: FunctionOracle, dim: int,
     if snapshot_stride > 0:
         snapshots.append((0, state.curve))
     for _ in range(config.num_steps):
-        state = step(state, config, matrices, structure=structure)
+        state = step(state, structure)
         if snapshot_stride > 0 and state.n % snapshot_stride == 0:
             snapshots.append((state.n, state.curve))
     if snapshot_stride > 0 and snapshots[-1][0] != state.n:

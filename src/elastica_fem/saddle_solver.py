@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -244,20 +244,13 @@ class BandedKKT:
         return np.concatenate([x, b[band:] / lone]) if lone.size else x
 
 
-def solve_kkt(system: SaddleSystem, band: Optional[BandedKKT] = None
+def solve_kkt(system: SaddleSystem, band: BandedKKT
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the block system with ``band``, built for the CSR patterns of
-    this A and B, or with a band built here for any blocks scipy takes:
-    ``factor`` with its A and B, then ``apply``; returns (x, lam).  Raises
-    ``KKTSingularError`` from either, ``ValueError`` on sizes that do not
-    match."""
-    A, B, top, bottom = system.A, system.B, system.rhs_top, system.rhs_bottom
-    if band is None:
-        A, B = (m if sp.issparse(m) and m.format == "csr" else sp.csr_matrix(m)
-                for m in (A, B))
-        top, bottom = (np.asarray(r, dtype=float).ravel() for r in (top, bottom))
-        band = BandedKKT(A, B)
-    band.factor(A, B)
-    sol = band.apply(np.concatenate([top, bottom]))
-    return sol[:A.shape[0]], sol[A.shape[0]:]
+    its A and B: ``factor``, then ``apply`` to the stacked right-hand
+    sides; returns (x, lam).  Raises ``KKTSingularError`` from either,
+    ``ValueError`` on blocks or sizes that do not match the band."""
+    band.factor(system.A, system.B)
+    sol = band.apply(np.concatenate([system.rhs_top, system.rhs_bottom]))
+    return sol[:system.A.shape[0]], sol[system.A.shape[0]:]
 

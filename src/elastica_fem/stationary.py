@@ -204,8 +204,8 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     residual length.  A step-halving fallback engages only when a full step
     would increase the residual norm.  Each iteration factors the mesh's KKT
     band with its Jacobian, equilibrated by the first.  Returns the solution
-    and a log with the residual norms and the tol used; a failed KKT solve
-    raises ``NewtonError``.
+    and a log with the residual norms and the tol used; a failed KKT solve,
+    or a residual above tol with no free curve DOF, raises ``NewtonError``.
     """
     mesh, dim = p0.u.mesh, p0.u.dim
     p, columns = p0, _pattern(matrices, variant, bc).columns
@@ -218,6 +218,8 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
                                * np.add.reduceat(abs(S.data), S.indptr[:-1]).max()
                                * np.abs(p0.u.dofs).max()
                                * np.sqrt(r_u.size + r_mu.size)))
+    if not r_u.size and norms[0] > tol:     # P fixes every curve DOF
+        raise NewtonError("no free curve DOFs", norms)
 
     band = _jacobian_pattern(matrices, variant, bc)[-1]
     band.rescale()      # by the first Jacobian
@@ -382,10 +384,8 @@ class DiscreteNorms:
 
 def residual_dual_norm(p: SaddlePoint, variant: ConstraintVariant,
                        bc: BoundaryConditions, matrices: SystemMatrices,
-                       norms: Optional[DiscreteNorms] = None) -> float:
-    """Dual norm of the full optimality residual at p."""
-    if norms is None:
-        norms = DiscreteNorms.build(matrices, bc, variant)
+                       norms: DiscreteNorms) -> float:
+    """Dual norm of the full optimality residual at p in ``norms``."""
     r_u, r_mu = residual(p, variant, bc, matrices)
     return float(np.hypot(norms.curve_dual_norm(r_u),
                           norms.multiplier_dual_norm(r_mu)))
@@ -393,10 +393,10 @@ def residual_dual_norm(p: SaddlePoint, variant: ConstraintVariant,
 
 def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
                         bc: BoundaryConditions, matrices: SystemMatrices,
-                        norms: Optional[DiscreteNorms] = None) -> float:
+                        norms: DiscreteNorms) -> float:
     """Smallest eigenvalue alpha of the primal form A on ker B, relative to
-    the H2 Gram G = U^T U: positive values certify discrete kernel
-    coercivity.
+    the H2 Gram G = U^T U of ``norms``: positive values certify discrete
+    kernel coercivity.
 
     A shift sigma below the smallest eigenvalue of the pencil (A, G),
     placed by Lanczos on U^-T A U^-1 and certified by a Cholesky factor of
@@ -405,8 +405,6 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
     solution of [[A - sigma G, B^T], [B, 0]] for (U^T y, 0), the mesh's KKT
     band factored once.  Unshifted, 1/nu would miss a negative alpha.
     """
-    if norms is None:
-        norms = DiscreteNorms.build(matrices, bc, variant)
     A, B = jacobian(p, variant, bc, matrices)
     G, band = _on_band(norms.gram, matrices, variant, bc)
     U, n, tail = norms.gram_factor, A.shape[0], np.zeros(B.shape[0])
@@ -430,18 +428,16 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
 
 def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
                     bc: BoundaryConditions, matrices: SystemMatrices,
-                    norms: Optional[DiscreteNorms] = None) -> float:
+                    norms: DiscreteNorms) -> float:
     """Smallest generalized singular value beta of the constraint block
     under the H2 Gram G on curve DOFs and N = mass H^-1 mass on multiplier
     DOFs (Chapelle & Bathe, "The inf-sup test", Comput. Struct. 47, 1993).
 
     beta^2 = 1/nu, nu the largest eigenvalue of U_H^-T mass W^-1 mass
-    U_H^-1 (H = U_H^T U_H, W = B G^-1 B^T).  W^-1 r is -lam of the solution
-    of [[G, B^T], [B, 0]] for (0, r), the mesh's KKT band factored once;
-    beta is 0 when it is singular.
+    U_H^-1 (H = U_H^T U_H and G from ``norms``, W = B G^-1 B^T).  W^-1 r
+    is -lam of the solution of [[G, B^T], [B, 0]] for (0, r), the mesh's
+    KKT band factored once; beta is 0 when it is singular.
     """
-    if norms is None:
-        norms = DiscreteNorms.build(matrices, bc, variant)
     B = _constraint_block(p, variant, bc, matrices)
     G, band = _on_band(norms.gram, matrices, variant, bc)
     H, F, head = norms.h1_factor, norms.mass_factor, np.zeros(B.shape[1])

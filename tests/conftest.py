@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FunctionOracle,
-                          Mesh1D, QuadraticField, assemble_matrices,
-                          lumped_weights)
+                          Mesh1D, QuadraticField, SaddleSystem,
+                          assemble_matrices, lumped_weights, solve_kkt)
 from elastica_fem.experiments import named_experiment
+from elastica_fem.saddle_solver import BandedKKT
+from elastica_fem.stationary import DiscreteNorms
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +28,21 @@ def oval_spec():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def solve(system):
+    """(x, lam) of ``system`` by ``solve_kkt`` on a band built for its
+    blocks, dense or sparse, as CSR."""
+    A, B = (sp.csr_matrix(block) for block in (system.A, system.B))
+    return solve_kkt(SaddleSystem(A, B, system.rhs_top, system.rhs_bottom),
+                     BandedKKT(A, B))
+
+
+def with_norms(estimate, p, variant, bc, matrices):
+    """A Brezzi ``estimate`` at p on ``DiscreteNorms`` built for its
+    matrices, conditions and variant."""
+    return estimate(p, variant, bc, matrices,
+                    DiscreteNorms.build(matrices, bc, variant))
 
 
 def random_graded_mesh(rng, a=0.0, length=None, max_elements=20):

@@ -23,8 +23,7 @@ import pytest
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           Mesh1D, QuadraticField, SaddleSystem,
-                          assemble_matrices, eoc, h2_error, solve_kkt,
-                          weak_errors)
+                          assemble_matrices, eoc, h2_error, weak_errors)
 from elastica_fem import flow as _flow_mod
 from elastica_fem.experiments import named_experiment, stationarity_check
 from elastica_fem.flow import run as flow_run
@@ -35,7 +34,7 @@ from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
                                      residual_dual_norm)
 from elastica_fem.splines import HermiteCurve
 
-from conftest import fit_rate, lumped_product
+from conftest import fit_rate, lumped_product, solve, with_norms
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -159,7 +158,8 @@ def test_criterion_6_residual_scaling():
             pair = make_interpolant_pair(spec.exact.oracle,
                                          spec.exact.multiplier, mesh, 2,
                                          variant)
-            duals.append(residual_dual_norm(pair, variant, spec.bc, mats))
+            duals.append(with_norms(residual_dual_norm, pair, variant, spec.bc,
+                                    mats))
             hs.append(mesh.h)
         slopes[variant] = fit_rate(duals, hs)
     p2_ok = 1.7 <= slopes[P2] <= 2.3
@@ -292,7 +292,7 @@ def test_criterion_8_property_suites():
         B_mat = rng.normal(size=(m, n))
         b = rng.normal(size=n)
         c = rng.normal(size=m)
-        x, lam = solve_kkt(SaddleSystem(A_mat, B_mat, b, c))
+        x, lam = solve(SaddleSystem(A_mat, B_mat, b, c))
         # lam = (B A^-1 B^T)^-1 (B A^-1 b - c), x = A^-1 b - A^-1 B^T lam
         Ainv_b = np.linalg.solve(A_mat, b)
         Ainv_Bt = np.linalg.solve(A_mat, B_mat.T)

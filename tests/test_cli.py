@@ -423,8 +423,7 @@ class TestConsoleEntry:
 class TestSmallestMeshes:
     """Every subcommand on one and two elements, in process."""
 
-    REASONS = ("the multiplier space is empty", "no free curve DOFs",
-               "KKT solve failed")
+    REASONS = ("the multiplier space is empty", "no free curve DOFs")
 
     @pytest.mark.parametrize("constraint", ["p1", "p2"])
     @pytest.mark.parametrize("name", ["circle", "helix", "oval-h2"])
@@ -451,3 +450,23 @@ class TestSmallestMeshes:
         assert console_main(["diagnostics", "helix", "-M", "1",
                              "--output-dir", str(tmp_path)]) == 1
         assert "brezzi: no free curve DOFs newton:" in capsys.readouterr().err
+
+    def test_newton_without_free_curve_dofs(self, tmp_path, capsys):
+        # both ends of helix's one element are clamped: Newton has no curve
+        # DOF to move, and stops before it factors the 1x1 zero KKT matrix
+        assert console_main(["diagnostics", "helix", "-M", "1",
+                             "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.rstrip().endswith(
+            "brezzi: no free curve DOFs newton: no free curve DOFs")
+
+    @pytest.mark.parametrize("flow_variant", ["l2", "h2"])
+    def test_j2_flow_names_vanishing_midpoint_row(self, flow_variant,
+                                                   tmp_path, capsys):
+        assert console_main(["run", "circle", "--initializer", "j2",
+                             "--flow", flow_variant, "-M", "2", "--T", "0.1",
+                             "--output-dir", str(tmp_path)]) == 1
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("FAILED cell")]
+        assert len(failed) == 2 and all(line.endswith(
+            "KKT matrix numerically singular; u' vanishes at the midpoint "
+            "of element 0, 1, so its constraint row is 0") for line in failed)

@@ -17,6 +17,8 @@ from elastica_fem.experiments import (circle_initial, named_experiment,
                                       oval_initial)
 from elastica_fem.flow import StepStructure, tangent_frames
 
+from conftest import solve
+
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
 
@@ -66,7 +68,7 @@ class TestStep:
         mats = assemble_matrices(mesh, 2)
         cfg = FlowConfig(tau=0.1, T=0.1, constraint=P2, bc=circle_bc())
         state = init_state(circle_initial(), mesh, 2, P2, "j3", mats)
-        new = step(state, cfg, mats)
+        new = step(state, StepStructure.build(cfg, mats))
         assert new.last_velocity_norm <= 1e-9
         assert_allclose(new.curve.dofs, state.curve.dofs, atol=1e-9)
 
@@ -75,14 +77,16 @@ class TestStep:
         mats = assemble_matrices(mesh, 2)
         cfg = FlowConfig(tau=0.1, T=0.1, constraint=P1, bc=circle_bc())
         state = init_state(circle_initial(), mesh, 2, P1, "j2", mats)
-        assert step(state, cfg, mats).last_velocity_norm <= 1e-9
+        new = step(state, StepStructure.build(cfg, mats))
+        assert new.last_velocity_norm <= 1e-9
 
     def test_p1_from_j3_moves(self):
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 20)
         mats = assemble_matrices(mesh, 2)
         cfg = FlowConfig(tau=0.1, T=0.1, constraint=P1, bc=circle_bc())
         state = init_state(circle_initial(), mesh, 2, P1, "j3", mats)
-        assert step(state, cfg, mats).last_velocity_norm >= 1e-3
+        new = step(state, StepStructure.build(cfg, mats))
+        assert new.last_velocity_norm >= 1e-3
 
     def test_oval_first_step_decreases_energy(self):
         spec_bc = BoundaryConditions(value_a=(1.0, 0.0), deriv_a=(0.0, 1.0),
@@ -91,7 +95,7 @@ class TestStep:
         mats = assemble_matrices(mesh, 2)
         cfg = FlowConfig(tau=0.05, T=0.05, constraint=P2, bc=spec_bc)
         state = init_state(oval_initial(), mesh, 2, P2, "j3", mats)
-        new = step(state, cfg, mats)
+        new = step(state, StepStructure.build(cfg, mats))
         assert new.energy < state.energy
         # energy decrease dominated by the velocity term
         tau = cfg.tau
@@ -108,7 +112,7 @@ class TestStep:
         state = init_state(oval_initial(), mesh, 2, P2, "j3", mats)
         assert np.array_equal(state.bending_load,
                               mats.apply_bending(state.curve.dofs))
-        new = step(state, cfg, mats)
+        new = step(state, StepStructure.build(cfg, mats))
         assert np.array_equal(new.bending_load,
                               mats.apply_bending(new.curve.dofs))
         assert np.array_equal(new.tangents,
@@ -118,6 +122,38 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("variant", ["l2", "h2"])
+    @pytest.mark.parametrize("name, M, elements", [
+        ("circle", 2, "0, 1"), ("oval-h2", 2, "0, 1"), ("oval-h2", 3, "0"),
+        ("oval-h2", 4, "0, 2")])
+    def test_j2_failure_names_vanishing_midpoint_rows(self, name, M,
+                                                      elements, variant):
+        # J2's derivative is linear on an element, so at a midpoint it is
+        # the mean of the two node tangents, here opposite: the midpoint
+        # row of the P2 constraint is 0 and the KKT matrix singular
+        spec = named_experiment(name)
+        cfg = FlowConfig(tau=0.05, T=0.05, variant=variant, constraint=P2,
+                         bc=spec.bc)
+        with pytest.raises(FlowSolveError) as info:
+            run(cfg, Mesh1D.uniform(*spec.interval, M), spec.z0, spec.dim,
+                initializer="j2")
+        assert str(info.value) == (
+            "saddle solve failed at flow step 0: KKT matrix numerically "
+            f"singular; u' vanishes at the midpoint of element {elements}, "
+            "so its constraint row is 0")
+
+    @pytest.mark.parametrize("variant", [P1, P2])
+    def test_failure_with_midpoint_tangents_names_none(self, monkeypatch,
+                                                        variant):
+        # the node tangents of P1 and the midpoint tangents of J3 are unit
+        def failing(system, band):
+            raise KKTSingularError("forced", 1)
+        monkeypatch.setattr(flow, "solve_kkt", failing)
+        cfg = FlowConfig(tau=0.1, T=0.1, constraint=variant, bc=circle_bc())
+        with pytest.raises(FlowSolveError) as info:
+            run(cfg, Mesh1D.uniform(0.0, 2.0 * np.pi, 2), circle_initial(), 2)
+        assert str(info.value) == "saddle solve failed at flow step 0: forced"
+
     def test_zero_horizon_returns_initial(self):
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 6)
         cfg = FlowConfig(tau=0.1, T=0.0, constraint=P2, bc=circle_bc())
@@ -267,11 +303,11 @@ class TestTangentFrames:
         solved = []
         real = flow.solve_kkt
 
-        def spy(system, band=None):
+        def spy(system, band):
             solved.append(real(system, band=band)[0])
             return solved[-1].copy(), None
         monkeypatch.setattr(flow, "solve_kkt", spy)
-        new = step(state, cfg, mats, structure)
+        new = step(state, structure)
         nodes = structure.pattern.rows
         nodes = nodes[nodes * variant.stride % 2 == 0]
         deriv = (nodes * variant.stride + 1)[:, None] * spec.dim \
@@ -303,12 +339,12 @@ class TestStepStructure:
             # pivot test rejects them with the same diagnosis for the
             # structure's band as for one built for the call
             with pytest.raises(KKTSingularError) as info:
-                solve_kkt(system)
+                solve(system)
             assert info.value.deficiency == exc.deficiency >= 1
             return
         x, lam = solve_kkt(system, band=structure.band)
         assert np.array_equal(np.concatenate([x, lam]), banded)
-        assert np.array_equal(np.concatenate(solve_kkt(system)), banded)
+        assert np.array_equal(np.concatenate(solve(system)), banded)
         reference = _refined_dense_solution(system)
         assert np.linalg.norm(banded - reference) \
             <= 1e-12 * np.linalg.norm(reference)
@@ -373,7 +409,7 @@ class TestStepStructure:
                                 deriv_b=(0.0, 1.0))
         cfg = FlowConfig(tau=0.05, T=0.05, variant="h2", constraint=P2, bc=bc)
         state = init_state(oval_initial(), mesh, 2, P2, "j3", mats)
-        alone = step(state, cfg, mats)
+        alone = step(state, StepStructure.build(cfg, mats))
         first, _ = run(cfg, mesh, oval_initial(), 2, matrices=mats)
         assert first.n == alone.n == 1
         assert np.array_equal(alone.curve.dofs, first.curve.dofs)
@@ -519,14 +555,14 @@ def _reference_run(cfg, mesh, spec, mats):
         tangents.data = t.ravel()[pattern.tangent]
         B_rot = ((tangents @ Q).multiply(coef) @ T)[midpoints]
         f = P.T @ -mats.apply_bending(Z.dofs)
-        w, _ = solve_kkt(SaddleSystem(
+        w, _ = solve(SaddleSystem(
             _on_pattern(G, structure.system.A),
             _on_pattern(B_rot, structure.system.B),
             T @ (Q.T @ f), np.zeros(midpoints.size)))
         v_r = Q @ w
         v = P @ v_r
-        unrotated = P @ solve_kkt(SaddleSystem(A, rows, f,
-                                               np.zeros(rows.shape[0])))[0]
+        unrotated = P @ solve(SaddleSystem(A, rows, f,
+                                           np.zeros(rows.shape[0])))[0]
         worst = max(worst, np.abs(v - unrotated).max()
                     / max(np.abs(unrotated).max(), 1.0))
         dofs = Z.dofs + tau * v

@@ -5,7 +5,9 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from numpy.testing import assert_allclose
 
-from elastica_fem import KKTSingularError, SaddleSystem, saddle_solver, solve_kkt
+from elastica_fem import KKTSingularError, SaddleSystem, saddle_solver
+
+from conftest import solve
 
 
 def kkt_residual(system, x, lam):
@@ -35,7 +37,7 @@ def random_system(rng, n, m, rhs_bottom_zero=False):
 def test_hand_example():
     sys = SaddleSystem(np.eye(2), np.array([[1.0, 0.0]]),
                        np.array([1.0, 1.0]), np.zeros(1))
-    x, lam = solve_kkt(sys)
+    x, lam = solve(sys)
     assert_allclose(x, [0.0, 1.0], atol=1e-14)
     assert_allclose(lam, [1.0], atol=1e-14)
 
@@ -45,7 +47,7 @@ def test_empty_constraint_block():
     A = np.diag(rng.uniform(1.0, 2.0, 5))
     b = rng.normal(size=5)
     sys = SaddleSystem(A, np.zeros((0, 5)), b, np.zeros(0))
-    x, lam = solve_kkt(sys)
+    x, lam = solve(sys)
     assert_allclose(x, b / np.diag(A), rtol=1e-13)
     assert lam.size == 0
 
@@ -53,7 +55,7 @@ def test_empty_constraint_block():
 def test_against_schur_oracle(rng):
     for _ in range(25):
         sys = random_system(rng, 20, 5)
-        x, lam = solve_kkt(sys)
+        x, lam = solve(sys)
         x_o, lam_o = dense_schur_oracle(sys.A.toarray(), sys.B.toarray(),
                                         sys.rhs_top, sys.rhs_bottom)
         assert np.linalg.norm(x - x_o) <= 1e-8 * (1.0 + np.linalg.norm(x_o))
@@ -63,7 +65,7 @@ def test_against_schur_oracle(rng):
 def test_schur_equivalence_up_to_n200(rng):
     for n, m in ((50, 12), (120, 40), (200, 60)):
         sys = random_system(rng, n, m)
-        x, lam = solve_kkt(sys)
+        x, lam = solve(sys)
         x_o, lam_o = dense_schur_oracle(sys.A.toarray(), sys.B.toarray(),
                                         sys.rhs_top, sys.rhs_bottom)
         rel = np.linalg.norm(x - x_o) / (1.0 + np.linalg.norm(x_o))
@@ -73,7 +75,7 @@ def test_schur_equivalence_up_to_n200(rng):
 def test_residual_tolerance(rng):
     for _ in range(10):
         sys = random_system(rng, 30, 8)
-        x, lam = solve_kkt(sys)
+        x, lam = solve(sys)
         top, bottom = kkt_residual(sys, x, lam)
         rhs_norm = np.hypot(np.linalg.norm(sys.rhs_top),
                             np.linalg.norm(sys.rhs_bottom))
@@ -84,7 +86,7 @@ def test_residual_tolerance(rng):
 
 def test_kkt_residual_perturbation(rng):
     sys = random_system(rng, 15, 4)
-    x, lam = solve_kkt(sys)
+    x, lam = solve(sys)
     delta = rng.normal(size=15) * 1e-3
     top, _ = kkt_residual(sys, x + delta, lam)
     assert top == pytest.approx(np.linalg.norm(sys.A @ delta), rel=1e-6)
@@ -129,7 +131,7 @@ def test_band_holds_the_block_matrix(rng, monkeypatch):
         expected[2 * bw + K.row - K.col, K.col] = K.data * (d[K.row]
                                                             * d[K.col])
         assert np.array_equal(ab[bw:], expected[bw:])
-        x, lam = solve_kkt(system)
+        x, lam = solve(system)
         norm_k = np.sqrt(np.linalg.norm(system.A.data) ** 2
                          + 2.0 * np.linalg.norm(system.B.data) ** 2)
         rhs = np.concatenate([system.rhs_top, system.rhs_bottom])
@@ -152,7 +154,7 @@ def test_singular_detection():
     A = np.eye(4)
     B = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])  # duplicate row
     with pytest.raises(KKTSingularError) as info:
-        solve_kkt(SaddleSystem(A, B, rng.normal(size=4), rng.normal(size=2)))
+        solve(SaddleSystem(A, B, rng.normal(size=4), rng.normal(size=2)))
     assert info.value.deficiency >= 1
 
 
@@ -171,7 +173,7 @@ def test_large_singular_kkt_skips_svd(monkeypatch):
         B = np.zeros((2, n))
         B[:, 0] = 1.0                             # duplicate row
         with pytest.raises(KKTSingularError) as info:
-            solve_kkt(SaddleSystem(sp.eye(n), B, rng.normal(size=n),
+            solve(SaddleSystem(sp.eye(n), B, rng.normal(size=n),
                                    rng.normal(size=2)))
         assert info.value.deficiency >= 1
     assert calls == []
@@ -179,10 +181,10 @@ def test_large_singular_kkt_skips_svd(monkeypatch):
 
 def test_shape_validation():
     with pytest.raises(ValueError, match="block shapes"):
-        solve_kkt(SaddleSystem(np.eye(3), np.ones((2, 4)), np.ones(3),
+        solve(SaddleSystem(np.eye(3), np.ones((2, 4)), np.ones(3),
                                np.ones(2)))
     with pytest.raises(ValueError, match="right-hand side"):
-        solve_kkt(SaddleSystem(np.eye(3), np.eye(2, 3), np.ones(3),
+        solve(SaddleSystem(np.eye(3), np.eye(2, 3), np.ones(3),
                                np.ones(1)))
 
 
@@ -194,6 +196,6 @@ def test_one_factor_serves_many_right_hand_sides(rng):
     band.factor(system.A, system.B)
     for _ in range(3):
         rhs = rng.normal(size=38)
-        sol = solve_kkt(SaddleSystem(system.A, system.B, rhs[:30],
+        sol = solve(SaddleSystem(system.A, system.B, rhs[:30],
                                      rhs[30:]))
         assert np.array_equal(band.apply(rhs), np.concatenate(sol))

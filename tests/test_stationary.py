@@ -19,7 +19,7 @@ from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
                                      make_interpolant_pair, newton_solve,
                                      residual, residual_dual_norm)
 
-from conftest import fit_rate
+from conftest import fit_rate, with_norms
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -59,8 +59,8 @@ class TestResidual:
                 pair = make_interpolant_pair(
                     circle_spec.exact.oracle, circle_spec.exact.multiplier,
                     mesh, 2, variant)
-                duals.append(residual_dual_norm(pair, variant,
-                                                circle_spec.bc, mats))
+                duals.append(with_norms(residual_dual_norm, pair, variant,
+                                        circle_spec.bc, mats))
                 hs.append(mesh.h)
             slopes[variant] = fit_rate(duals, hs)
         assert slopes[P2] >= 1.7
@@ -320,9 +320,32 @@ class TestNewton:
         mats = assemble_matrices(mesh, 2)
         pair = make_interpolant_pair(circle_spec.exact.oracle,
                                      circle_spec.exact.multiplier, mesh, 2, P2)
-        infsup_estimate(pair, P2, circle_spec.bc, mats)     # builds the band
+        with_norms(infsup_estimate, pair, P2, circle_spec.bc,
+                   mats)     # builds the band
         _, log = newton_solve(pair, P2, circle_spec.bc, mats)
         assert log["iterations"] == 4
+
+    def test_no_free_curve_dofs_raises_before_any_factor(self, helix_spec,
+                                                          monkeypatch):
+        # helix clamps both ends of its one element: P has no column, and
+        # the KKT matrix would be the 1x1 zero of the midpoint multiplier
+        factored = []
+        monkeypatch.setattr(saddle_solver.BandedKKT, "factor",
+                            lambda band, *args: factored.append(band))
+        mesh = Mesh1D.uniform(*helix_spec.interval, 1)
+        mats = assemble_matrices(mesh, 3)
+        pair = make_interpolant_pair(helix_spec.exact.oracle,
+                                     helix_spec.exact.multiplier, mesh, 3, P2)
+        r_u, r_mu = residual(pair, P2, helix_spec.bc, mats)
+        assert r_u.size == 0 and np.abs(r_mu).max() > 0.0
+        with pytest.raises(NewtonError, match="^no free curve DOFs$") as info:
+            newton_solve(pair, P2, helix_spec.bc, mats)
+        assert info.value.residual_norms == [float(np.abs(r_mu).max())]
+        # a residual within tol is a solution, as with free DOFs
+        _, log = newton_solve(pair, P2, helix_spec.bc, mats,
+                              tol=info.value.residual_norms[0])
+        assert log["iterations"] == 0 and log["converged"]
+        assert factored == []
 
     @pytest.mark.parametrize("variant", [P1, P2])
     def test_singular_jacobian_raises_newton_error(self, circle_spec,
@@ -378,7 +401,8 @@ class TestBrezziDiagnostics:
         # coercive on its kernel under clamped conditions
         pair, mesh = straight_pair(variant=P1)
         mats = assemble_matrices(mesh, 2)
-        alpha = coercivity_estimate(pair, P1, clamped_segment_bc(), mats)
+        alpha = with_norms(coercivity_estimate, pair, P1, clamped_segment_bc(),
+                           mats)
         assert alpha > 0.0
 
     def test_straight_segment_p2_rank_deficient(self):
@@ -388,7 +412,8 @@ class TestBrezziDiagnostics:
         pair, mesh = straight_pair()
         mats = assemble_matrices(mesh, 2)
         with pytest.raises(ValueError, match="rank deficient"):
-            coercivity_estimate(pair, P2, clamped_segment_bc(), mats)
+            with_norms(coercivity_estimate, pair, P2, clamped_segment_bc(),
+                       mats)
 
     def test_circle_alpha_beta_stable(self, circle_spec):
         alphas, betas = [], []
@@ -413,8 +438,9 @@ class TestBrezziDiagnostics:
             pair = make_interpolant_pair(circle_spec.exact.oracle,
                                          circle_spec.exact.multiplier,
                                          mesh, 2, variant)
-            assert infsup_estimate(pair, variant, circle_spec.bc, mats) > 0.0
-            assert coercivity_estimate(pair, variant, circle_spec.bc, mats) > 0.0
+            for estimate in (infsup_estimate, coercivity_estimate):
+                assert with_norms(estimate, pair, variant, circle_spec.bc,
+                                  mats) > 0.0
 
     def test_degenerate_tangent_detected(self, circle_spec):
         # a vanishing tangent at one interior node zeroes that constraint
@@ -428,10 +454,10 @@ class TestBrezziDiagnostics:
         derivs[3] = 0.0
         broken = SaddlePoint(HermiteCurve(mesh, 2, pair.u.values, derivs),
                              pair.lam)
-        assert infsup_estimate(broken, P2, circle_spec.bc, mats) \
+        assert with_norms(infsup_estimate, broken, P2, circle_spec.bc, mats) \
             == pytest.approx(0.0, abs=1e-6)
         with pytest.raises(ValueError, match="rank deficient"):
-            coercivity_estimate(broken, P2, circle_spec.bc, mats)
+            with_norms(coercivity_estimate, broken, P2, circle_spec.bc, mats)
 
     def test_periodic_rejected(self, circle_spec):
         pair, mesh = straight_pair()
@@ -528,12 +554,14 @@ class TestBandedBrezziAgainstDense:
         args = scaled_pair(name, M, variant, scale)
         expect = dense_brezzi(*args)[1]
         assert expect < 0.0
-        assert coercivity_estimate(*args) == pytest.approx(expect, rel=1e-6)
+        assert with_norms(coercivity_estimate, *args) \
+            == pytest.approx(expect, rel=1e-6)
 
     @pytest.mark.parametrize("scale,expect", [(10.0, -2.14621),
                                               (30.0, -7.27517)])
     def test_indefinite_circle_value(self, scale, expect):
-        alpha = coercivity_estimate(*scaled_pair("circle", 20, P2, scale))
+        alpha = with_norms(coercivity_estimate,
+                           *scaled_pair("circle", 20, P2, scale))
         assert round(alpha, 5) == expect
 
     @pytest.mark.parametrize("name", ["circle", "helix"])
@@ -555,8 +583,8 @@ class TestBandedBrezziAgainstDense:
 
         monkeypatch.setattr(saddle_solver.BandedKKT, "factor", spy)
         args = scaled_pair("helix", 40, P2)
-        coercivity_estimate(*args)
-        infsup_estimate(*args)
+        with_norms(coercivity_estimate, *args)
+        with_norms(infsup_estimate, *args)
         assert len(calls) == 2 and calls[0] is calls[1]
 
     @pytest.mark.parametrize("M", [10, 40, 160])

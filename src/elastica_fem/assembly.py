@@ -32,10 +32,10 @@ def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
     relative, of their rational entries.
 
     They only build the CSR matrices, unsymmetrized; ``assemble_matrices``
-    casts them to float64, symmetrizes their sum and drops its exact zeros.
-    In longdouble, entries that are 0 in exact arithmetic round to exact
-    zeros, which keeps them out of the CSR pattern (bending at M=5, d=1:
-    56 nonzeros, 64 if built in float64)."""
+    casts them to float64 and symmetrizes their sum.  In longdouble, entries
+    that are 0 in exact arithmetic round to exact zeros (bending on the
+    circle at M=5, d=1: 8 of the 64 entries the elements couple, none if
+    built in float64); the CSR pattern keeps them, as zeros."""
     h = mesh.element_lengths.astype(np.longdouble)
     scale = np.where([False, True, False, True], h[:, None], 1.0)
     blocks = _REFERENCE_GRAMS[order] * scale[:, :, None] * scale[:, None, :]
@@ -157,8 +157,8 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
 
     The float64 element blocks of the three orders, stacked, are summed
     into 7-diagonal scalar bands A (band[i, k] = A[i, i + k - 3]) and
-    symmetrized as 0.5 (A + A^T); ``_band_csr`` expands mass and bending,
-    bit for bit COO assembly, 0.5 (A + A^T) and the Kronecker product with I."""
+    symmetrized as 0.5 (A + A^T); ``_band_csr`` expands mass and bending:
+    COO assembly, 0.5 (A + A^T) and (x) I bit for bit, exact zeros kept."""
     n, m = 2 * mesh.nodes.size, mesh.num_elements
     blk = np.stack([_element_blocks(mesh, o) for o in range(3)]).astype(float)
     band = np.zeros((3, n + 6, 7))                     # 3 zero rows each side
@@ -174,20 +174,22 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
 
 
 def _band_csr(bands: np.ndarray, dim: int):
-    """CSR of bands[b, i, k] = A_b[i, i+k-3] at (dim*i+c, dim*j+c), no 0s."""
+    """CSR of bands[b, i, k] = A_b[i, i+k-3] (x) I_dim on every entry that
+    an element couples, zero or not: row i's columns 2 (i//2) - 2 + t, t < 6,
+    within the matrix (4 in the first and last two rows).  One pattern."""
     n = bands.shape[1]
-    keep = np.repeat((bands != 0)[:, :, None, :], dim, axis=2)
-    data = np.repeat(bands[:, :, None, :], dim, axis=2)
-    cols = dim * (np.arange(n)[:, None, None] + np.arange(-3, 4)) \
-        + np.arange(dim)[:, None]                      # (n, dim, 7)
-    return [_csr(d[k], cols[k], np.append(0, np.cumsum(k.sum(axis=2))),
-                 (dim * n, dim * n)) for d, k in zip(data, keep)]
+    i = np.arange(n)[:, None, None]
+    j = np.repeat(i // 2 * 2 - 2 + np.arange(6), dim, axis=1)    # (n, dim, 6)
+    keep, lengths = (j >= 0) & (j < n), np.where((i < 2) | (i >= n - 2), 4, 6)
+    indptr = np.append(0, np.cumsum(np.repeat(lengths, dim)))
+    at, cols = (6 * i + j + 3)[keep], (dim * j + np.arange(dim)[:, None])[keep]
+    return [_csr(b.ravel()[at], cols, indptr, (dim * n,) * 2) for b in bands]
 
 
 def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
     """(indptr, indices, slot) of entries (rows, cols) as ``np.unique(rows *
-    shape[1] + cols, return_inverse=True)`` gives them; entries that arrive
-    in CSR order already, as every set-up structure's do, skip the sort."""
+    shape[1] + cols, return_inverse=True)`` gives them; entries in CSR order
+    already (all but those periodic ends tie) skip the sort."""
     key = rows * shape[1] + cols
     if np.all(key[1:] > key[:-1]):
         return (np.searchsorted(rows, np.arange(shape[0] + 1)), cols,
@@ -359,7 +361,7 @@ class ConstraintPattern:
     def restrict(self, A: sp.csr_matrix, dim: int = 1) -> sp.csr_matrix:
         """P^T A P in canonical CSR form, and A's diagonal entry in each empty
         column of a square P; entries that cancel stay as explicit zeros, so
-        A's pattern (no zeros) sets the result's; ties sum in A's order.
+        A's pattern alone sets the result's; ties sum in A's order.
         With ``dim``, A is the scalar matrix of a (x) I_dim, and so is the
         result."""
         k, c = self.restriction.shape[1] // dim, self.columns[::dim] // dim

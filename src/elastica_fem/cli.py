@@ -1,12 +1,12 @@
 """Command-line interface: run experiments, stationarity checks, saddle-point
 diagnostics, and interpolation studies.
 
-`run` takes an experiment name or --config FILE, not both; a flag given
-with --config overrides the file's key.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error (a mesh size below 1, tau <= 0, T < 0, a negative
---snapshot-stride and a positive one with --flow newton among them).  The
-output directory is --output-dir, else the ELASTICA_FEM_OUTPUT_DIR
-variable, else the current directory.
+`run` takes an experiment name or --config FILE, not both; a flag given with
+--config overrides the file's key.  Exit codes: 0 success, 1 numerical failure,
+2 usage error (a mesh size below 1, tau not in (0, inf), T not in [0, inf) or
+not a whole number of steps, a negative --snapshot-stride and a positive one
+with --flow newton among them).  The output directory is --output-dir, else the
+ELASTICA_FEM_OUTPUT_DIR variable, else the current directory.
 """
 
 from __future__ import annotations

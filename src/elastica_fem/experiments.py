@@ -138,16 +138,14 @@ class ExperimentSpec:
                 raise ValueError(f"unknown norm: {n!r}")
         if min(self.mesh_sizes, default=0) < 1:
             raise ValueError("need one or more mesh sizes, each >= 1")
-        if min(self.taus, default=1.0) <= 0.0:
-            raise ValueError("time steps tau must be positive")
         if self.flow_variant != "newton" and not self.taus:
             raise ValueError("a flow needs at least one time step tau")
         # a table needs one row per mesh size and one column per tau=%g label
         for items in (self.mesh_sizes, self.norms, [f"{tau:g}" for tau in self.taus]):
             if len(set(items)) < len(items):
                 raise ValueError(f"repeated entries in {items}")
-        if self.T < 0.0:
-            raise ValueError("end time T must be non-negative")
+        for tau in self.taus:
+            flow_mod.FlowConfig(tau, self.T)    # as a flow checks them
 
     def override(self, **kwargs) -> "ExperimentSpec":
         return replace(self, **kwargs)

@@ -54,16 +54,18 @@ class FlowConfig:
     bc: BoundaryConditions = field(default_factory=BoundaryConditions.free)
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("time step must be positive")
-        if self.T < 0.0:
-            raise ValueError("final time must be nonnegative")
+        if not (0.0 < self.tau < np.inf and 0.0 <= self.T < np.inf):
+            raise ValueError("need tau in (0, inf) and T in [0, inf), got "
+                             f"tau = {self.tau:g}, T = {self.T:g}")
+        steps = self.T / self.tau
+        if not (steps < np.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(f"T/tau = {steps:g} is not a whole number")
         if self.variant not in ("l2", "h2"):
             raise ValueError(f"unknown flow variant: {self.variant!r}")
 
     @property
     def num_steps(self) -> int:
-        # t_n = n*tau only fills [0, T] exactly for divisors; round otherwise
+        # T is a whole number of steps up to rounding (__post_init__)
         return int(round(self.T / self.tau))
 
 

@@ -84,7 +84,7 @@ class BandedKKT:
     In 1D every constraint row touches the DOFs of one element.  Ordering
     the unknowns along the curve, with each multiplier at the middle of its
     row's column range, keeps the half-bandwidth small and independent of
-    M (Newton: 8-9 for d=2, 11-12 for d=3; the rotated flow: 5-6 and 9-10).
+    M (Newton: 8-9 for d=2, 11-13 for d=3; the rotated flow: 5-6 and 9-10).
     Periodic ends, and systems with no such structure, take the reverse
     Cuthill-McKee order of K's pattern when it is narrower.  An unknown on
     an uncoupled row (A's diagonal only, in no row of B: a fixed DOF, a
@@ -167,11 +167,8 @@ class BandedKKT:
         """Take d from the next A factored, as after construction."""
         self._scale = None
 
-    def factor(self, A: sp.csr_matrix, B: sp.csr_matrix) -> None:
-        """Factor the band of A and B, which have the patterns given at
-        construction, for the ``apply`` calls that follow.  Raises
-        ``KKTSingularError`` when a pivot of the scaled band is at most
-        _PIVOT_TOL times the largest."""
+    def check(self, A: sp.csr_matrix, B: sp.csr_matrix) -> None:
+        """Raise ``ValueError`` unless A and B have the band's patterns."""
         # flow and Newton pass the index arrays the band was built from;
         # identity settles those without comparing them (a few us each,
         # several percent of a small flow step)
@@ -179,6 +176,12 @@ class BandedKKT:
                    for given, built in zip((A.indptr, A.indices, B.indptr,
                                             B.indices), self._patterns)):
             raise ValueError("KKT blocks do not match the band pattern")
+
+    def factor(self, A: sp.csr_matrix, B: sp.csr_matrix) -> None:
+        """Factor the band of A and B, of the patterns given at construction
+        (``check``), for the ``apply`` calls that follow.  Raises
+        ``KKTSingularError`` at a scaled pivot <= _PIVOT_TOL x the largest."""
+        self.check(A, B)
         bw, self._factors = self.bandwidth, None   # the band is overwritten
         if self._scale is None:
             a = np.abs(A.diagonal())

@@ -23,7 +23,7 @@ from scipy.linalg import blas, lapack
 
 from . import saddle_solver
 from .assembly import (TARGETS, BoundaryConditions, ConstraintPattern,
-                       SystemMatrices, _csr, constraint_pattern, csr_pattern)
+                       SystemMatrices, constraint_pattern)
 from .mesh import ConstraintVariant, Mesh1D
 from .saddle_solver import BandedKKT, KKTSingularError, SaddleSystem
 from .splines import (_CONSTRAINT_GRAMS, FunctionOracle, HermiteCurve,
@@ -92,50 +92,34 @@ def _pattern(matrices: SystemMatrices, variant: ConstraintVariant,
 
 def _jacobian_pattern(matrices: SystemMatrices, variant: ConstraintVariant,
                       bc: BoundaryConditions):
-    """(template, slot, row, coef, band), cached under the constraint
-    pattern: the union of the entries of A = P^T (S + D^T diag(w) D) P and
-    of the H2 Gram, and the one ``BandedKKT`` on it.  A's data is the
-    bincount over ``slot`` of W[row] * coef, W = (w, 1), of w_r (D_ri D_rj)
-    for each pair (i, j) of entries in a row r of D, then S's entries and
-    the Gram's that S lacks, of weight 1 and 0.  Each term has its place
-    whatever w is; (i, j) and (j, i) sum equal terms in one order: A is
-    symmetric."""
+    """(S, slot, row, coef, band), cached under the constraint pattern: S =
+    P^T S P, whose pattern, set by the elements, is that of every restricted
+    matrix of the mesh (A = P^T (S + D^T diag(w) D) P and the H2 Gram among
+    them), and the one ``BandedKKT`` on it.  A's data is S's plus the
+    bincount over ``slot`` of w[row] * coef, w_r (D_ri D_rj) for each pair
+    (i, j) of entries in a row r of D.  Each term has its place whatever w
+    is; (i, j) and (j, i) sum equal terms in one order: A is symmetric."""
     pattern = _pattern(matrices, variant, bc)
 
     def build():
-        D, S, c = matrices.derivative_map(variant), matrices.bending, pattern.columns
-        k, dim, b = pattern.restriction.shape[1], matrices.dim, matrices.bands
+        D, c = matrices.derivative_map(variant), pattern.columns
+        S = pattern.restrict(matrices.bending)
         lo, hi = D.indptr[:-1, None], D.indptr[1:, None]
         entry = lo + np.arange((hi - lo).max())
         both = (entry < hi)[:, :, None] & (entry < hi)[:, None, :]
         e, f, r = (np.broadcast_to(x, both.shape)[both] for x in (
             entry[:, :, None], entry[:, None, :],
             np.arange(D.shape[0])[:, None, None]))
-        # the Gram P^T (M + G1 + S) P sums the scalar bands: its entries are
-        # S's and the band entries (i, i + j - 3) that S lacks
-        i, j = np.nonzero((b[0] + b[1] + b[2] != 0) & (b[2] == 0))
-        gi, gj = ((dim * x[:, None] + np.arange(dim)).ravel() for x in (i, i + j - 3))
-        rows = c[np.concatenate([D.indices[e], np.repeat(
-            np.arange(S.shape[0]), np.diff(S.indptr)), gi])]
-        cols = c[np.concatenate([D.indices[f], S.indices, gj])]
-        kept = (rows < k) & (cols < k)
-        indptr, indices, slot = csr_pattern(rows[kept], cols[kept], (k, k))
-        template = _csr(np.zeros(indices.size), indices, indptr, (k, k))
-        return (template, slot, np.append(r, np.full(S.nnz + gi.size, D.shape[0]))[kept],
-                np.concatenate([D.data[e] * D.data[f], S.data, np.zeros(gi.size)])[kept],
-                BandedKKT(template, pattern.template))
+        rows, cols, k = c[D.indices[e]], c[D.indices[f]], S.shape[0]
+        kept = np.maximum(rows, cols) < k
+        keys = np.repeat(np.arange(k), np.diff(S.indptr)) * k + S.indices
+        terms = rows[kept] * k + cols[kept]
+        slot = np.searchsorted(keys, terms)
+        if not np.array_equal(np.append(keys, -1)[slot], terms):
+            raise ValueError("a Jacobian term lies off the elements' pattern")
+        return (S, slot, r[kept], (D.data[e] * D.data[f])[kept],
+                BandedKKT(S, pattern.template))
     return matrices.cached(pattern, build)
-
-
-def _on_band(G: sp.csr_matrix, matrices: SystemMatrices,
-             variant: ConstraintVariant, bc: BoundaryConditions):
-    """(G on the mesh's KKT band pattern, which holds its entries; the band)."""
-    template, *_, band = _jacobian_pattern(matrices, variant, bc)
-    keys = [np.repeat(np.arange(X.shape[0]), np.diff(X.indptr)) * X.shape[1]
-            + X.indices for X in (template, G)]
-    on_band = copy.copy(template)
-    on_band.data = np.bincount(np.searchsorted(*keys), G.data, template.nnz)
-    return on_band, band
 
 
 def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
@@ -174,11 +158,11 @@ def jacobian(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     DOFs, on the same index arrays at every p: A is the bending form plus
     the lumped multiplier term (``_jacobian_pattern``), B is
     ``_constraint_block``."""
-    template, slot, row, coef, _ = _jacobian_pattern(matrices, variant, bc)
+    S, slot, row, coef, _ = _jacobian_pattern(matrices, variant, bc)
     w = np.repeat(_weights(matrices, variant)
                   * _multiplier_nodes(p, variant), p.u.dim)
-    A = copy.copy(template)     # shares the index arrays, as ``fill`` does
-    A.data = np.bincount(slot, np.append(w, 1.0)[row] * coef, template.nnz)
+    A = copy.copy(S)     # shares the index arrays, as ``fill`` does
+    A.data = np.bincount(slot, w[row] * coef, S.nnz) + S.data
     return A, _constraint_block(p, variant, bc, matrices)
 
 
@@ -406,7 +390,8 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
     band factored once.  Unshifted, 1/nu would miss a negative alpha.
     """
     A, B = jacobian(p, variant, bc, matrices)
-    G, band = _on_band(norms.gram, matrices, variant, bc)
+    G, band = norms.gram, _jacobian_pattern(matrices, variant, bc)[-1]
+    band.check(G, B)        # G on the band's pattern, before any use
     U, n, tail = norms.gram_factor, A.shape[0], np.zeros(B.shape[0])
     lowest = _extreme_eigenvalue(lambda y: _tri(U, A @ _tri(U, y, 0, True),
                                                 1, True), n, "SA", 1e-2)
@@ -439,7 +424,7 @@ def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
     KKT band factored once; beta is 0 when it is singular.
     """
     B = _constraint_block(p, variant, bc, matrices)
-    G, band = _on_band(norms.gram, matrices, variant, bc)
+    G, band = norms.gram, _jacobian_pattern(matrices, variant, bc)[-1]
     H, F, head = norms.h1_factor, norms.mass_factor, np.zeros(B.shape[1])
 
     def mass(x):

@@ -45,6 +45,16 @@ def with_norms(estimate, p, variant, bc, matrices):
                     DiscreteNorms.build(matrices, bc, variant))
 
 
+def element_pattern(mesh, dim):
+    """The entries the element blocks write, (x) I_dim: a CSR matrix of
+    ones by COO assembly and scipy's Kronecker product."""
+    local = 2 * np.arange(mesh.num_elements)[:, None] + np.arange(4)
+    rows, cols = np.repeat(local, 4, axis=1).ravel(), np.tile(local, 4).ravel()
+    n = 2 * mesh.nodes.size
+    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    return sp.kron(a, sp.eye(dim), format="csr")
+
+
 def random_graded_mesh(rng, a=0.0, length=None, max_elements=20):
     """Mildly graded mesh with quasi-uniformity ratio below 3."""
     M = int(rng.integers(1, max_elements + 1))

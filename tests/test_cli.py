@@ -330,9 +330,15 @@ class TestFlagsAndConfig:
         ["run", "circle", "-M", "4,4", "--T", "0.1"],
         ["run", "circle", "-M", "4", "--T", "0.1", "--norms", "h2,h2"],
         ["run", "circle", "-M", "4", "--T", "0.1", "--tau", "0.1,0.10000001"],
+        ["run", "circle", "-M", "4", "--T", "inf"],
+        ["run", "circle", "-M", "4", "--T", "nan"],
+        ["run", "circle", "-M", "4", "--tau", "nan"],
+        ["run", "circle", "-M", "4", "--tau", "inf", "--T", "1"],
+        ["run", "circle", "-M", "4", "--tau", "0.3", "--T", "0.1"],
     ], ids=["tau-zero", "tau-negative", "T-negative", "M-zero", "M-negative",
             "stride-negative", "stride-newton", "tau-empty", "M-repeated",
-            "norms-repeated", "tau-labels-repeated"])
+            "norms-repeated", "tau-labels-repeated", "T-inf", "T-nan",
+            "tau-nan", "tau-inf", "T-not-whole-steps"])
     def test_out_of_range_run_is_usage_error(self, argv, tmp_path, capsys):
         assert console_main(argv + ["--output-dir", str(tmp_path)]) == 2
         assert "usage error" in capsys.readouterr().err

@@ -231,12 +231,19 @@ class TestRun:
         assert state.max_identity_violation <= 1e-12
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
-            FlowConfig(tau=0.0, T=1.0)
-        with pytest.raises(ValueError):
-            FlowConfig(tau=0.1, T=-1.0)
+        # T must be a finite, whole number of finite steps tau
+        for tau, T in ((0.0, 1.0), (0.1, -1.0), (np.inf, 1.0), (np.nan, 1.0),
+                       (0.1, np.inf), (0.1, np.nan), (0.3, 0.1), (0.1, 0.25),
+                       (1e-320, 1.0)):
+            with pytest.raises(ValueError):
+                FlowConfig(tau=tau, T=T)
         with pytest.raises(ValueError):
             FlowConfig(tau=0.1, T=1.0, variant="h3")
+
+    def test_horizon_of_whole_steps_up_to_rounding(self):
+        for tau, T, steps in ((0.1, 0.3, 3), (1.0 / 200.0, 0.5, 100),
+                              (0.1, 0.0, 0), (1.0 / 2000.0, 5000.0, 10 ** 7)):
+            assert FlowConfig(tau=tau, T=T).num_steps == steps
 
 
 def _flow_kkt(name, variant, bc_kind, M):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -458,6 +460,26 @@ class TestBrezziDiagnostics:
             == pytest.approx(0.0, abs=1e-6)
         with pytest.raises(ValueError, match="rank deficient"):
             with_norms(coercivity_estimate, broken, P2, circle_spec.bc, mats)
+
+    def test_gram_off_the_band_pattern_raises(self, circle_spec, monkeypatch):
+        # both estimates factor the Gram they are given on the mesh's KKT
+        # band: one of another pattern raises before any Lanczos run
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 10)
+        mats = assemble_matrices(mesh, 2)
+        pair = make_interpolant_pair(circle_spec.exact.oracle,
+                                     circle_spec.exact.multiplier, mesh, 2, P2)
+        norms = DiscreteNorms.build(mats, circle_spec.bc, P2)
+        gram = norms.gram.copy()
+        gram.data[1] = 0.0          # an entry right of row 0's diagonal
+        gram.eliminate_zeros()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Lanczos run started")
+        monkeypatch.setattr(stationary, "_extreme_eigenvalue", forbidden)
+        for estimate in (coercivity_estimate, infsup_estimate):
+            with pytest.raises(ValueError, match="band pattern"):
+                estimate(pair, P2, circle_spec.bc, mats,
+                         replace(norms, gram=gram))
 
     def test_periodic_rejected(self, circle_spec):
         pair, mesh = straight_pair()

@@ -1,10 +1,12 @@
 """The per-mesh structures built by index arithmetic against the scipy
 constructions they replace, inlined here as oracles, bit for bit: the
 derivative map D, the constraint pattern, P^T A P, the sums of the system
-matrices, the union pattern of the Jacobian and the H2 Gram, the
-natural-order KKT graph of the band's reverse Cuthill-McKee branch, the
-band's order and K's pattern in it, and ``csr_pattern`` itself; and guards that no general sparse operation runs
-in set-up, nor in a stationary solve once the mesh's structures exist."""
+matrices, the Jacobian's terms placed on P^T S P, which holds the union of
+their pattern and the H2 Gram's, the natural-order KKT graph of the band's
+reverse Cuthill-McKee branch, the band's order and K's pattern in it, and
+``csr_pattern`` itself.  Guards: every matrix of a mesh has the pattern its
+elements couple, whatever its values; no general sparse operation runs in
+set-up, nor in a stationary solve once the mesh's structures exist."""
 
 import numpy as np
 import pytest
@@ -20,10 +22,12 @@ from elastica_fem.assembly import (constraint_pattern, csr_pattern,
 from elastica_fem.experiments import named_experiment
 from elastica_fem.flow import StepStructure
 from elastica_fem.stationary import (DiscreteNorms, _jacobian_pattern,
-                                     _on_band, _pattern, _upper_band,
+                                     _pattern, _upper_band,
                                      coercivity_estimate, infsup_estimate,
                                      make_interpolant_pair, newton_solve,
                                      residual_dual_norm)
+
+from conftest import element_pattern
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -94,7 +98,7 @@ def scipy_restrict(columns, k, A):
 
 def scipy_jacobian_pattern(matrices, pattern, variant, gram):
     """(template, slot) of the union of the Jacobian's terms and the Gram's
-    entries from ``np.unique``; slot places the Jacobian's terms."""
+    entries from ``np.unique``; slot places the D^T D terms."""
     D, S, c = matrices.derivative_map(variant), matrices.bending, pattern.columns
     k = pattern.restriction.shape[1]
     lo, hi = D.indptr[:-1, None], D.indptr[1:, None]
@@ -113,7 +117,13 @@ def scipy_jacobian_pattern(matrices, pattern, variant, gram):
     template = sp.csr_matrix(
         (np.zeros(keys.size), keys % k,
          np.searchsorted(keys, k * np.arange(k + 1))), shape=(k, k))
-    return template, slot[:np.count_nonzero(kept)]
+    return template, slot[:np.count_nonzero(kept[:e.size])]
+
+
+def on_pattern(A, template):
+    """A's values at the entries of ``template``, +0.0 where A has none."""
+    return A.toarray()[np.repeat(np.arange(template.shape[0]),
+                                 np.diff(template.indptr)), template.indices]
 
 
 def scipy_upper_band(A):
@@ -284,28 +294,62 @@ def test_jacobian_and_gram_bitwise_equal_scipy(name, M):
             continue
         for bc in (spec.bc, BoundaryConditions.free()):
             pattern = _pattern(mats, variant, bc)
-            gram = scipy_restrict(pattern.columns, pattern.restriction.shape[1],
-                                  mats.mass + mats.combine(gradient=1.0)
-                                  + mats.bending)
+            k = pattern.restriction.shape[1]
+            gram = scipy_restrict(pattern.columns, k, mats.mass
+                                  + mats.combine(gradient=1.0) + mats.bending)
             template, slot = scipy_jacobian_pattern(mats, pattern, variant,
                                                     gram)
             got = _jacobian_pattern(mats, variant, bc)
+            # the union is the pattern of P^T S P, which holds S's values
+            template.data = on_pattern(
+                scipy_restrict(pattern.columns, k, mats.bending), template)
             same_csr(got[0], template)
-            # A's terms, then the Gram's entries that S lacks, of weight 0
-            same_bits(got[1][:slot.size], slot)
-            assert not got[3][slot.size:].any()
-            if pattern.restriction.shape[1] == 0:     # every DOF fixed
+            same_bits(got[1], slot)
+            if k == 0:     # every DOF fixed
                 with pytest.raises(ValueError):
                     DiscreteNorms.build(mats, bc, variant)
                 continue
             norms = DiscreteNorms.build(mats, bc, variant)
             same_csr(norms.gram, gram)
             same_bits(_upper_band(norms.gram), scipy_upper_band(gram))
-            on_band = _on_band(norms.gram, mats, variant, bc)[0]
-            assert on_band.indices is got[0].indices
-            same_bits(on_band.data, gram.toarray()[
-                np.repeat(np.arange(template.shape[0]), np.diff(template.indptr)),
-                template.indices])
+            # the Gram on that pattern
+            template.data = on_pattern(gram, template)
+            same_csr(norms.gram, template)
+
+
+def same_pattern(got, want):
+    assert got.shape == want.shape
+    same_bits(got.indptr, want.indptr)
+    same_bits(got.indices, want.indices)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2, 5, 20, 1280])
+@pytest.mark.parametrize("name", ["circle", "helix", "oval-h2"])
+def test_one_pattern_per_mesh(name, M, dim):
+    # the elements fix every pattern, not the values: entries that cancel
+    # stay.  So the L2 and H2 flows of a mesh share their KKT structure,
+    # and the H2 Gram has the Newton Jacobian's pattern
+    mesh = Mesh1D.uniform(*named_experiment(name).interval, M)
+    mats = assemble_matrices(mesh, dim)
+    want = element_pattern(mesh, dim)
+    for matrix in (mats.mass, mats.bending, mats.combine(gradient=1.0),
+                   mats.combine(mass=1.0, gradient=1.0, bending=1.0),
+                   mats.combine(mass=1.0, bending=0.1)):
+        same_pattern(matrix, want)
+    for variant in (P1, P2):
+        for bc in boundary_conditions(dim):
+            l2, h2 = (StepStructure.build(FlowConfig(
+                tau=0.1, T=0.1, variant=flow, constraint=variant, bc=bc), mats)
+                for flow in ("l2", "h2"))
+            same_pattern(l2.system.A, h2.system.A)
+            same_pattern(l2.system.B, h2.system.B)
+            same_bits(l2.band.perm, h2.band.perm)
+            if bc.periodic or mesh.constraint_nodes(variant).size <= 2 \
+                    or not _pattern(mats, variant, bc).restriction.shape[1]:
+                continue
+            same_pattern(DiscreteNorms.build(mats, bc, variant).gram,
+                         _jacobian_pattern(mats, variant, bc)[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -402,8 +446,8 @@ def test_csr_pattern_is_unique_with_inverse(nrows, ncols, nnz, seed, runs):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, nrows, nnz)
     cols = rng.integers(0, ncols, nnz)
-    if runs:    # three presorted runs, as the union of the Jacobian's
-        # terms and the Gram's entries, or K's blocks, arrive
+    if runs:    # three presorted runs, as entries that periodic ends
+        # tie arrive
         key = rows * ncols + cols
         order = np.concatenate([
             run[np.argsort(key[run], kind="stable")] for run in

@@ -1,6 +1,6 @@
-"""Assembly of mass/bending/first-order matrices and the bending energy;
-the constraint derivative map D, the boundary-condition restriction P and
-the linearized-constraint rows T(Z) D P on the reduced DOFs."""
+"""Assembly of the mass/bending/first-order bands and the bending energy;
+the constraint derivative map D as its stencil table, the boundary-condition
+restriction P as an index map and the rows T(Z) D P on the reduced DOFs."""
 
 from __future__ import annotations
 
@@ -50,18 +50,18 @@ def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
 
 @dataclass
 class SystemMatrices:
-    """Mass, bending, and first-order matrices of the cubic C1 space.
+    """Mass, bending, and first-order matrices of the cubic C1 space as
+    scalar bands; ``combine`` makes the CSR of a sum for the solvers.
 
-    Sparse float64 matrices feed the linear solvers and the mass form, whose
-    entries do not cancel.  The other forms come from derivatives of u, not
-    from the cancelling O(1/h^k) entries: H1 from u' at the P2 constraint
-    nodes, bending and S @ u from u'' at the element ends in longdouble.
+    The float64 CSR ``mass`` feeds the mass form, whose entries do not
+    cancel.  The other forms come from derivatives of u, not from the
+    cancelling O(1/h^k) entries: H1 from u' at the P2 constraint nodes,
+    bending and S @ u from u'' at the element ends in longdouble.
     """
 
     mesh: Mesh1D
     dim: int
     mass: sp.csr_matrix
-    bending: sp.csr_matrix
     bands: np.ndarray = field(repr=False)   # scalar bands of M, G and S
     _cache: dict = field(repr=False, default_factory=dict)
 
@@ -134,7 +134,7 @@ class SystemMatrices:
             self._cache[key] = build()
         return self._cache[key]
 
-    def derivative_map(self, variant: ConstraintVariant) -> sp.csr_matrix:
+    def derivative_map(self, variant: ConstraintVariant):
         """``derivative_map`` of this mesh and dim, built on first use."""
         return self.cached(variant, lambda: derivative_map(self.mesh, self.dim,
                                                           variant))
@@ -144,7 +144,7 @@ class SystemMatrices:
         for ``dim`` components (1: the scalar matrix), by default ``self.dim``."""
         total = sum(c * self.bands[("mass", "gradient", "bending").index(name)]
                     for name, c in coefs.items())
-        return _band_csr(total[None], dim or self.dim)[0]
+        return _band_csr(total, dim or self.dim)
 
     def h2_norm(self, u: np.ndarray) -> float:
         s = self.quad_mass(u) + self.quad_gradient(u) + self.quad_bending(u)
@@ -157,7 +157,7 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
 
     The float64 element blocks of the three orders, stacked, are summed
     into 7-diagonal scalar bands A (band[i, k] = A[i, i + k - 3]) and
-    symmetrized as 0.5 (A + A^T); ``_band_csr`` expands mass and bending:
+    symmetrized as 0.5 (A + A^T); ``_band_csr`` expands the mass alone:
     COO assembly, 0.5 (A + A^T) and (x) I bit for bit, exact zeros kept."""
     n, m = 2 * mesh.nodes.size, mesh.num_elements
     blk = np.stack([_element_blocks(mesh, o) for o in range(3)]).astype(float)
@@ -169,21 +169,20 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
     # (A^T)[i, k] = A[i + k - 3, 6 - k]
     half = 0.5 * (band[:, 3:-3] + np.stack([band[:, k:k + n, 6 - k]
                                             for k in range(7)], axis=2))
-    mass, bending = _band_csr(half[::2], dim)
-    return SystemMatrices(mesh, dim, mass, bending, half)
+    return SystemMatrices(mesh, dim, _band_csr(half[0], dim), half)
 
 
-def _band_csr(bands: np.ndarray, dim: int):
-    """CSR of bands[b, i, k] = A_b[i, i+k-3] (x) I_dim on every entry that
-    an element couples, zero or not: row i's columns 2 (i//2) - 2 + t, t < 6,
-    within the matrix (4 in the first and last two rows).  One pattern."""
-    n = bands.shape[1]
+def _band_csr(band: np.ndarray, dim: int) -> sp.csr_matrix:
+    """One CSR construction of band[i, k] = A[i, i+k-3] (x) I_dim on every
+    entry that an element couples, zero or not: row i's columns 2 (i//2) - 2
+    + t, t < 6, within the matrix (4 in the first and last two rows)."""
+    n = band.shape[0]
     i = np.arange(n)[:, None, None]
     j = np.repeat(i // 2 * 2 - 2 + np.arange(6), dim, axis=1)    # (n, dim, 6)
     keep, lengths = (j >= 0) & (j < n), np.where((i < 2) | (i >= n - 2), 4, 6)
     indptr = np.append(0, np.cumsum(np.repeat(lengths, dim)))
     at, cols = (6 * i + j + 3)[keep], (dim * j + np.arange(dim)[:, None])[keep]
-    return [_csr(b.ravel()[at], cols, indptr, (dim * n,) * 2) for b in bands]
+    return _csr(band.ravel()[at], cols, indptr, (dim * n,) * 2)
 
 
 def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
@@ -202,16 +201,17 @@ def csr_pattern(rows: np.ndarray, cols: np.ndarray, shape):
     return np.searchsorted(rows[kept], np.arange(shape[0] + 1)), cols[kept], slot
 
 
-def derivative_map(mesh: Mesh1D, dim: int,
-                   variant: ConstraintVariant) -> sp.csr_matrix:
+def derivative_map(mesh: Mesh1D, dim: int, variant: ConstraintVariant):
     """The constant map D from curve DOFs Y to the derivative components
-    Y'(z)_c at the constraint nodes z of ``variant`` in row dim*z + c, by index.
+    Y'(z)_c at the constraint nodes z of ``variant``, as its stencil table
+    (cols, vals), each (nodes, dim, 4): D's row dim*z + c has vals[z, c] at
+    the ascending cols[z, c]; a mesh node's row has zeros in slots 1 to 3.
 
     Evaluations keep ``HermiteCurve``'s differenced stencil, not ``D @ dofs``,
     which sums the cancelling +-1.5/h terms one by one and so differs from it
     by up to 1.6e-15 at M=20 and 1.5e-13 at M=1280 (oval-h2, j3 curve)."""
     m, comp = mesh.num_elements, np.arange(dim)
-    # (constraint node, component, entry); unused entries stay 0 and go
+    # (constraint node, component, entry); unused entries stay 0
     cols = np.zeros((2 * m + 1, dim, 4), dtype=np.intp)
     vals = np.zeros(cols.shape)
     # at node i, constraint node 2i: the derivative DOF of node i
@@ -224,10 +224,7 @@ def derivative_map(mesh: Mesh1D, dim: int,
     h = mesh.element_lengths[:, None, None]
     quarter = np.full(h.shape, -0.25)
     vals[1::2] = np.concatenate([-1.5 / h, quarter, 1.5 / h, quarter], axis=2)
-    cols, vals = cols[::variant.stride], vals[::variant.stride]
-    keep = vals != 0
-    return _csr(vals[keep], cols[keep], np.append(0, np.cumsum(keep.sum(2))),
-                (dim * cols.shape[0], 2 * dim * mesh.nodes.size))
+    return cols[::variant.stride], vals[::variant.stride]
 
 
 TARGETS = ("value_a", "deriv_a", "value_b", "deriv_b")
@@ -274,15 +271,16 @@ class BoundaryConditions:
             if v is not None and v.size != dim:
                 raise ValueError(f"{name} needs {dim} components, got {v.size}")
 
-    def restriction(self, mesh: Mesh1D, dim: int, full: bool = False) -> sp.csr_matrix:
-        """The map P from reduced DOFs to full DOFs (full x reduced).
+    def restriction(self, mesh: Mesh1D, dim: int, full: bool = False):
+        """The map P from k reduced DOFs to the full DOFs, as (columns, k):
+        ``columns[i]`` is full DOF i's reduced DOF, k where it is fixed, so
+        P v_r = append(v_r, 0)[columns] is exactly 0 there.
 
-        This is where the conditions become linear algebra.  A fixed DOF
-        has an empty row, so it is exactly 0 in every P v_r.  With periodic
-        ends the last node's DOFs repeat node 0's columns, so the two ends
-        are tied exactly.  Every other DOF is a reduced DOF of its own, in
-        the full order.  With ``full``, each reduced DOF keeps the number
-        of its own full DOF: P is square, its other columns empty.
+        This is where the conditions become linear algebra.  With periodic
+        ends the last node's DOFs take node 0's reduced DOFs, so the two
+        ends are tied exactly.  Every other DOF is a reduced DOF of its own,
+        in the full order.  With ``full``, each keeps the number of its own
+        full DOF, and k is the number of full DOFs.
         """
         self.check_dim(dim)
         n = 2 * dim * mesh.nodes.size
@@ -295,10 +293,9 @@ class BoundaryConditions:
         if self.periodic:
             source[last:] = np.arange(2 * dim)
         reduced = np.flatnonzero(source == np.arange(n))
-        kept = source >= 0
-        cols = source[kept] if full else np.searchsorted(reduced, source[kept])
-        return _csr(np.ones(kept.sum()), cols, np.append(0, np.cumsum(kept)),
-                    (n, n if full else reduced.size))
+        k = n if full else reduced.size
+        columns = source if full else np.searchsorted(reduced, source)
+        return np.where(source >= 0, columns, k), k
 
     def validate_initial(self, curve: HermiteCurve) -> None:
         """Check the initial curve against the targets.
@@ -327,24 +324,22 @@ class BoundaryConditions:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintPattern:
-    """Fixed CSR structure of the tangential rows T(Z) D P on the reduced
-    DOFs of one (mesh, dim, variant, BC).
+    """Fixed CSR structure of the tangential rows T(Z) D P on the ``size``
+    reduced DOFs of one (mesh, dim, variant, BC).
 
     Row r belongs to constraint node ``rows[r]``.  Entry k of the matrix
     holds ``coef[k] * t.ravel()[tangent[k]]``, with t the (num constraint
     nodes, dim) tangents of the current curve, so ``tangent[k]`` is also
     the row of D the entry comes from.  ``template`` holds the structure
-    with ascending, unique column indices in every row.  ``restriction``
-    is the P of its columns, and ``columns[i]`` the column of P's entry in
-    row i, or P's number of columns where that row is empty.
-    """
+    with ascending, unique column indices in every row.  (``columns``,
+    ``size``) is the P of ``BoundaryConditions.restriction``."""
 
     template: sp.csr_matrix
     coef: np.ndarray
     tangent: np.ndarray
     rows: np.ndarray
-    restriction: sp.csr_matrix
     columns: np.ndarray
+    size: int
 
     def fill(self, tangents: np.ndarray,
              weights: Optional[np.ndarray] = None) -> sp.csr_matrix:
@@ -364,7 +359,7 @@ class ConstraintPattern:
         A's pattern alone sets the result's; ties sum in A's order.
         With ``dim``, A is the scalar matrix of a (x) I_dim, and so is the
         result."""
-        k, c = self.restriction.shape[1] // dim, self.columns[::dim] // dim
+        k, c = self.size // dim, self.columns[::dim] // dim
         rows, cols = np.repeat(c, np.diff(A.indptr)), c[A.indices]
         kept = np.maximum(rows, cols) < k
         indptr, indices, slot = csr_pattern(rows[kept], cols[kept], (k, k))
@@ -378,46 +373,40 @@ class ConstraintPattern:
         return _csr(data, indices, indptr, (k, k))
 
 
-def constraint_pattern(D: sp.csr_matrix, P: sp.csr_matrix, dim: int,
-                       variant: ConstraintVariant,
+def constraint_pattern(D, P, dim: int, variant: ConstraintVariant,
                        rows: Optional[np.ndarray] = None) -> ConstraintPattern:
     """Structure of the rows of T(Z) D P at the constraint nodes ``rows``,
-    for the ``derivative_map`` D and a ``BoundaryConditions.restriction`` P.
+    for D of ``derivative_map`` and P of ``BoundaryConditions.restriction``.
 
     By default every constraint node has a row, except a mesh node whose
     derivative DOFs are not their own reduced DOFs (fixed, or tied to node
     0's): its row would vanish or repeat another.  Bit for bit D @ P's rows.
     """
-    n, k = P.shape
-    columns = np.full(n, k)
-    columns[np.diff(P.indptr) > 0] = P.indices
+    columns, k = P
     if rows is None:
         # the DOF that owns a column is its first row
-        first = np.full(k + 1, n)
-        np.minimum.at(first, columns, np.arange(n))
-        own = (first[columns] == np.arange(n)) & (columns < k)
+        first, dof = np.full(k + 1, columns.size), np.arange(columns.size)
+        np.minimum.at(first, columns, dof)
+        own = (first[columns] == dof) & (columns < k)
         # over the P2 sequence, whose even entries are the mesh nodes
-        keep = np.ones(n // dim - 1, dtype=bool)
+        keep = np.ones(columns.size // dim - 1, dtype=bool)
         keep[::2] = own.reshape(-1, 2, dim)[:, 1].all(axis=1)
         rows = np.flatnonzero(keep[::variant.stride])
-    # node rows[r]'s D rows: a dim x W block, read W x dim (columns ascend)
-    start = D.indptr[dim * rows]
-    size = D.indptr[dim * rows + dim] - start
-    r = np.repeat(np.arange(rows.size), size)
-    a, c = np.divmod(np.arange(r.size) - (np.cumsum(size) - size)[r], dim)
-    entry = start[r] + c * (size // dim)[r] + a
-    cols = columns[D.indices[entry]]
+    # node rows[r]'s D rows: dim x 4 slots, the used ones read 4 x dim
+    d_cols, d_vals = (x[rows].transpose(0, 2, 1) for x in D)
+    r, a, c = np.nonzero(d_vals)
+    cols = columns[d_cols[r, a, c]]
     kept = cols < k
     # the columns that periodic ties merge sum, as in D P
     indptr, indices, slot = csr_pattern(r[kept], cols[kept], (rows.size, k))
-    coef = np.bincount(slot, D.data[entry[kept]], indices.size).astype(float)
+    coef = np.bincount(slot, d_vals[r, a, c][kept], indices.size).astype(float)
     tangent = np.empty(indices.size, dtype=np.intp)
     tangent[slot] = (dim * rows[r] + c)[kept]
     nz = coef != 0      # D P drops the sums that cancel (periodic, M = 1)
     indptr = np.append(0, np.cumsum(nz))[indptr]
     indices, coef, tangent = indices[nz], coef[nz], tangent[nz]
     template = _csr(np.zeros(indices.size), indices, indptr, (rows.size, k))
-    return ConstraintPattern(template, coef, tangent, rows, P, columns)
+    return ConstraintPattern(template, coef, tangent, rows, columns, k)
 
 
 def assemble_constraint(Zn: HermiteCurve, variant: ConstraintVariant,

@@ -3,10 +3,10 @@ diagnostics, and interpolation studies.
 
 `run` takes an experiment name or --config FILE, not both; a flag given with
 --config overrides the file's key.  Exit codes: 0 success, 1 numerical failure,
-2 usage error (a mesh size below 1, tau not in (0, inf), T not in [0, inf) or
-not a whole number of steps, a negative --snapshot-stride and a positive one
-with --flow newton among them).  The output directory is --output-dir, else the
-ELASTICA_FEM_OUTPUT_DIR variable, else the current directory.
+2 usage error (no mesh size or one below 1, tau not in (0, inf), T not in
+[0, inf) or not whole steps, an H2 flow fixing no value, a negative
+--snapshot-stride and a positive one with --flow newton among them).  Output
+goes to --output-dir, else ELASTICA_FEM_OUTPUT_DIR, else the current directory.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ def _mesh_size(text: str) -> int:
 
 def _mesh_sizes(text: str) -> List[int]:
     sizes = [_mesh_size(tok) for tok in text.split(",") if tok.strip()]
+    if not sizes:
+        raise UsageError(f"need one or more mesh sizes, got {text!r}")
     if len(set(sizes)) < len(sizes):
         raise UsageError(f"mesh sizes must not repeat, got {text!r}")
     return sizes
@@ -175,28 +177,25 @@ def _run_spec(ns: argparse.Namespace) -> ExperimentSpec:
                    if getattr(ns, name) is not None})
     targets = {name: np.array(_float_list(raw[f"bc.{name}"]))
                for name in TARGETS if f"bc.{name}" in raw}
-    try:
-        spec = named_experiment(
-            raw["experiment"],
-            ConstraintVariant(ns.constraint or raw.get("constraint", "p2")),
-            **fields)
-    except ValueError as exc:
-        raise UsageError(str(exc))
     periodic = raw.get("bc.periodic", "no").lower()
     if periodic not in ("1", "true", "yes", "0", "false", "no"):
         raise UsageError(f"bc.periodic takes 1/0, true/false or yes/no, "
                          f"got {raw['bc.periodic']!r}")
-    if periodic in ("1", "true", "yes"):
-        if targets:
-            raise UsageError("conflicting keys: bc.periodic excludes endpoint fixing")
-        return spec.override(bc=BoundaryConditions(periodic=True))
-    if targets:
-        spec = spec.override(bc=replace(spec.bc, **targets))
+    if periodic in ("1", "true", "yes") and targets:
+        raise UsageError("conflicting keys: bc.periodic excludes endpoint fixing")
+    try:
+        spec = named_experiment(raw["experiment"], ConstraintVariant(
+            ns.constraint or raw.get("constraint", "p2")), **fields)
+        if periodic in ("1", "true", "yes"):
+            return spec.override(bc=BoundaryConditions(periodic=True))
+        bc = replace(spec.bc, **targets)
         try:
-            spec.bc.check_dim(spec.dim)
+            bc.check_dim(spec.dim)
         except ValueError as exc:
             raise UsageError(f"bc.{exc}")
-    return spec
+        return spec.override(bc=bc)
+    except ValueError as exc:   # the spec's checks, the H2 flow's among them
+        raise UsageError(str(exc))
 
 
 def _output_dir(ns: argparse.Namespace) -> str:

@@ -138,6 +138,9 @@ class ExperimentSpec:
                 raise ValueError(f"unknown norm: {n!r}")
         if min(self.mesh_sizes, default=0) < 1:
             raise ValueError("need one or more mesh sizes, each >= 1")
+        if self.flow_variant == "h2" and self.bc.value_a is None \
+                and self.bc.value_b is None:
+            raise ValueError(flow_mod.H2_FREE)
         if self.flow_variant != "newton" and not self.taus:
             raise ValueError("a flow needs at least one time step tau")
         # a table needs one row per mesh size and one column per tau=%g label

@@ -37,6 +37,10 @@ from .splines import (FunctionOracle, HermiteCurve, interp_j2, interp_j3,
                       unit_speed_violation)
 
 
+H2_FREE = ("the H2 flow needs value_a or value_b fixed: (1 + tau) S and the "
+           "tangent rows leave the translations free")
+
+
 class FlowSolveError(RuntimeError):
     """Solver failure with the step index and a note on its cause attached."""
 
@@ -318,7 +322,7 @@ def step(state: FlowState, structure: StepStructure) -> FlowState:
     """One time step with the KKT ``structure`` of a run, whose config (tau,
     flow and constraint variants) and matrices it takes; returns the new
     state.  ``run`` builds the structure once for all its steps.  A failed
-    P2 solve names the elements whose midpoint tangent vanishes.
+    solve notes P2 midpoint tangents that vanish and H2 flows fixing no value.
 
     The energy-decrease identity of the scheme is monitored: for the L2 flow
     E(Z^{n+1}) = E(Z^n) - tau*|v|_L2^2 - (tau^2/2)*|v''|_L2^2 with v the
@@ -335,8 +339,12 @@ def step(state: FlowState, structure: StepStructure) -> FlowState:
         speed = np.linalg.norm(state.tangents, axis=1)   # P2: midpoints odd
         elements = ", ".join(map(str, np.flatnonzero(
             (speed[1::2] <= 1e-12 * speed.max()) & (variant is ConstraintVariant.P2))))
-        raise FlowSolveError(state.n, exc, elements and f"; u' vanishes at the midpoint "
-                             f"of element {elements}, so its constraint row is 0") from exc
+        note = elements and (f"; u' vanishes at the midpoint of element "
+                             f"{elements}, so its constraint row is 0")
+        if config.variant == "h2" and config.bc.value_a is None \
+                and config.bc.value_b is None:
+            note += f"; {H2_FREE}"
+        raise FlowSolveError(state.n, exc, note) from exc
     # v = P Q w (w is 0 on the tangential components): fixed DOFs of v are
     # exactly 0 and periodic ends exactly equal
     V, pattern = np.concatenate([_ONE_ZERO, Q.ravel(), v_r]), structure.pattern

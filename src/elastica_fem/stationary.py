@@ -5,8 +5,8 @@ numerical checks of the two Brezzi conditions (kernel coercivity, inf-sup).
 The optimality system couples the curve with a scalar multiplier in the
 zero-boundary constraint-node space, held as its values at the interior
 constraint nodes.  Boundary conditions on the curve are imposed, for trial
-and test functions alike, by the same restriction P to reduced DOFs as in
-the flow module; for endpoint conditions P selects the free DOFs.
+and test functions alike, by the flow's restriction P to reduced DOFs, an
+index map that selects the free DOFs; the Jacobian is on P^T S P's pattern.
 """
 
 from __future__ import annotations
@@ -97,28 +97,24 @@ def _jacobian_pattern(matrices: SystemMatrices, variant: ConstraintVariant,
     matrix of the mesh (A = P^T (S + D^T diag(w) D) P and the H2 Gram among
     them), and the one ``BandedKKT`` on it.  A's data is S's plus the
     bincount over ``slot`` of w[row] * coef, w_r (D_ri D_rj) for each pair
-    (i, j) of entries in a row r of D.  Each term has its place whatever w
-    is; (i, j) and (j, i) sum equal terms in one order: A is symmetric."""
+    (i, j) of used slots in a row r of D.  Each term has its place whatever
+    w is; (i, j) and (j, i) sum equal terms in one order: A is symmetric."""
     pattern = _pattern(matrices, variant, bc)
 
     def build():
-        D, c = matrices.derivative_map(variant), pattern.columns
-        S = pattern.restrict(matrices.bending)
-        lo, hi = D.indptr[:-1, None], D.indptr[1:, None]
-        entry = lo + np.arange((hi - lo).max())
-        both = (entry < hi)[:, :, None] & (entry < hi)[:, None, :]
-        e, f, r = (np.broadcast_to(x, both.shape)[both] for x in (
-            entry[:, :, None], entry[:, None, :],
-            np.arange(D.shape[0])[:, None, None]))
-        rows, cols, k = c[D.indices[e]], c[D.indices[f]], S.shape[0]
+        c, k = pattern.columns, pattern.size
+        S = pattern.restrict(matrices.cached(
+            "bending", lambda: matrices.combine(bending=1.0)))
+        cols, vals = (x.reshape(-1, 4) for x in matrices.derivative_map(variant))
+        r, i, j = np.nonzero((vals != 0)[:, :, None] & (vals != 0)[:, None, :])
+        rows, cols, coef = c[cols[r, i]], c[cols[r, j]], vals[r, i] * vals[r, j]
         kept = np.maximum(rows, cols) < k
         keys = np.repeat(np.arange(k), np.diff(S.indptr)) * k + S.indices
         terms = rows[kept] * k + cols[kept]
         slot = np.searchsorted(keys, terms)
         if not np.array_equal(np.append(keys, -1)[slot], terms):
             raise ValueError("a Jacobian term lies off the elements' pattern")
-        return (S, slot, r[kept], (D.data[e] * D.data[f])[kept],
-                BandedKKT(S, pattern.template))
+        return S, slot, r[kept], coef[kept], BandedKKT(S, pattern.template)
     return matrices.cached(pattern, build)
 
 
@@ -132,15 +128,15 @@ def residual(p: SaddlePoint, variant: ConstraintVariant, bc: BoundaryConditions,
     """
     beta = _weights(matrices, variant)
     du = p.tangents[::variant.stride]
-    D = matrices.derivative_map(variant)
-    w = (beta * _multiplier_nodes(p, variant))[:, None] * du
-    r_u = matrices.apply_bending(p.u.dofs) + np.bincount(   # D.T @ w's sums
-        D.indices, D.data * np.repeat(w.ravel(), np.diff(D.indptr)), D.shape[1])
+    cols, vals = matrices.derivative_map(variant)
+    w = vals * ((beta * _multiplier_nodes(p, variant))[:, None] * du)[..., None]
+    r_u = matrices.apply_bending(p.u.dofs) + np.bincount(   # D.T @ w's sums;
+        cols.ravel(), w.ravel(), p.u.dofs.size)   # a zero slot adds 0 at DOF 0
 
     speed = np.einsum("nd,nd->n", du, du)
     r_mu = 0.5 * beta[1:-1] * (speed[1:-1] - 1.0)
     pattern = _pattern(matrices, variant, bc)     # P^T r_u as a bincount
-    return np.bincount(pattern.columns, r_u, pattern.restriction.shape[1] + 1)[:-1], r_mu
+    return np.bincount(pattern.columns, r_u, pattern.size + 1)[:-1], r_mu
 
 
 def _constraint_block(p: SaddlePoint, variant: ConstraintVariant,
@@ -197,7 +193,8 @@ def newton_solve(p0: SaddlePoint, variant: ConstraintVariant,
     norms = [float(np.sqrt(np.dot(r_u, r_u) + np.dot(r_mu, r_mu)))]
     halvings = 0
     if tol is None:
-        S = matrices.bending    # |S|_inf, rows summed as scipy sums them
+        S = matrices.cached(    # |S|_inf, rows summed as scipy sums them
+            "bending", lambda: matrices.combine(bending=1.0))
         tol = max(1e-11, float(0.1 * np.finfo(float).eps
                                * np.add.reduceat(abs(S.data), S.indptr[:-1]).max()
                                * np.abs(p0.u.dofs).max()
@@ -347,7 +344,7 @@ class DiscreteNorms:
         if matrices.mesh.constraint_nodes(variant).size <= 2:
             raise ValueError("the multiplier space is empty")
         pattern = _pattern(matrices, variant, bc)
-        if not pattern.restriction.shape[1]:
+        if not pattern.size:
             raise ValueError("no free curve DOFs")
         gram = pattern.restrict(
             matrices.combine(mass=1.0, gradient=1.0, bending=1.0))

@@ -55,6 +55,39 @@ def element_pattern(mesh, dim):
     return sp.kron(a, sp.eye(dim), format="csr")
 
 
+def restriction_matrix(P):
+    """scipy's CSR of the restriction P, given as the (columns, k) map of
+    ``BoundaryConditions.restriction``: a 1 at (i, columns[i]) for each DOF
+    i that is not fixed, by COO construction."""
+    columns, k = P
+    rows = np.flatnonzero(columns < k)
+    return sp.csr_matrix((np.ones(rows.size), (rows, columns[rows])),
+                         shape=(columns.size, k))
+
+
+def derivative_matrix(D, mesh):
+    """scipy's CSR of the derivative map D, given as the (cols, vals) table
+    of ``derivative_map``: row dim z + c holds vals[z, c] at cols[z, c],
+    the zero slots left out, by COO construction."""
+    cols, vals = D
+    rows = np.arange(vals.shape[0] * vals.shape[1]).reshape(vals.shape[:2])
+    used = vals != 0
+    return sp.csr_matrix(
+        (vals[used], (np.broadcast_to(rows[:, :, None], vals.shape)[used],
+                      cols[used])),
+        shape=(rows.size, 2 * vals.shape[1] * mesh.nodes.size))
+
+
+def bending_matrix(mats):
+    """scipy's CSR of the bending matrix S of ``SystemMatrices`` from its
+    scalar band, bands[2][i, j - i + 3] = S[i, j], (x) I_dim on the entries
+    the elements couple, zeros kept."""
+    S = element_pattern(mats.mesh, mats.dim)
+    i = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)) // mats.dim
+    S.data = mats.bands[2][i, S.indices // mats.dim - i + 3]
+    return S
+
+
 def random_graded_mesh(rng, a=0.0, length=None, max_elements=20):
     """Mildly graded mesh with quasi-uniformity ratio below 3."""
     M = int(rng.integers(1, max_elements + 1))

@@ -20,7 +20,8 @@ from elastica_fem.experiments import (HELIX_FREQ, circle_initial,
 from elastica_fem.splines import interp_hermite
 from elastica_fem.stationary import make_interpolant_pair
 
-from conftest import element_pattern, random_graded_mesh
+from conftest import (bending_matrix, derivative_matrix, element_pattern,
+                      random_graded_mesh, restriction_matrix)
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -52,7 +53,7 @@ class TestSystemMatrices:
     def test_single_element_bending_against_oracle(self):
         mesh = Mesh1D.uniform(0.0, 1.0, 1)
         mats = assemble_matrices(mesh, 1)
-        S = mats.bending.toarray()
+        S = bending_matrix(mats).toarray()
         assert S[0, 0] == pytest.approx(12.0, abs=1e-12)
         assert_allclose(S, element_matrix_oracle(1.0, 2), atol=1e-12)
 
@@ -86,7 +87,7 @@ class TestSystemMatrices:
             vals = offset[None, :] + np.outer(mesh.nodes, slope)
             derivs = np.tile(slope, (mesh.nodes.size, 1))
             dofs = HermiteCurve(mesh, d, vals, derivs).dofs
-            assert np.abs(mats.bending @ dofs).max() < 1e-10
+            assert np.abs(bending_matrix(mats) @ dofs).max() < 1e-10
             assert mats.quad_bending(dofs) == pytest.approx(0.0, abs=1e-12)
 
     def test_nullspace_dimensions(self, rng):
@@ -94,7 +95,7 @@ class TestSystemMatrices:
         for d in (1, 2):
             mats = assemble_matrices(mesh, d)
             n = mats.mass.shape[0]
-            assert np.linalg.matrix_rank(mats.bending.toarray(),
+            assert np.linalg.matrix_rank(bending_matrix(mats).toarray(),
                                          tol=1e-9) == n - 2 * d
             assert np.linalg.matrix_rank(mats.combine(gradient=1.0).toarray(),
                                          tol=1e-9) == n - d
@@ -113,13 +114,14 @@ class TestSystemMatrices:
         mats = assemble_matrices(mesh, 2)
         u = rng.normal(size=mats.mass.shape[0])
         v = rng.normal(size=mats.mass.shape[0])
-        assert mats.quad_bending(u, v) == pytest.approx(u @ (mats.bending @ v),
+        S = bending_matrix(mats)
+        assert mats.quad_bending(u, v) == pytest.approx(u @ (S @ v),
                                                         rel=1e-9, abs=1e-9)
         assert mats.quad_mass(u) == pytest.approx(u @ (mats.mass @ u), rel=1e-11)
         assert mats.quad_gradient(u) == pytest.approx(
             u @ (mats.combine(gradient=1.0) @ u), rel=1e-11)
-        assert_allclose(mats.apply_bending(u), mats.bending @ u,
-                        atol=1e-8 * max(1.0, np.abs(mats.bending @ u).max()))
+        assert_allclose(mats.apply_bending(u), S @ u,
+                        atol=1e-8 * max(1.0, np.abs(S @ u).max()))
 
 
 def scipy_assembly(mesh, dim):
@@ -148,7 +150,8 @@ def assert_same_as_scipy_assembly(mesh, dim):
     mats = assemble_matrices(mesh, dim)
     pattern = element_pattern(mesh, dim)
     rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-    for got, want in zip((mats.mass, mats.combine(gradient=1.0), mats.bending),
+    for got, want in zip((mats.mass, mats.combine(gradient=1.0),
+                          mats.combine(bending=1.0)),
                          scipy_assembly(mesh, dim)):
         assert got.shape == want.shape
         assert got.has_canonical_format
@@ -182,7 +185,7 @@ def test_assembly_uses_no_general_sparse_constructors(monkeypatch):
     for name in ("coo_matrix", "kron", "eye"):
         monkeypatch.setattr(sp, name, forbidden)
     mats = assemble_matrices(Mesh1D.uniform(0.0, 1.0, 6), 2)
-    assert mats.bending.shape == (28, 28)
+    assert mats.mass.shape == (28, 28)
 
 
 # the Hermite element matrices as (table, k): entry (i, j) is table[i][j]
@@ -325,9 +328,9 @@ def test_p1_is_p2_at_the_mesh_nodes(rng, dim):
                               mesh.constraint_nodes(P2)[::2])
         assert np.array_equal(curve.derivative_at_constraint_nodes(P1),
                               curve.derivative_at_constraint_nodes(P2)[::2])
-        d2 = derivative_map(mesh, dim, P2).toarray()
+        d2 = derivative_matrix(derivative_map(mesh, dim, P2), mesh).toarray()
         assert np.array_equal(
-            derivative_map(mesh, dim, P1).toarray(),
+            derivative_matrix(derivative_map(mesh, dim, P1), mesh).toarray(),
             d2.reshape(-1, dim, d2.shape[1])[::2].reshape(-1, d2.shape[1]))
         # the multiplier's DOFs: P1's interior node values are P2's [1::2]
         oracle = FunctionOracle(lambda x: np.ones((x.size, dim)),
@@ -400,7 +403,7 @@ class TestConstraintMatrix:
         z0 = circle_initial()
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 6)
         Z = interp_j3([1.0, 0.0], z0.deriv, mesh, 2)
-        P = bc.restriction(mesh, 2)
+        P = restriction_matrix(bc.restriction(mesh, 2))
         kernel = sla.null_space(assemble_constraint(Z, P2, bc).toarray())
         pts = mesh.constraint_nodes(P2)
         for k in range(min(5, kernel.shape[1])):
@@ -431,7 +434,8 @@ class TestConstraintMatrix:
         TD = sp.csr_matrix(
             (t.ravel(), (np.repeat(np.arange(t.shape[0]), 2),
                          np.arange(t.size))),
-            shape=(t.shape[0], t.size)) @ derivative_map(mesh, 2, variant)
+            shape=(t.shape[0], t.size)) @ derivative_matrix(
+                derivative_map(mesh, 2, variant), mesh)
         for bc in (BoundaryConditions.free(), BoundaryConditions(periodic=True),
                    BoundaryConditions(value_a=(1.0, 0.0), deriv_a=(0.0, 1.0),
                                       deriv_b=(0.0, 1.0))):
@@ -441,7 +445,8 @@ class TestConstraintMatrix:
             B = assemble_constraint(Z, variant, bc, pattern=pattern)
             # unique, ascending columns (periodic M=1 merges two ends' DOFs)
             assert B.has_canonical_format
-            assert_allclose(B.toarray(), (TD @ P).toarray()[pattern.rows],
+            assert_allclose(B.toarray(),
+                            (TD @ restriction_matrix(P)).toarray()[pattern.rows],
                             rtol=0, atol=1e-14)
 
     def test_periodic_rows(self):
@@ -457,7 +462,8 @@ class TestConstraintMatrix:
     def test_periodic_ends_tied_exactly(self, rng):
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 4)
         for d in (1, 2, 3):
-            P = BoundaryConditions(periodic=True).restriction(mesh, d)
+            P = restriction_matrix(
+                BoundaryConditions(periodic=True).restriction(mesh, d))
             v_r = rng.normal(size=P.shape[1])
             v = P @ v_r
             assert np.array_equal(v[-2 * d:], v[:2 * d])
@@ -482,7 +488,7 @@ class TestConstraintMatrix:
                                      deriv_b=targets[3]), 3 * dim),
                  (BoundaryConditions.free(), 0)]
         for bc, num_fixed in cases:
-            P = bc.restriction(mesh, dim)
+            P = restriction_matrix(bc.restriction(mesh, dim))
             fixed = np.flatnonzero(np.diff(P.indptr) == 0)
             assert fixed.size == num_fixed
             free = np.setdiff1d(np.arange(P.shape[0]), fixed)

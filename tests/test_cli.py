@@ -175,16 +175,35 @@ class TestMain:
                           "--T", "0.2", "--output-dir", str(target)])
         assert main(cfg) == 1
 
-    def test_failed_cells_exit_code(self, tmp_path):
-        # H2 flow diverges... no: periodic system is singular; via config
+    def test_failed_cells_exit_code(self, tmp_path, capsys):
+        # P2 from J2 on the circle at M=2: u' vanishes at both midpoints,
+        # so the KKT matrix is singular; via config
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(
-            "experiment=circle\nM=4\ntau=0.1\nT=0.2\nflow=h2\nbc.periodic=true\n")
+            "experiment=circle\nM=2\ntau=0.1\nT=0.2\ninitializer=j2\n")
         cfg = parse_args(["run", "--config", str(cfg_file),
                           "--output-dir", str(tmp_path)])
         assert main(cfg) == 1
-        content = (tmp_path / "circle_p2_h2.csv").read_text()
+        content = (tmp_path / "circle_p2_l2.csv").read_text()
         assert "FAILED" in content
+        assert "u' vanishes at the midpoint of element 0, 1" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, flags", [
+        ("experiment=circle\nflow=h2\nbc.periodic=yes\n", []),
+        ("experiment=oval-h2\nbc.periodic=true\n", []),
+        ("experiment=circle\nbc.periodic=1\n", ["--flow", "h2"]),
+    ], ids=["config-flow", "oval-h2", "flag-flow"])
+    def test_h2_flow_with_no_fixed_value_is_usage_error(self, text, flags,
+                                                          tmp_path, capsys):
+        cfg_file = tmp_path / "h2.cfg"
+        cfg_file.write_text("M=4\ntau=0.1\nT=0.2\n" + text)
+        assert console_main(["run", "--config", str(cfg_file), *flags,
+                             "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the H2 flow needs value_a or "
+                              "value_b fixed")
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_stationarity_subcommand(self, capsys):
         cfg = parse_args(["stationarity", "circle", "--constraint", "p2",
@@ -373,6 +392,19 @@ class TestFlagsAndConfig:
     def test_mesh_size_below_one_is_usage_error(self, argv, capsys):
         assert console_main(argv) == 2
         assert "mesh sizes must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "circle", "-M", ","],
+        ["diagnostics", "circle", "-M", ","],
+        ["interp-study", "-M", ","],
+    ], ids=["run", "diagnostics", "interp-study"])
+    def test_empty_mesh_size_list_is_usage_error(self, argv, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert console_main(argv) == 2
+        captured = capsys.readouterr()
+        assert "usage error: need one or more mesh sizes" in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["diagnostics", "circle", "-M", "4,4"],

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -55,6 +57,21 @@ class TestNamedExperiments:
             named_experiment("circle", norms=["h3"])
         with pytest.raises(ValueError):
             named_experiment("circle", initializer="j7")
+
+    @pytest.mark.parametrize("bc", [
+        BoundaryConditions(periodic=True), BoundaryConditions.free(),
+        BoundaryConditions(deriv_a=(0.0, 1.0), deriv_b=(0.0, 1.0))],
+        ids=["periodic", "free", "derivatives"])
+    def test_h2_flow_needs_a_fixed_value(self, bc):
+        # (1 + tau) S and the tangent rows leave the translations free
+        with pytest.raises(ValueError, match="H2 flow needs value_a or value_b"):
+            named_experiment("circle", flow_variant="h2", bc=bc)
+        with pytest.raises(ValueError, match="H2 flow needs value_a or value_b"):
+            named_experiment("oval-h2").override(bc=bc)
+        # the L2 flow takes them, and the H2 flow a fixed value at either end
+        named_experiment("circle", bc=bc)
+        named_experiment("circle", flow_variant="h2",
+                         bc=BoundaryConditions(value_b=(1.0, 0.0)))
 
 
 class TestOvalInitialCurve:
@@ -132,15 +149,18 @@ class TestRunExperiment:
         assert all(abs(r - rate) <= 0.01 for r in eocs), eocs
 
     def test_failed_cell_marked(self):
-        # H2 flow with periodic conditions has a singular system: every cell
-        # fails but the table is still produced
-        spec = named_experiment("circle", mesh_sizes=[4, 6], taus=[0.1],
-                                T=0.3, flow_variant="h2",
-                                bc=BoundaryConditions(periodic=True))
+        # P2 from J2 on the circle at M=2: u' vanishes at both midpoints, so
+        # the KKT matrix is singular; every cell fails but the table is
+        # still produced
+        spec = named_experiment("circle", mesh_sizes=[2], taus=[0.1, 0.05],
+                                T=0.3, initializer="j2")
         table = run_experiment(spec)
         assert table.failures
         assert len(table.failures) == 2
-        assert all(e is None for e in table.column("tau=0.1:h2").errors)
+        assert all("u' vanishes at the midpoint of element 0, 1" in f
+                   for f in table.failures)
+        for label in ("tau=0.1:h2", "tau=0.05:h2"):
+            assert all(e is None for e in table.column(label).errors)
 
 
 class TestCsv:
@@ -150,7 +170,7 @@ class TestCsv:
         table = run_experiment(spec)
         path = str(tmp_path / "t.csv")
         emit_csv(table, path)
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert len(lines) == 2
         cells = [line.split(",") for line in lines]
         # 1 + 2 * (number of error series) columns
@@ -161,7 +181,7 @@ class TestCsv:
             assert float(line[0]) == float(f"{table.hs[i]:.3e}")
             assert float(line[1]) == float(f"{table.columns[0].errors[i]:.3e}")
         assert cells[1][2] == f"{table.columns[0].eocs[1]:.2f}"
-        meta = open(str(tmp_path / "t.meta")).read()
+        meta = (tmp_path / "t.meta").read_text()
         assert "experiment = circle" in meta
         assert "wall_time_s" in meta
 
@@ -171,16 +191,16 @@ class TestCsv:
         p1_, p2_ = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         emit_csv(run_experiment(spec), p1_)
         emit_csv(run_experiment(spec), p2_)
-        assert open(p1_).read() == open(p2_).read()
+        assert Path(p1_).read_text() == Path(p2_).read_text()
 
     def test_failure_markers(self, tmp_path):
-        spec = named_experiment("circle", mesh_sizes=[4, 6], taus=[0.1],
-                                T=0.3, flow_variant="h2",
-                                bc=BoundaryConditions(periodic=True))
+        spec = named_experiment("circle", mesh_sizes=[2, 4], taus=[0.1],
+                                T=0.3, initializer="j2")
         table = run_experiment(spec)
         path = str(tmp_path / "f.csv")
         emit_csv(table, path)
-        content = open(path).read()
-        assert "FAILED" in content
-        meta = open(str(tmp_path / "f.meta")).read()
+        content = Path(path).read_text()
+        assert content.splitlines()[0].split(",")[1] == "FAILED"
+        assert "FAILED" not in content.splitlines()[1]
+        meta = (tmp_path / "f.meta").read_text()
         assert "failure" in meta

@@ -1,5 +1,6 @@
 import os
 import time
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from elastica_fem.experiments import (circle_initial, named_experiment,
                                       oval_initial)
 from elastica_fem.flow import StepStructure, tangent_frames
 
-from conftest import solve
+from conftest import bending_matrix, restriction_matrix, solve
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -181,7 +182,8 @@ class TestRun:
         cfg = FlowConfig(tau=0.05, T=1.0, variant="l2", constraint=P2, bc=bc)
         init = init_state(oval_initial(), mesh, 2, P2, "j3", mats)
         state, _ = run(cfg, mesh, oval_initial(), 2, matrices=mats)
-        fixed = np.flatnonzero(np.diff(bc.restriction(mesh, 2).indptr) == 0)
+        fixed = np.flatnonzero(np.diff(restriction_matrix(
+            bc.restriction(mesh, 2)).indptr) == 0)
         # bitwise equality, not approximate
         assert np.array_equal(state.curve.dofs[fixed], init.curve.dofs[fixed])
         assert state.energy < init.energy
@@ -206,6 +208,24 @@ class TestRun:
         with pytest.raises(FlowSolveError) as info:
             run(cfg, mesh, circle_initial(), 2)
         assert info.value.step_index == 0
+        assert str(info.value).endswith(
+            "; the H2 flow needs value_a or value_b fixed: (1 + tau) S and "
+            "the tangent rows leave the translations free")
+
+    @pytest.mark.parametrize("variant, bc, note", [
+        ("l2", BoundaryConditions(periodic=True), False),
+        ("h2", BoundaryConditions(deriv_a=(0.0, 1.0)), True),
+        ("h2", BoundaryConditions(value_b=(1.0, 0.0)), False)])
+    def test_h2_note_only_when_no_value_is_fixed(self, variant, bc, note):
+        # a solve that fails for another cause: u' vanishes at the J2
+        # initializer's midpoints on the circle at M=2 (P2 rows)
+        cfg = FlowConfig(tau=0.1, T=0.1, variant=variant, constraint=P2, bc=bc)
+        with pytest.raises(FlowSolveError) as info:
+            run(cfg, Mesh1D.uniform(0.0, 2.0 * np.pi, 2), circle_initial(), 2,
+                initializer="j2")
+        assert "u' vanishes at the midpoint of element 0, 1" in str(info.value)
+        assert ("the H2 flow needs value_a or value_b fixed"
+                in str(info.value)) is note
 
     def test_l2_flow_periodic_works(self):
         mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 10)
@@ -369,13 +389,14 @@ class TestStepStructure:
 
     def test_eliminated_dofs_keep_uncoupled_rows(self):
         system, structure, _, mats = _flow_kkt("circle", P2, "clamped", 5)
-        P = named_experiment("circle").bc.restriction(mats.mesh, 2)
+        P = restriction_matrix(
+            named_experiment("circle").bc.restriction(mats.mesh, 2))
         fixed = np.flatnonzero(np.diff(P.indptr) == 0)
         # the tangential component of each node with free derivative DOFs
         tangential = 4 * (structure.nodes * P2.stride // 2) + 2
         A = structure.system.A.toarray()
         assert A.shape == (mats.mass.shape[0],) * 2
-        diag = mats.mass.diagonal() + 0.1 * mats.bending.diagonal()
+        diag = mats.mass.diagonal() + 0.1 * bending_matrix(mats).diagonal()
         for rows in (fixed, tangential):
             assert np.array_equal(A[rows], np.diag(diag)[rows])
             assert np.array_equal(A[:, rows], np.diag(diag)[:, rows])
@@ -519,7 +540,7 @@ def _reference_run(cfg, mesh, spec, mats):
     steps (max norms; the circle's velocities are roundoff)."""
     structure = StepStructure.build(cfg, mats)
     pattern, d, tau = structure.pattern, spec.dim, cfg.tau
-    P = pattern.restriction
+    P = restriction_matrix((pattern.columns, pattern.size))
     n = P.shape[0]
     A_form = ({"mass": 1.0, "bending": tau} if cfg.variant == "l2"
               else {"bending": 1.0 + tau})
@@ -662,7 +683,7 @@ def test_snapshots_and_trajectory_dump(tmp_path):
     assert [n for n, _ in snaps] == [0, 5, 10]
     path = os.path.join(tmp_path, "traj.txt")
     dump_trajectory(snaps, cfg.tau, path)
-    blocks = open(path).read().strip().split("\n\n")
+    blocks = Path(path).read_text().strip().split("\n\n")
     assert len(blocks) == 3
     first = blocks[0].splitlines()
     assert first[0].startswith("# step 0")

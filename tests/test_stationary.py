@@ -21,7 +21,8 @@ from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
                                      make_interpolant_pair, newton_solve,
                                      residual, residual_dual_norm)
 
-from conftest import fit_rate, with_norms
+from conftest import (bending_matrix, derivative_matrix, fit_rate,
+                      restriction_matrix, with_norms)
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -88,8 +89,9 @@ class TestJacobian:
         pair = make_interpolant_pair(circle_spec.exact.oracle,
                                      lambda x: np.zeros_like(x), mesh, 2, P2)
         A, _ = jacobian(pair, P2, circle_spec.bc, mats)
-        free = np.flatnonzero(np.diff(circle_spec.bc.restriction(mesh, 2).indptr))
-        expect = mats.bending.toarray()[np.ix_(free, free)]
+        free = np.flatnonzero(np.diff(restriction_matrix(
+            circle_spec.bc.restriction(mesh, 2)).indptr))
+        expect = bending_matrix(mats).toarray()[np.ix_(free, free)]
         assert_allclose(A.toarray(), expect, atol=1e-14)
 
     def test_symmetry(self, circle_spec):
@@ -127,10 +129,12 @@ class TestJacobian:
                                      circle_spec.exact.multiplier, mesh, 2,
                                      variant)
         A, _ = jacobian(pair, variant, circle_spec.bc, mats)
-        D, P = mats.derivative_map(variant), circle_spec.bc.restriction(mesh, 2)
+        D = derivative_matrix(mats.derivative_map(variant), mesh)
+        P = restriction_matrix(circle_spec.bc.restriction(mesh, 2))
         w = np.repeat(lumped_weights(mesh, variant)
                       * np.concatenate(([0.0], pair.lam, [0.0])), 2)
-        expect = (P.T @ (mats.bending + D.T @ sp.diags(w) @ D) @ P).toarray()
+        expect = (P.T @ (bending_matrix(mats) + D.T @ sp.diags(w) @ D)
+                  @ P).toarray()
         assert_allclose(A.toarray(), expect, rtol=0,
                         atol=1e-14 * np.abs(expect).max())
 
@@ -142,7 +146,8 @@ class TestJacobian:
                                      circle_spec.exact.multiplier,
                                      mesh, 2, variant)
         A, B = jacobian(pair, variant, circle_spec.bc, mats)
-        free = np.flatnonzero(np.diff(circle_spec.bc.restriction(mesh, 2).indptr))
+        free = np.flatnonzero(np.diff(restriction_matrix(
+            circle_spec.bc.restriction(mesh, 2)).indptr))
         r_u0, r_mu0 = residual(pair, variant, circle_spec.bc, mats)
         qu = rng.normal(size=free.size)
         ql = rng.normal(size=B.shape[0])
@@ -520,7 +525,7 @@ def dense_brezzi(pair, variant, bc, mats):
     (Z^T A Z, Z^T G Z); beta^2 the smallest eigenvalue of W y = mu N y with
     W = B G^-1 B^T and N = mass H^-1 mass."""
     G = _pattern(mats, variant, bc).restrict(
-        mats.mass + mats.combine(gradient=1.0) + mats.bending).toarray()
+        mats.mass + mats.combine(gradient=1.0) + bending_matrix(mats)).toarray()
     mass, stiff = dense_multiplier_grams(mats.mesh, variant)
     h1 = mass + stiff
     r_u, r_mu = residual(pair, variant, bc, mats)
@@ -829,17 +834,18 @@ class TestOneKKTPerMesh:
             [[0.0], np.cumsum(rng.uniform(0.5, 1.4, 12))])))
         for mesh in meshes:
             mats = assemble_matrices(mesh, spec.dim)
-            D = mats.derivative_map(variant)
+            D = derivative_matrix(mats.derivative_map(variant), mesh)
+            S = bending_matrix(mats)
             # nonzero multiplier weights: no Jacobian term cancels
             w = rng.uniform(1.0, 2.0, D.shape[0])
             for bc in (spec.bc, BoundaryConditions.free()):
                 template = _jacobian_pattern(mats, variant, bc)[0]
-                P = bc.restriction(mesh, spec.dim)
+                P = restriction_matrix(bc.restriction(mesh, spec.dim))
                 held = template.copy()
                 held.data[:] = 1.0
-                for A in (P.T @ (mats.bending + D.T @ sp.diags(w) @ D) @ P,
+                for A in (P.T @ (S + D.T @ sp.diags(w) @ D) @ P,
                           P.T @ (mats.mass + mats.combine(gradient=1.0)
-                                 + mats.bending) @ P):
+                                 + S) @ P):
                     outside = abs(A) - abs(A).multiply(held)
                     assert outside.count_nonzero() == 0
                 if mesh.constraint_nodes(variant).size > 2 and P.shape[1]:

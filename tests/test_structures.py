@@ -1,12 +1,14 @@
 """The per-mesh structures built by index arithmetic against the scipy
 constructions they replace, inlined here as oracles, bit for bit: the
-derivative map D, the constraint pattern, P^T A P, the sums of the system
+derivative map D's table and the restriction P's index map against their
+CSR matrices, the constraint pattern, P^T A P, the sums of the system
 matrices, the Jacobian's terms placed on P^T S P, which holds the union of
 their pattern and the H2 Gram's, the natural-order KKT graph of the band's
 reverse Cuthill-McKee branch, the band's order and K's pattern in it, and
 ``csr_pattern`` itself.  Guards: every matrix of a mesh has the pattern its
-elements couple, whatever its values; no general sparse operation runs in
-set-up, nor in a stationary solve once the mesh's structures exist."""
+elements couple, whatever its values; set-up makes a CSR matrix only where
+a solver or a product takes one, and no general sparse operation; nor does
+a stationary solve once the mesh's structures exist."""
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           Mesh1D, assemble_matrices, saddle_solver)
-from elastica_fem.assembly import (constraint_pattern, csr_pattern,
+from elastica_fem.assembly import (TARGETS, constraint_pattern, csr_pattern,
                                    derivative_map)
 from elastica_fem.experiments import named_experiment
 from elastica_fem.flow import StepStructure
@@ -27,7 +29,8 @@ from elastica_fem.stationary import (DiscreteNorms, _jacobian_pattern,
                                      make_interpolant_pair, newton_solve,
                                      residual_dual_norm)
 
-from conftest import element_pattern
+from conftest import (bending_matrix, derivative_matrix, element_pattern,
+                      restriction_matrix)
 
 P1, P2 = ConstraintVariant.P1, ConstraintVariant.P2
 
@@ -54,6 +57,23 @@ def scipy_derivative_map(mesh, dim, variant):
     D = sp.csr_matrix((data, (row, col)),
                       shape=(dim * nz, 2 * dim * mesh.nodes.size))
     return D[(dim * np.arange(0, nz, variant.stride)[:, None] + comp).ravel()]
+
+
+def scipy_restriction(bc, mesh, dim, full):
+    """P as a CSR matrix: a 1 in each row that is not fixed, at the column
+    of the DOF it takes (its own, or node 0's at the last node with periodic
+    ends), by COO construction; without ``full``, only the columns of the
+    DOFs that take their own, by scipy's column selection."""
+    n, last = 2 * dim * mesh.nodes.size, 2 * dim * (mesh.nodes.size - 1)
+    source, fixed = np.arange(n), np.zeros(n, dtype=bool)
+    if bc.periodic:
+        source[last:] -= last
+    for name, base in zip(TARGETS, (0, dim, last, last + dim)):
+        fixed[base:base + dim] = getattr(bc, name) is not None
+    rows = np.flatnonzero(~fixed)
+    P = sp.csr_matrix((np.ones(rows.size), (rows, source[rows])),
+                      shape=(n, n))
+    return P if full else P[:, np.unique(source[rows])]
 
 
 def scipy_constraint_pattern(D, P, dim, variant, rows=None):
@@ -99,8 +119,8 @@ def scipy_restrict(columns, k, A):
 def scipy_jacobian_pattern(matrices, pattern, variant, gram):
     """(template, slot) of the union of the Jacobian's terms and the Gram's
     entries from ``np.unique``; slot places the D^T D terms."""
-    D, S, c = matrices.derivative_map(variant), matrices.bending, pattern.columns
-    k = pattern.restriction.shape[1]
+    D = derivative_matrix(matrices.derivative_map(variant), matrices.mesh)
+    S, c, k = bending_matrix(matrices), pattern.columns, pattern.size
     lo, hi = D.indptr[:-1, None], D.indptr[1:, None]
     entry = lo + np.arange((hi - lo).max())
     both = (entry < hi)[:, :, None] & (entry < hi)[:, None, :]
@@ -214,14 +234,16 @@ def boundary_conditions(dim):
 
 def assert_structures_match_scipy(mesh, dim):
     mats = assemble_matrices(mesh, dim)
-    gram = mats.mass + mats.combine(gradient=1.0) + mats.bending
-    flows = (mats.mass + 0.1 * mats.bending, 1.1 * mats.bending)
+    S = bending_matrix(mats)
+    gram = mats.mass + mats.combine(gradient=1.0) + S
+    flows = (mats.mass + 0.1 * S, 1.1 * S)
     same_csr(mats.combine(mass=1.0, gradient=1.0, bending=1.0), gram)
     same_csr(mats.combine(mass=1.0, bending=0.1), flows[0])
     same_csr(mats.combine(bending=1.1), flows[1])
     for variant in (P1, P2):
         D = derivative_map(mesh, dim, variant)
-        same_csr(D, scipy_derivative_map(mesh, dim, variant))
+        same_csr(derivative_matrix(D, mesh),
+                 scipy_derivative_map(mesh, dim, variant))
         nz = mesh.constraint_nodes(variant).size
         for bc in boundary_conditions(dim):
             # the flow's full restriction, and the stationary rows at the
@@ -230,9 +252,14 @@ def assert_structures_match_scipy(mesh, dim):
                 [] if bc.periodic else [(False, np.arange(1, nz - 1))])
             for full, rows in cases:
                 P = bc.restriction(mesh, dim, full=full)
+                csr = scipy_restriction(bc, mesh, dim, full)
                 pattern = constraint_pattern(D, P, dim, variant, rows=rows)
                 template, coef, tangent, want_rows, columns = \
-                    scipy_constraint_pattern(D, P, dim, variant, rows=rows)
+                    scipy_constraint_pattern(derivative_matrix(D, mesh), csr,
+                                             dim, variant, rows=rows)
+                same_bits(P[0], columns)
+                same_csr(restriction_matrix(P), csr)
+                assert P[1] == pattern.size == csr.shape[1]
                 same_csr(pattern.template, template)
                 same_bits(pattern.coef, coef)
                 same_bits(pattern.tangent, tangent)
@@ -240,7 +267,7 @@ def assert_structures_match_scipy(mesh, dim):
                 same_bits(pattern.columns, columns)
                 for A in (gram,) + flows:
                     same_csr(pattern.restrict(A),
-                             scipy_restrict(columns, P.shape[1], A))
+                             scipy_restrict(columns, csr.shape[1], A))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -277,7 +304,7 @@ def test_periodic_restrict_sums_ties_in_entry_order(variant, dim):
             pattern = constraint_pattern(derivative_map(mesh, dim, variant), P,
                                          dim, variant)
             got = pattern.restrict(A)
-            same_csr(got, scipy_restrict(pattern.columns, P.shape[1], A))
+            same_csr(got, scipy_restrict(pattern.columns, P[1], A))
             terms = [A[i, j] for i in (0, 2 * dim * M) for j in (0, 2 * dim * M)
                      if A[i, j] != 0.0]
             assert len(terms) == (4 if M == 1 else 2)
@@ -293,16 +320,16 @@ def test_jacobian_and_gram_bitwise_equal_scipy(name, M):
         if mats.mesh.constraint_nodes(variant).size <= 2:
             continue
         for bc in (spec.bc, BoundaryConditions.free()):
-            pattern = _pattern(mats, variant, bc)
-            k = pattern.restriction.shape[1]
+            pattern, S = _pattern(mats, variant, bc), bending_matrix(mats)
+            k = pattern.size
             gram = scipy_restrict(pattern.columns, k, mats.mass
-                                  + mats.combine(gradient=1.0) + mats.bending)
+                                  + mats.combine(gradient=1.0) + S)
             template, slot = scipy_jacobian_pattern(mats, pattern, variant,
                                                     gram)
             got = _jacobian_pattern(mats, variant, bc)
             # the union is the pattern of P^T S P, which holds S's values
             template.data = on_pattern(
-                scipy_restrict(pattern.columns, k, mats.bending), template)
+                scipy_restrict(pattern.columns, k, S), template)
             same_csr(got[0], template)
             same_bits(got[1], slot)
             if k == 0:     # every DOF fixed
@@ -333,7 +360,8 @@ def test_one_pattern_per_mesh(name, M, dim):
     mesh = Mesh1D.uniform(*named_experiment(name).interval, M)
     mats = assemble_matrices(mesh, dim)
     want = element_pattern(mesh, dim)
-    for matrix in (mats.mass, mats.bending, mats.combine(gradient=1.0),
+    for matrix in (mats.mass, mats.combine(bending=1.0),
+                   mats.combine(gradient=1.0),
                    mats.combine(mass=1.0, gradient=1.0, bending=1.0),
                    mats.combine(mass=1.0, bending=0.1)):
         same_pattern(matrix, want)
@@ -346,7 +374,7 @@ def test_one_pattern_per_mesh(name, M, dim):
             same_pattern(l2.system.B, h2.system.B)
             same_bits(l2.band.perm, h2.band.perm)
             if bc.periodic or mesh.constraint_nodes(variant).size <= 2 \
-                    or not _pattern(mats, variant, bc).restriction.shape[1]:
+                    or not _pattern(mats, variant, bc).size:
                 continue
             same_pattern(DiscreteNorms.build(mats, bc, variant).gram,
                          _jacobian_pattern(mats, variant, bc)[0])
@@ -419,7 +447,7 @@ def test_band_order_equals_sorted_band(M, dim):
         for bc in (BoundaryConditions.free(), BoundaryConditions.clamped(
                 np.zeros(dim), e, np.ones(dim), e)):
             pattern = _pattern(mats, variant, bc)
-            if pattern.restriction.shape[1] == 0:
+            if pattern.size == 0:
                 continue
             systems.append((_jacobian_pattern(mats, variant, bc)[0],
                             pattern.template))
@@ -508,6 +536,38 @@ def test_setup_uses_no_general_sparse_operations(monkeypatch):
                 StepStructure.build(FlowConfig(tau=0.1, T=0.1, variant=flow,
                                                constraint=variant, bc=bc),
                                     mats[1])
+
+
+@pytest.mark.parametrize("name", ["circle", "helix", "oval-h2"])
+def test_setup_makes_csr_only_where_taken(monkeypatch, name):
+    # on fresh matrices: assemble_matrices makes the mass alone, which the
+    # forms multiply by; D and P are index arrays, so StepStructure.build
+    # makes the constraint template, the band sum, P^T A P, the rotated A
+    # and B and the band's K, and DiscreteNorms.build the template, the band
+    # sum and the Gram
+    from scipy.sparse import _compressed
+
+    calls, init = [], _compressed._cs_matrix.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(type(self))
+        init(self, *args, **kwargs)
+
+    def constructions(build, *args):
+        calls.clear()
+        build(*args)
+        return len(calls)
+
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__", spy)
+    spec = named_experiment(name)
+    mesh = Mesh1D.uniform(*spec.interval, 20)
+    config = FlowConfig(tau=0.1, T=0.1, variant=spec.flow_variant,
+                        constraint=P2, bc=spec.bc)
+    assert constructions(assemble_matrices, mesh, spec.dim) == 1
+    assert constructions(StepStructure.build, config,
+                         assemble_matrices(mesh, spec.dim)) == 6
+    assert constructions(DiscreteNorms.build,
+                         assemble_matrices(mesh, spec.dim), spec.bc, P2) == 3
 
 
 def test_stationary_solves_use_no_sparse_construction(monkeypatch):

@@ -37,8 +37,8 @@ def h2_error(Z: HermiteCurve, exact: ExactSolution,
     """
     dofs = Z.dofs
     ui = interp_hermite(exact.oracle, Z.mesh, Z.dim).dofs
-    val = exact.h2_seminorm_sq + matrices.quad_bending(dofs) \
-        - 2.0 * matrices.quad_bending(dofs, ui)
+    zz, zu = matrices.bending_forms(dofs, ui)
+    val = exact.h2_seminorm_sq + zz - 2.0 * zu
     if val < _CLAMP_WARN:
         warnings.warn(f"squared H2 error {val:.3e} clamped to zero "
                       "(cancellation below the roundoff budget)")

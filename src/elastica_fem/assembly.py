@@ -18,28 +18,29 @@ _GAUSS4_T, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 # mapped to [0,1]; longdouble for the element matrices (see _element_blocks)
 _QT = (0.5 * (_GAUSS4_T + 1.0)).astype(np.longdouble)
 _QW = (0.5 * _GAUSS4_W).astype(np.longdouble)
-_REFERENCE_GRAMS = [(b * _QW) @ b.T for b in (   # of each derivative order
+_REFERENCE_GRAMS = np.stack([(b * _QW) @ b.T for b in (   # of each order
     _hermite_reference(_QT.astype(float), k).astype(np.longdouble)
-    for k in range(3))]
+    for k in range(3))])
+_H_POWERS = np.array([1, -1, -3])[:, None, None, None]    # h^(1 - 2 order)
 
 
-def _element_blocks(mesh: Mesh1D, order: int) -> np.ndarray:
-    """(M, 4, 4) longdouble element matrices of the order-th derivative
-    product, with the physical h-scaling of value/derivative DOFs applied.
-    4-point Gauss is exact for these integrands (degree <= 6), but its nodes
-    and the basis values are float64 and only the sums longdouble: the
-    reference Grams are within 8.0e-16 (bending) to 9.4e-16 (mass),
-    relative, of their rational entries.
+def _element_blocks(lengths: np.ndarray) -> np.ndarray:
+    """(3, U, 4, 4) longdouble element matrices of the 0th to 2nd derivative
+    products on elements of the U given lengths, with the physical h-scaling
+    of value/derivative DOFs applied.  4-point Gauss is exact for these
+    integrands (degree <= 6), but its nodes and the basis values are float64
+    and only the sums longdouble: the reference Grams are within 8.0e-16
+    (bending) to 9.4e-16 (mass), relative, of their rational entries.
 
     They only build the CSR matrices, unsymmetrized; ``assemble_matrices``
     casts them to float64 and symmetrizes their sum.  In longdouble, entries
     that are 0 in exact arithmetic round to exact zeros (bending on the
     circle at M=5, d=1: 8 of the 64 entries the elements couple, none if
     built in float64); the CSR pattern keeps them, as zeros."""
-    h = mesh.element_lengths.astype(np.longdouble)
-    scale = np.where([False, True, False, True], h[:, None], 1.0)
-    blocks = _REFERENCE_GRAMS[order] * scale[:, :, None] * scale[:, None, :]
-    return blocks * h[:, None, None] ** (1 - 2 * order)
+    h = lengths.astype(np.longdouble)[:, None, None]
+    scale = np.where([False, True, False, True], h[:, 0], 1.0)
+    blocks = _REFERENCE_GRAMS[:, None] * scale[:, :, None] * scale[:, None, :]
+    return blocks * h ** _H_POWERS
 
 
 def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
@@ -82,8 +83,8 @@ class SystemMatrices:
         w = u.reshape(u.shape[:-1] + (self.mesh.nodes.size, 2, self.dim))
         x = np.concatenate([w[..., 1:, :1, :] - w[..., :-1, :1, :],   # delta
                             w[..., :-1, 1:, :], w[..., 1:, 1:, :]], axis=-2)
-        ends = self._bending_scales()[0] @ x
-        return ends[..., 0, :], ends[..., 1, :]
+        rows = self._bending_scales()[0]      # a product per end: contiguous
+        return (rows[:, :1] @ x)[..., 0, :], (rows[:, 1:] @ x)[..., 0, :]
 
     def _bending_load(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """S @ u: -+(a - b)/h on the value rows, -a and +b on the derivative rows."""
@@ -99,14 +100,22 @@ class SystemMatrices:
         return self._bending_load(*self._curvature_ends(u))
 
     def quad_bending(self, u, v=None) -> float:
-        """u^T S v (v defaults to u): the sum of h/3 (a c + (a e + b c)/2
-        + b e) over elements, (a, b) and (c, e) the end values of u'', v''."""
+        """u^T S v (v defaults to u)."""
+        return self.bending_forms(u, v)[0 if v is None else 1]
+
+    def bending_forms(self, u, v=None):
+        """(u^T S u, S u), or with ``v`` (u^T S u, u^T S v), from one pass
+        over u'' at the element ends: u^T S v is the sum of h/3 (a c + (a e
+        + b c)/2 + b e) over elements, (a, b) and (c, e) the end values of
+        u'', v''."""
         h3 = self._bending_scales()[2]
         if v is None:
             a, b = self._curvature_ends(u)
-            return float(np.sum(h3 * (a * a + a * b + b * b)))
+            return (float(np.sum(h3 * (a * a + a * b + b * b))),
+                    self._bending_load(a, b))
         (a, c), (b, e) = self._curvature_ends(np.stack([u, v]))
-        return float(np.sum(h3 * (a * c + 0.5 * (a * e + b * c) + b * e)))
+        return (float(np.sum(h3 * (a * a + a * b + b * b))),
+                float(np.sum(h3 * (a * c + 0.5 * (a * e + b * c) + b * e))))
 
     def quad_mass(self, u) -> float:
         return float(u @ (self.mass @ u))
@@ -155,12 +164,16 @@ def assemble_matrices(mesh: Mesh1D, dim: int) -> SystemMatrices:
     """Assemble the three system matrices with elementwise Gauss quadrature
     that is exact for the polynomial integrands, as symmetrized bands.
 
-    The float64 element blocks of the three orders, stacked, are summed
+    An element's blocks depend on it only through its length, so the
+    longdouble blocks are made once per distinct length and gathered to the
+    elements as float64; those of the three orders, stacked, are summed
     into 7-diagonal scalar bands A (band[i, k] = A[i, i + k - 3]) and
     symmetrized as 0.5 (A + A^T); ``_band_csr`` expands the mass alone:
     COO assembly, 0.5 (A + A^T) and (x) I bit for bit, exact zeros kept."""
     n, m = 2 * mesh.nodes.size, mesh.num_elements
-    blk = np.stack([_element_blocks(mesh, o) for o in range(3)]).astype(float)
+    lengths = np.unique(mesh.element_lengths)
+    element = np.searchsorted(lengths, mesh.element_lengths)   # into lengths
+    blk = _element_blocks(lengths).astype(float)[:, element]
     band = np.zeros((3, n + 6, 7))                     # 3 zero rows each side
     # row a of element e's block: scalar row 2e + a, columns 2e..2e+3; an
     # entry gets at most two terms, whose sum does not depend on order
@@ -251,7 +264,10 @@ class BoundaryConditions:
         for name in TARGETS:
             v = getattr(self, name)
             if v is not None:
-                setattr(self, name, np.asarray(v, dtype=float).ravel())
+                v = np.asarray(v, dtype=float).ravel()
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"{name} must be finite")
+                setattr(self, name, v)
         if self.periodic and any(getattr(self, n) is not None
                                  for n in TARGETS):
             raise ValueError("periodic boundary conditions exclude endpoint fixing")
@@ -317,7 +333,7 @@ class BoundaryConditions:
             if want is None:
                 continue
             err = float(np.abs(got - want).max())
-            if err > t:
+            if not err <= t:        # a NaN error fails too
                 raise ValueError(
                     f"initial curve violates boundary target {name}: |error| = {err:.3e}")
 

@@ -118,13 +118,14 @@ def init_state(z0: FunctionOracle, mesh: Mesh1D, dim: int,
     if matrices is None:
         matrices = assemble_matrices(mesh, dim)
     tangents = curve.derivative_at_constraint_nodes(constraint)
+    twice_energy, load = matrices.bending_forms(curve.dofs)
     return FlowState(
         n=0,
         curve=curve,
-        energy=0.5 * matrices.quad_bending(curve.dofs),
+        energy=0.5 * twice_energy,
         last_velocity_norm=float("nan"),
         constraint_violation=unit_speed_violation(curve, constraint, tangents),
-        bending_load=matrices.apply_bending(curve.dofs),
+        bending_load=load,
         tangents=tangents,
     )
 

@@ -43,8 +43,9 @@ class Mesh1D:
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("mesh needs at least two nodes")
         lengths = np.diff(nodes)
-        if np.any(lengths <= 0.0):
-            raise ValueError("mesh nodes must be strictly increasing")
+        # a NaN length compares false, and an infinite node an infinite span
+        if not (np.all(lengths > 0.0) and nodes[-1] - nodes[0] < np.inf):
+            raise ValueError("mesh nodes must be finite and strictly increasing")
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         mids = 0.5 * (nodes[:-1] + nodes[1:])
@@ -56,8 +57,8 @@ class Mesh1D:
     @classmethod
     def uniform(cls, a: float, b: float, num_elements: int) -> "Mesh1D":
         """Uniform mesh with ``num_elements`` equal elements on (a, b)."""
-        if not b > a:
-            raise ValueError(f"invalid interval: a={a} must be < b={b}")
+        if not -np.inf < a < b < np.inf:
+            raise ValueError(f"invalid interval: a={a} must be < b={b}, both finite")
         if num_elements < 1:
             raise ValueError("number of elements must be >= 1")
         return cls(np.linspace(a, b, num_elements + 1))

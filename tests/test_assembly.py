@@ -13,7 +13,8 @@ from elastica_fem import (BoundaryConditions, ConstraintVariant, FlowConfig,
                           FunctionOracle, HermiteCurve, Mesh1D,
                           assemble_constraint, assemble_matrices, interp_j3,
                           run)
-from elastica_fem.assembly import (_element_blocks, constraint_pattern,
+from elastica_fem import assembly
+from elastica_fem.assembly import (_REFERENCE_GRAMS, constraint_pattern,
                                    derivative_map)
 from elastica_fem.experiments import (HELIX_FREQ, circle_initial,
                                       helix_initial, named_experiment)
@@ -124,10 +125,19 @@ class TestSystemMatrices:
                         atol=1e-8 * max(1.0, np.abs(S @ u).max()))
 
 
+def per_element_blocks(mesh, order):
+    """(M, 4, 4) float64 element blocks of the order-th derivative product,
+    evaluated element by element in longdouble from the reference Grams."""
+    h = mesh.element_lengths.astype(np.longdouble)
+    scale = np.where([False, True, False, True], h[:, None], 1.0)
+    blocks = _REFERENCE_GRAMS[order] * scale[:, :, None] * scale[:, None, :]
+    return (blocks * h[:, None, None] ** (1 - 2 * order)).astype(float)
+
+
 def scipy_assembly(mesh, dim):
     """The matrices built through scipy's general constructors: COO
-    triplets of the element blocks summed to CSR, 0.5 (A + A^T), and the
-    Kronecker product with the identity of size dim."""
+    triplets of the per-element blocks summed to CSR, 0.5 (A + A^T), and
+    the Kronecker product with the identity of size dim."""
     n = 2 * mesh.nodes.size
     e = np.arange(mesh.num_elements)
     local = np.stack([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3], axis=1)
@@ -135,7 +145,7 @@ def scipy_assembly(mesh, dim):
     cols = np.tile(local, (1, 4)).ravel()
     out = []
     for order in (0, 1, 2):
-        blk = _element_blocks(mesh, order).astype(float)
+        blk = per_element_blocks(mesh, order)
         a = sp.coo_matrix((blk.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         a = 0.5 * (a + a.T)
         if dim > 1:
@@ -157,26 +167,48 @@ def assert_same_as_scipy_assembly(mesh, dim):
         assert got.has_canonical_format
         for attr in ("indptr", "indices"):
             assert np.array_equal(getattr(got, attr), getattr(pattern, attr))
-        # bit for bit, signed zeros included
-        assert np.array_equal(got.data.view(np.int64), want.toarray()[
-            rows, pattern.indices].view(np.int64))
+        # bit for bit, signed zeros included; an entry that scipy dropped
+        # reads +0.0
+        assert np.array_equal(got.data.view(np.int64), np.asarray(
+            want[rows, pattern.indices]).ravel().view(np.int64))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("M", [1, 5, 20, 1280])
+@pytest.mark.parametrize("M", [1, 5, 20, 1280, 5120])
 @pytest.mark.parametrize("name", ["circle", "helix", "oval-h2"])
 def test_matrices_bitwise_equal_scipy_assembly(name, M, dim):
     assert_same_as_scipy_assembly(
         Mesh1D.uniform(*named_experiment(name).interval, M), dim)
 
 
-@given(st.lists(st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
-                min_size=1, max_size=60),
+# all widths distinct, or a few widths repeated in shuffled order
+@given(st.one_of(
+           st.lists(st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+                    min_size=1, max_size=60),
+           st.lists(st.sampled_from([0.3, 0.7, 1.9]), min_size=1, max_size=60)),
        st.integers(min_value=1, max_value=3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_graded_matrices_bitwise_equal_scipy_assembly(widths, dim):
     assert_same_as_scipy_assembly(
         Mesh1D(np.concatenate([[0.0], np.cumsum(widths)])), dim)
+
+
+@pytest.mark.parametrize("name", ["circle", "helix", "oval-h2"])
+def test_blocks_made_once_per_distinct_length(monkeypatch, name):
+    # the longdouble kernel sees each distinct element length once, not
+    # each element; a uniform mesh has only a few of them
+    seen, kernel = [], assembly._element_blocks
+
+    def spy(lengths):
+        seen.append(np.array(lengths))
+        return kernel(lengths)
+
+    monkeypatch.setattr(assembly, "_element_blocks", spy)
+    mesh = Mesh1D.uniform(*named_experiment(name).interval, 1280)
+    assemble_matrices(mesh, 2)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.unique(mesh.element_lengths))
+    assert seen[0].size <= 12
 
 
 def test_assembly_uses_no_general_sparse_constructors(monkeypatch):
@@ -520,6 +552,14 @@ class TestConstraintMatrix:
                                  deriv_b=(0.0, 1.0))
         with pytest.raises(ValueError, match="value_a"):
             bad.validate_initial(Z)
+
+    def test_nonfinite_targets_and_errors_rejected(self):
+        with pytest.raises(ValueError, match="deriv_b must be finite"):
+            BoundaryConditions(deriv_b=(np.inf, 0.0))
+        mesh = Mesh1D.uniform(0.0, 1.0, 2)
+        curve = HermiteCurve(mesh, 2, np.full((3, 2), np.nan), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="value_a"):
+            BoundaryConditions(value_a=(0.0, 0.0)).validate_initial(curve)
 
     def test_periodic_excludes_fixing(self):
         with pytest.raises(ValueError):

@@ -205,6 +205,17 @@ class TestMain:
                               "value_b fixed")
         assert list(tmp_path.glob("*.csv")) == []
 
+    def test_nonfinite_boundary_target_is_usage_error(self, tmp_path, capsys):
+        # a NaN target made a NaN error, which no tolerance test caught
+        cfg_file = tmp_path / "nan.cfg"
+        cfg_file.write_text("experiment=circle\nbc.value_a=nan,0\n")
+        assert console_main(["run", "--config", str(cfg_file), "-M", "4",
+                             "--T", "0.1", "--tau", "0.1",
+                             "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "usage error: value_a must be finite")
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_stationarity_subcommand(self, capsys):
         cfg = parse_args(["stationarity", "circle", "--constraint", "p2",
                           "--initializer", "j3", "--mesh-size", "8"])

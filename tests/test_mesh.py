@@ -41,6 +41,18 @@ def test_nonmonotone_nodes_rejected():
         Mesh1D(np.array([0.0, 0.5, 0.5, 1.0]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Mesh1D(np.array([0.0, np.nan, 1.0])),
+    lambda: Mesh1D(np.array([0.0, 1.0, np.inf])),
+    lambda: Mesh1D.uniform(0.0, np.inf, 4),
+    lambda: Mesh1D.uniform(-np.inf, 0.0, 4),
+], ids=["nan-node", "inf-node", "uniform-inf-b", "uniform-inf-a"])
+def test_nonfinite_nodes_rejected(build):
+    # a NaN length compares false with 0, so monotonicity alone let it pass
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_constraint_nodes_examples():
     mesh = Mesh1D.uniform(0.0, 1.0, 2)
     assert_allclose(mesh.constraint_nodes(ConstraintVariant.P1), [0.0, 0.5, 1.0])

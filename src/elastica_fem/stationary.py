@@ -281,6 +281,14 @@ def _multiplier_factors(mesh: Mesh1D, variant: ConstraintVariant
 
 
 _LANCZOS_CAP = 80
+# The nu run of alpha and the beta run stop at r <= tol s, so the Ritz
+# value's error is at most about tol^2 s^2/gap: at 1e-5 alpha and beta move
+# by at most 5.5e-10 relative (circle and helix, P1 and P2, M = 10 to 1280),
+# below the 7 digits ``diagnostics`` prints and below the float64 roundoff
+# alpha already carries from M = 640 on (CHANGES.md, the FOUND line "at M
+# >= 640 alpha carries float64 roundoff in its 6th digit").  The run that
+# only places alpha's shift stops at 1e-2.
+_BREZZI_TOL = 1e-5
 
 
 def _extreme_eigenvalue(matvec: Callable, n: int, which: str,
@@ -294,31 +302,35 @@ def _extreme_eigenvalue(matvec: Callable, n: int, which: str,
     r <= eps s; measured against s, a value near 0 converges.  A basis
     spanning R^n gives the exact value; an invariant Krylov space keeps its
     value and the run restarts orthogonal to it.  Past ``_LANCZOS_CAP``
-    basis vectors it raises ``ValueError``."""
-    sign, eps = (1.0 if which == "LA" else -1.0), np.finfo(float).eps
+    basis vectors it raises ``ValueError``.  ``matvec`` returns a new
+    array: the run overwrites it."""
+    negate, eps = which == "SA", float(np.finfo(float).eps)
     rng = np.random.default_rng(0)
     a, b, V = np.empty(_LANCZOS_CAP), np.empty(_LANCZOS_CAP), np.empty((0, n))
     w, start, best, scale = rng.standard_normal(n), 0, -np.inf, 0.0
     for k in range(min(n, _LANCZOS_CAP)):
         if k == len(V):             # the basis grows 16 vectors at a time
             V = np.concatenate([V, np.empty((16, n))])
-        V[k] = w / np.linalg.norm(w)
-        w = sign * matvec(V[k])
+        np.divide(w, np.sqrt(w @ w), out=V[k])
+        w = matvec(V[k])
+        if negate:
+            w = -w
         a[k] = V[k] @ w
         for _ in range(2):          # two Gram-Schmidt passes
             w -= V[:k + 1].T @ (V[:k + 1] @ w)
-        b[k] = np.linalg.norm(w)
+        b[k] = beta = float(np.sqrt(w @ w))
         # Ritz values of the tridiagonal since the last restart
         theta, z, _ = lapack.dstev(a[start:k + 1], b[start:max(k, start + 1)])
-        scale = max(scale, -theta[0], theta[-1])
-        r = b[k] * abs(z[-1, -1])
-        gap = theta[-1] - theta[-2] if k > start else 0.0
-        if k + 1 == n or b[k] > eps * scale and (
+        top = float(theta[-1])
+        scale = max(scale, -float(theta[0]), top)
+        r = beta * abs(float(z[-1, -1]))
+        gap = top - float(theta[-2]) if k > start else 0.0
+        if k + 1 == n or beta > eps * scale and (
                 r <= tol * scale if tol else
                 r * r <= eps * scale * gap or r <= eps * scale):
-            return float(sign * max(best, theta[-1]))
-        if b[k] <= eps * scale:     # an invariant Krylov space: exact
-            best, start, w = max(best, theta[-1]), k + 1, rng.standard_normal(n)
+            return -max(best, top) if negate else max(best, top)
+        if beta <= eps * scale:     # an invariant Krylov space: exact
+            best, start, w = max(best, top), k + 1, rng.standard_normal(n)
             for _ in range(2):
                 w -= V[:k + 1].T @ (V[:k + 1] @ w)
     raise ValueError(f"Lanczos did not converge in {_LANCZOS_CAP} steps")
@@ -363,13 +375,23 @@ class DiscreteNorms:
         return float(np.linalg.norm(_tri(self.h1_factor, t)))
 
 
+def _require_finite(what: str, *arrays) -> None:
+    """Raise ``ValueError`` naming ``what`` if an array holds a NaN or inf."""
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ValueError(f"non-finite {what}")
+
+
 def residual_dual_norm(p: SaddlePoint, variant: ConstraintVariant,
                        bc: BoundaryConditions, matrices: SystemMatrices,
                        norms: DiscreteNorms) -> float:
-    """Dual norm of the full optimality residual at p in ``norms``."""
+    """Dual norm of the full optimality residual at p in ``norms``; a
+    non-finite residual or norm raises ``ValueError``."""
     r_u, r_mu = residual(p, variant, bc, matrices)
-    return float(np.hypot(norms.curve_dual_norm(r_u),
-                          norms.multiplier_dual_norm(r_mu)))
+    _require_finite("residual", r_u, r_mu)
+    value = float(np.hypot(norms.curve_dual_norm(r_u),
+                           norms.multiplier_dual_norm(r_mu)))
+    _require_finite("residual dual norm (overflow)", value)
+    return value
 
 
 def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
@@ -385,13 +407,21 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
     nu the largest eigenvalue of y -> U x with x the curve part of the
     solution of [[A - sigma G, B^T], [B, 0]] for (U^T y, 0), the mesh's KKT
     band factored once.  Unshifted, 1/nu would miss a negative alpha.
+
+    The nu run stops at the Ritz residual r <= tol s, tol = ``_BREZZI_TOL``
+    = 1e-5 and s the largest Ritz value, so nu is off by at most about
+    tol^2 s^2/gap.  Against a run to float64 convergence alpha moved by at
+    most 5.5e-10 relative on circle and helix, P1 and P2, M = 10 to 1280.
+    A non-finite Jacobian raises ``ValueError`` before any factorization.
     """
     A, B = jacobian(p, variant, bc, matrices)
+    _require_finite("Jacobian", A.data, B.data)
     G, band = norms.gram, _jacobian_pattern(matrices, variant, bc)[-1]
     band.check(G, B)        # G on the band's pattern, before any use
     U, n, tail = norms.gram_factor, A.shape[0], np.zeros(B.shape[0])
     lowest = _extreme_eigenvalue(lambda y: _tri(U, A @ _tri(U, y, 0, True),
                                                 1, True), n, "SA", 1e-2)
+    _require_finite("Jacobian spectrum (overflow)", lowest)
     gap = 0.1 * (1.0 + abs(lowest))
     A_band, G_band = _upper_band(A), _upper_band(G)
     # a Ritz value may miss the bottom of the spectrum
@@ -402,7 +432,7 @@ def coercivity_estimate(p: SaddlePoint, variant: ConstraintVariant,
         band.rescale()
         band.factor(A, B)
         nu = _extreme_eigenvalue(lambda y: _tri(U, band.apply(np.concatenate(
-            [_tri(U, y, 1), tail]))[:n]), n, "LA")
+            [_tri(U, y, 1), tail]))[:n]), n, "LA", _BREZZI_TOL)
     except KKTSingularError as exc:
         raise ValueError("constraint block is rank deficient") from exc
     return float(lowest - gap + 1.0 / nu)
@@ -419,7 +449,15 @@ def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
     U_H^-1 (H = U_H^T U_H and G from ``norms``, W = B G^-1 B^T).  W^-1 r
     is -lam of the solution of [[G, B^T], [B, 0]] for (0, r), the mesh's
     KKT band factored once; beta is 0 when it is singular.
+
+    The Lanczos stops at the Ritz residual r <= tol s, tol =
+    ``_BREZZI_TOL`` = 1e-5 and s the largest Ritz value, so nu is off by at
+    most about tol^2 s^2/gap.  Against a run to float64 convergence beta
+    moved by at most 6.0e-11 relative on circle and helix, P1 and P2, M =
+    10 to 1280.  Non-finite tangents of u raise ``ValueError`` before any
+    factorization.
     """
+    _require_finite("tangents of u", p.tangents[::variant.stride])
     B = _constraint_block(p, variant, bc, matrices)
     G, band = norms.gram, _jacobian_pattern(matrices, variant, bc)[-1]
     H, F, head = norms.h1_factor, norms.mass_factor, np.zeros(B.shape[1])
@@ -435,6 +473,6 @@ def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
         band.rescale()
         band.factor(G, B)
         return float(np.sqrt(1.0 / _extreme_eigenvalue(matvec, B.shape[0],
-                                                        "LA")))
+                                                        "LA", _BREZZI_TOL)))
     except KKTSingularError:
         return 0.0

@@ -486,6 +486,46 @@ class TestBrezziDiagnostics:
                 estimate(pair, P2, circle_spec.bc, mats,
                          replace(norms, gram=gram))
 
+    def test_non_finite_point_raises_before_any_factor(self, circle_spec,
+                                                      monkeypatch):
+        # a NaN multiplier leaves B intact but not the residual or A; the
+        # inf-sup estimate reads only u and keeps its value
+        mesh = Mesh1D.uniform(0.0, 2.0 * np.pi, 10)
+        mats = assemble_matrices(mesh, 2)
+        pair = make_interpolant_pair(circle_spec.exact.oracle,
+                                     circle_spec.exact.multiplier, mesh, 2, P2)
+        norms = DiscreteNorms.build(mats, circle_spec.bc, P2)
+        nan_lam = SaddlePoint(pair.u, np.full_like(pair.lam, np.nan))
+        derivs = pair.u.derivs.copy()
+        derivs[3] = np.nan
+        nan_u = SaddlePoint(HermiteCurve(mesh, 2, pair.u.values, derivs),
+                            pair.lam)
+        beta = infsup_estimate(pair, P2, circle_spec.bc, mats, norms)
+        assert infsup_estimate(nan_lam, P2, circle_spec.bc, mats, norms) == beta
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a factorization started")
+        monkeypatch.setattr(saddle_solver.BandedKKT, "factor", forbidden)
+        monkeypatch.setattr(stationary.lapack, "dpbtrf", forbidden)
+        for estimate, p, what in ((residual_dual_norm, nan_lam, "residual"),
+                                  (coercivity_estimate, nan_lam, "Jacobian"),
+                                  (infsup_estimate, nan_u, "tangents of u")):
+            with pytest.raises(ValueError, match=f"^non-finite {what}$"):
+                estimate(p, P2, circle_spec.bc, mats, norms)
+
+    def test_overflow_is_reported_as_non_finite(self, circle_spec):
+        # lam = 1e300 is finite, but the dual norm and A's spectrum overflow
+        pair = make_interpolant_pair(circle_spec.exact.oracle,
+                                     circle_spec.exact.multiplier,
+                                     Mesh1D.uniform(0.0, 2.0 * np.pi, 10), 2, P2)
+        huge = SaddlePoint(pair.u, np.full_like(pair.lam, 1e300))
+        mats = assemble_matrices(pair.u.mesh, 2)
+        for estimate, what in ((residual_dual_norm, "residual dual norm"),
+                               (coercivity_estimate, "Jacobian spectrum")):
+            with pytest.warns(RuntimeWarning, match="overflow"), \
+                    pytest.raises(ValueError, match=f"non-finite {what}"):
+                with_norms(estimate, huge, P2, circle_spec.bc, mats)
+
     def test_periodic_rejected(self, circle_spec):
         pair, mesh = straight_pair()
         mats = assemble_matrices(mesh, 2)
@@ -564,6 +604,26 @@ def banded_brezzi(pair, variant, bc, mats):
                  (residual_dual_norm, coercivity_estimate, infsup_estimate))
 
 
+def band_applies(monkeypatch, args):
+    """Calls of ``BandedKKT.apply`` by the alpha and by the beta estimate
+    at ``args`` (the nu run and the beta run)."""
+    calls = []
+    apply = saddle_solver.BandedKKT.apply
+
+    def spy(band, rhs):
+        calls.append(band)
+        return apply(band, rhs)
+
+    monkeypatch.setattr(saddle_solver.BandedKKT, "apply", spy)
+    norms = DiscreteNorms.build(args[3], args[2], args[1])
+    counts = []
+    for estimate in (coercivity_estimate, infsup_estimate):
+        calls.clear()
+        estimate(*args, norms)
+        counts.append(len(calls))
+    return counts
+
+
 class TestBandedBrezziAgainstDense:
     @pytest.mark.parametrize("M", [10, 20, 40, 80, 160])
     @pytest.mark.parametrize("variant", [P1, P2], ids=["p1", "p2"])
@@ -620,20 +680,36 @@ class TestBandedBrezziAgainstDense:
     def test_lanczos_applies_per_estimate(self, monkeypatch, name, variant, M):
         # each Lanczos step applies the factored KKT band once; ARPACK's
         # residual test took 16-21 applies per estimate here
-        calls = []
-        apply = saddle_solver.BandedKKT.apply
+        counts = band_applies(monkeypatch, scaled_pair(name, M, variant))
+        assert all(1 <= c <= 14 for c in counts), counts
 
-        def spy(band, rhs):
-            calls.append(band)
-            return apply(band, rhs)
 
-        monkeypatch.setattr(saddle_solver.BandedKKT, "apply", spy)
+    @pytest.mark.parametrize("M", [10, 40, 160])
+    @pytest.mark.parametrize("variant", [P1, P2], ids=["p1", "p2"])
+    @pytest.mark.parametrize("name", ["circle", "helix"])
+    def test_brezzi_tol_against_converged_runs(self, monkeypatch, name,
+                                               variant, M):
+        # stopped at _BREZZI_TOL, alpha and beta agree with the nu and beta
+        # runs iterated to float64 convergence (tol 0).  The run that only
+        # places alpha's shift keeps its 1e-2: a shift moved by it moves
+        # alpha at roundoff, 1.3e-8 relative at circle P1 M=160
         args = scaled_pair(name, M, variant)
         norms = DiscreteNorms.build(args[3], args[2], variant)
-        for estimate in (coercivity_estimate, infsup_estimate):
-            calls.clear()
-            estimate(*args, norms)
-            assert 1 <= len(calls) <= 14, (estimate.__name__, len(calls))
+        estimates = (coercivity_estimate, infsup_estimate)
+        stopped = [f(*args, norms) for f in estimates]
+        run = stationary._extreme_eigenvalue
+        monkeypatch.setattr(stationary, "_extreme_eigenvalue",
+                            lambda matvec, n, which, tol=0.0: run(
+                                matvec, n, which,
+                                0.0 if tol == stationary._BREZZI_TOL else tol))
+        assert_allclose(stopped, [f(*args, norms) for f in estimates],
+                        rtol=1e-8)
+
+    def test_brezzi_runs_stop_at_their_tolerance(self, monkeypatch):
+        # circle P2 at M=40: iterated to float64 convergence, the nu run of
+        # alpha applied the band 10 times and the beta run 13 times
+        assert band_applies(monkeypatch, scaled_pair("circle", 40, P2)) \
+            == [8, 10]
 
 
 # ---------------------------------------------------------------------------

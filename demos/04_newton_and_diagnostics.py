@@ -13,20 +13,16 @@ helix, not -|u''|^2.
 
 import numpy as np
 
-from elastica_fem import ConstraintVariant, Mesh1D, assemble_matrices
+from elastica_fem import Mesh1D, assemble_matrices
 from elastica_fem.cli import console_main
 from elastica_fem.experiments import HELIX_FREQ, named_experiment
-from elastica_fem.stationary import make_interpolant_pair, newton_solve
-
-P2 = ConstraintVariant.P2
+from elastica_fem.stationary import study_row
 
 for name in ("circle", "helix"):
     spec = named_experiment(name)
     mesh = Mesh1D.uniform(*spec.interval, 20)
     mats = assemble_matrices(mesh, spec.dim)
-    pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
-                                 mesh, spec.dim, P2)
-    sol, log = newton_solve(pair, P2, spec.bc, mats)
+    sol, log = study_row(spec, mats, brezzi=False).newton
     print(f"{name}: newton residuals " +
           " -> ".join(f"{r:.2e}" for r in log["residual_norms"]))
     print(f"  multiplier in the interior: {np.median(sol.lam):+.6f}")

@@ -26,9 +26,7 @@ from .experiments import (ExperimentSpec, _column_eocs, _fmt_eoc, emit_csv,
                           named_experiment, run_experiment, stationarity_check)
 from .mesh import ConstraintVariant, Mesh1D
 from .splines import FunctionOracle, interp_hermite
-from .stationary import (DiscreteNorms, NewtonError, make_interpolant_pair,
-                         newton_solve, coercivity_estimate, infsup_estimate,
-                         residual_dual_norm)
+from .stationary import study_row
 
 EXPERIMENT_NAMES = ("circle", "helix", "oval", "oval-h2")
 OUTPUT_DIR_ENV = "ELASTICA_FEM_OUTPUT_DIR"
@@ -211,7 +209,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     if ns.snapshot_stride > 0 and spec.flow_variant == "newton":
         raise UsageError("--snapshot-stride needs a gradient flow (l2 or h2); "
                          "newton has no trajectory")
-    if spec.long_running and not ns.long:
+    if spec.long_running and not ns.long and spec.flow_variant != "newton":
         raise UsageError(
             f"experiment {spec.name!r} is long-running; pass --long to confirm "
             "(or use oval-h2 for the fast variant)")
@@ -242,42 +240,28 @@ def _cmd_stationarity(ns: argparse.Namespace) -> int:
 
 
 def _cmd_diagnostics(ns: argparse.Namespace) -> int:
-    variant = ConstraintVariant(ns.constraint)
-    spec = named_experiment(ns.experiment, constraint=variant)
-    rows = []
+    spec = named_experiment(ns.experiment, ConstraintVariant(ns.constraint))
+    lines = []
     for M in ns.mesh_sizes:
         mesh = Mesh1D.uniform(*spec.interval, M)
-        matrices = assemble_matrices(mesh, spec.dim)
-        pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
-                                     mesh, spec.dim, variant)
-        errors = []
-        try:
-            norms = DiscreteNorms.build(matrices, spec.bc, variant)
-            brezzi = [f(pair, variant, spec.bc, matrices, norms) for f in
-                      (residual_dual_norm, coercivity_estimate, infsup_estimate)]
-        except ValueError as exc:   # no multiplier, rank-deficient B, Lanczos cap
-            brezzi, errors = ["FAILED"] * 3, [f"brezzi: {exc}"]
-        try:
-            iters = newton_solve(pair, variant, spec.bc, matrices)[1]["iterations"]
-        except NewtonError as exc:
-            iters = "FAILED"
-            errors.append(f"newton: {exc}")
-        rows.append((M, mesh.h, *brezzi, iters))
-        dual, alpha, beta = map(_fmt, brezzi, (".3e", ".4f", ".4f"))
-        line = (f"M={M:4d} h={mesh.h:.3e} residual_dual={dual} "
-                f"alpha={alpha} beta={beta}")
-        if errors:
-            print(f"FAILED row: {line} {' '.join(errors)}", file=sys.stderr)
+        row = study_row(spec, assemble_matrices(mesh, spec.dim))
+        dual, alpha, beta = row.brezzi or ("FAILED",) * 3
+        iters = row.newton[1]["iterations"] if row.newton else "FAILED"
+        lines.append(f"{M},{mesh.h:.3e},{_fmt(dual, '.3e')},"
+                     f"{_fmt(alpha, '.6e')},{_fmt(beta, '.6e')},{iters}\n")
+        line = (f"M={M:4d} h={mesh.h:.3e} residual_dual={_fmt(dual, '.3e')} "
+                f"alpha={_fmt(alpha, '.4f')} beta={_fmt(beta, '.4f')}")
+        if row.errors:
+            print(f"FAILED row: {line}", *(f"{part}: {exc}" for part, exc
+                                           in row.errors.items()), file=sys.stderr)
         else:
             print(f"{line} newton_iters={iters}")
-    out = _output_dir(ns)
-    path = os.path.join(out, f"diagnostics_{spec.name}_{variant.value}.csv")
+    path = os.path.join(_output_dir(ns),
+                        f"diagnostics_{spec.name}_{spec.constraint.value}.csv")
     with open(path, "w") as fh:
-        for M, h, dual, alpha, beta, iters in rows:
-            fh.write(f"{M},{h:.3e},{_fmt(dual, '.3e')},{_fmt(alpha, '.6e')},"
-                     f"{_fmt(beta, '.6e')},{iters}\n")
+        fh.writelines(lines)
     print(f"wrote {path}")
-    return 1 if any("FAILED" in row for row in rows) else 0
+    return 1 if any("FAILED" in line for line in lines) else 0
 
 
 def _fmt(value, spec: str) -> str:

@@ -20,7 +20,7 @@ from .analysis import ExactSolution, eoc, h2_error, weak_errors
 from .assembly import BoundaryConditions, assemble_matrices
 from .mesh import ConstraintVariant, Mesh1D
 from .splines import FunctionOracle
-from .stationary import make_interpolant_pair, newton_solve
+from .stationary import study_row
 
 DEFAULT_MESH_SIZES = (10, 20, 40, 80, 160)
 
@@ -253,11 +253,10 @@ def run_experiment(spec: ExperimentSpec,
         for label, tau in series:
             try:
                 if tau is None:
-                    pair = make_interpolant_pair(
-                        spec.exact.oracle, spec.exact.multiplier, mesh,
-                        spec.dim, spec.constraint)
-                    sol, _ = newton_solve(pair, spec.constraint, spec.bc, matrices)
-                    curve = sol.u
+                    row = study_row(spec, matrices, brezzi=False)
+                    if row.errors:      # the cell's failure is Newton's
+                        raise row.errors["newton"]
+                    curve = row.newton[0].u
                 else:
                     cfg = flow_mod.FlowConfig(
                         tau=tau, T=spec.T, variant=spec.flow_variant,

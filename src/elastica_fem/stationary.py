@@ -1,6 +1,7 @@
 """Direct computation of discrete stationary points: residual of the
-saddle-point optimality system, its exact Jacobian, a Newton iteration, and
-numerical checks of the two Brezzi conditions (kernel coercivity, inf-sup).
+saddle-point optimality system, its exact Jacobian, a Newton iteration,
+numerical checks of the two Brezzi conditions (kernel coercivity, inf-sup),
+and ``study_row``, which runs these from the interpolant pair of one mesh.
 
 The optimality system couples the curve with a scalar multiplier in the
 zero-boundary constraint-node space, held as its values at the interior
@@ -12,7 +13,7 @@ index map that selects the free DOFs; the Jacobian is on P^T S P's pattern.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
@@ -476,3 +477,40 @@ def infsup_estimate(p: SaddlePoint, variant: ConstraintVariant,
                                                         "LA", _BREZZI_TOL)))
     except KKTSingularError:
         return 0.0
+
+
+@dataclass
+class StudyRow:
+    """One mesh of a stationary study: its ``matrices``; ``brezzi``, the
+    residual dual norm, alpha and beta at the interpolant pair, or None;
+    ``newton``, the (solution, log) of Newton from that pair, or None; and
+    ``errors``, the exception of each failed part under "brezzi" or
+    "newton"."""
+
+    matrices: SystemMatrices
+    brezzi: Optional[Tuple[float, float, float]] = None
+    newton: Optional[Tuple[SaddlePoint, dict]] = None
+    errors: dict = field(default_factory=dict)
+
+
+def study_row(spec, matrices: SystemMatrices, brezzi: bool = True) -> StudyRow:
+    """The interpolant pair of ``spec.exact`` on ``matrices``' mesh, then,
+    with ``brezzi``, its three Brezzi estimates on one ``DiscreteNorms``,
+    then Newton from it.  Reads ``spec.exact``, ``.dim``, ``.constraint``
+    and ``.bc``; a ``ValueError`` of the estimates and a ``NewtonError``
+    are recorded in ``errors``, any other exception propagates."""
+    row, variant, bc = StudyRow(matrices), spec.constraint, spec.bc
+    pair = make_interpolant_pair(spec.exact.oracle, spec.exact.multiplier,
+                                 matrices.mesh, spec.dim, variant)
+    if brezzi:
+        try:
+            norms = DiscreteNorms.build(matrices, bc, variant)
+            row.brezzi = tuple(f(pair, variant, bc, matrices, norms) for f in (
+                residual_dual_norm, coercivity_estimate, infsup_estimate))
+        except ValueError as exc:   # no multiplier, rank-deficient B, Lanczos cap
+            row.errors["brezzi"] = exc
+    try:
+        row.newton = newton_solve(pair, variant, bc, matrices)
+    except NewtonError as exc:
+        row.errors["newton"] = exc
+    return row

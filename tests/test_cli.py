@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from elastica_fem import Mesh1D, cli, flow
+from elastica_fem import Mesh1D, cli, flow, stationary
 from elastica_fem.cli import (UsageError, _run_spec, console_main,
                               load_config, main, parse_args)
 from elastica_fem.experiments import named_experiment
@@ -168,6 +168,13 @@ class TestMain:
         with pytest.raises(UsageError, match="--long"):
             main(parse_args(["run", "oval"]))
 
+    def test_oval_newton_needs_no_long(self, tmp_path):
+        # --long guards the L2 flow's horizon T = 5000; Newton has none
+        assert console_main(["run", "oval", "--flow", "newton", "-M", "10,20",
+                             "--output-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "oval_p2_newton.csv").read_text().splitlines()
+        assert len(rows) == 2 and "FAILED" not in rows[0] + rows[1]
+
     def test_unwritable_output_dir(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("")  # a file, so makedirs must fail
@@ -238,14 +245,14 @@ class TestMain:
 
     def test_diagnostics_records_failed_newton_row(self, tmp_path, capsys,
                                                    monkeypatch):
-        solve = cli.newton_solve
+        solve = stationary.newton_solve
 
         def failing_at_8(p0, *args, **kwargs):
             if p0.u.mesh.num_elements == 8:
                 raise NewtonError("Newton step halving stalled", [1.0])
             return solve(p0, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "newton_solve", failing_at_8)
+        monkeypatch.setattr(stationary, "newton_solve", failing_at_8)
         cfg = parse_args(["diagnostics", "circle", "-M", "4,8",
                           "--output-dir", str(tmp_path)])
         assert main(cfg) == 1
@@ -264,14 +271,14 @@ class TestMain:
         ids=["value-error", "no-convergence"])
     def test_diagnostics_records_failed_brezzi_row(self, tmp_path, capsys,
                                                    monkeypatch, error):
-        estimate = cli.coercivity_estimate
+        estimate = stationary.coercivity_estimate
 
         def failing_at_8(p, *args, **kwargs):
             if p.u.mesh.num_elements == 8:
                 raise error
             return estimate(p, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "coercivity_estimate", failing_at_8)
+        monkeypatch.setattr(stationary, "coercivity_estimate", failing_at_8)
         code = console_main(["diagnostics", "circle", "-M", "4,8,16",
                              "--output-dir", str(tmp_path)])
         assert code == 1

@@ -7,6 +7,8 @@ import pytest
 import elastica_fem
 from elastica_fem import flow, saddle_solver, stationary
 
+from code_lines import code_lines
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # one KKT path (saddle_solver.BandedKKT) and no dense fallback: no module
@@ -99,3 +101,28 @@ def test_benchmark_flow_contract(monkeypatch, name, bc_kind, variant):
     monkeypatch.setattr(flow, "solve_kkt", spy)
     flow.step(state, flow.StepStructure.build(cfg, mats))
     assert orders == [2 * spec.dim * (M + 1)]
+
+
+def test_code_line_counter():
+    # code lines: not blank, not a comment, not a docstring
+    snippet = '''"""Module docstring,
+on two lines."""
+
+import os   # a comment
+
+
+# a comment line
+def f(x):
+    """Docstring."""
+    s = """a string,
+    not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    y = 1
+'''
+    assert code_lines(snippet) == 8

@@ -1,3 +1,6 @@
+import inspect
+import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +22,7 @@ from elastica_fem.stationary import (DiscreteNorms, SaddlePoint,
                                      _pattern, coercivity_estimate,
                                      infsup_estimate, jacobian,
                                      make_interpolant_pair, newton_solve,
-                                     residual, residual_dual_norm)
+                                     residual, residual_dual_norm, study_row)
 
 from conftest import (bending_matrix, derivative_matrix, fit_rate,
                       restriction_matrix, with_norms)
@@ -827,6 +830,71 @@ class TestExtremeEigenvalue:
 
 
 # ---------------------------------------------------------------------------
+# the stationary study of one mesh: interpolant pair, Brezzi estimates and
+# Newton from the pair
+
+def study_input(name, variant, M):
+    """(spec, matrices) of ``study_row`` for experiment ``name``."""
+    spec = named_experiment(name, variant)
+    return spec, assemble_matrices(Mesh1D.uniform(*spec.interval, M),
+                                   spec.dim)
+
+
+class TestStudyRow:
+    def test_row_is_the_direct_calls_bit_for_bit(self):
+        spec, mats = study_input("circle", P2, 10)
+        row = study_row(spec, mats)
+        pair, variant, bc, direct = fresh_row("circle", P2, M=10)
+        norms = DiscreteNorms.build(direct, bc, variant)
+        brezzi = [f(pair, variant, bc, direct, norms) for f in
+                  (residual_dual_norm, coercivity_estimate, infsup_estimate)]
+        sol, log = newton_solve(pair, variant, bc, direct)
+        assert row.errors == {} and row.matrices is mats
+        assert list(row.brezzi) == brezzi
+        got = np.append(row.newton[0].u.dofs, row.newton[0].lam)
+        assert np.array_equal(got, np.append(sol.u.dofs, sol.lam))
+        assert row.newton[1] == log
+
+    def test_empty_multiplier_space_fails_brezzi_only(self):
+        # P1 at M=1 has no interior constraint node; Newton still runs
+        row = study_row(*study_input("circle", P1, 1))
+        assert list(row.errors) == ["brezzi"] and row.brezzi is None
+        assert "multiplier space is empty" in str(row.errors["brezzi"])
+        assert row.newton is not None and row.newton[1]["converged"]
+
+    def test_no_free_curve_dofs_fails_both(self):
+        # the clamped helix at M=1 fixes every curve DOF
+        row = study_row(*study_input("helix", P2, 1))
+        assert list(row.errors) == ["brezzi", "newton"]
+        assert [str(exc) for exc in row.errors.values()] \
+            == ["no free curve DOFs"] * 2
+        assert row.brezzi is None and row.newton is None
+
+    def test_without_brezzi_builds_no_norms(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(DiscreteNorms, "build",
+                            lambda *args: built.append(args))
+        row = study_row(*study_input("circle", P2, 10), brezzi=False)
+        assert built == [] and row.brezzi is None
+        assert row.errors == {} and row.newton is not None
+
+
+def test_one_stationary_study_path():
+    # in src/, only study_row sets up the pair, the norms and Newton
+    pattern = re.compile(r"(?<!def )\b(newton_solve|DiscreteNorms\.build"
+                         r"|make_interpolant_pair)\(")
+    body, first = inspect.getsourcelines(stationary.study_row)
+    inside = [line for line in body if pattern.search(line)]
+    package = pathlib.Path(stationary.__file__).parent
+    outside = [f"{path.name}:{number}: {line.strip()}"
+               for path in sorted(package.glob("*.py"))
+               for number, line in enumerate(path.read_text().splitlines(), 1)
+               if pattern.search(line) and not (
+                   path.name == "stationary.py"
+                   and first <= number < first + len(body))]
+    assert len(inside) == 3 and outside == []
+
+
 # one KKT structure per mesh, variant and set of fixed ends
 
 def fresh_row(name, variant, M=20):
@@ -861,13 +929,8 @@ class TestOneKKTPerMesh:
             band_init(band, *args)
 
         monkeypatch.setattr(saddle_solver.BandedKKT, "__init__", init_spy)
-        pair, variant, bc, mats = fresh_row(name, variant)
-        norms = DiscreteNorms.build(mats, bc, variant)
-        for estimate in (residual_dual_norm, coercivity_estimate,
-                         infsup_estimate):
-            estimate(pair, variant, bc, mats, norms)
-        newton_solve(pair, variant, bc, mats)
-        assert len(built) == 1
+        row = study_row(*study_input(name, variant, 20))
+        assert row.errors == {} and len(built) == 1
 
     def test_results_do_not_depend_on_order(self, name, variant):
         # each routine first on fresh matrices, and last after the others
